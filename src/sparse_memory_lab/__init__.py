@@ -5,10 +5,9 @@ Monte Carlo verification of the lookup families' collision behavior."""
 from .autodiff import NonFiniteError, Tensor, concat
 from .config import ExperimentConfig, load_config, parse_config
 from .nn import (
-    ConstantExpertParams,
     GradCheckReport,
+    MemoryTable,
     TransformerBlockParams,
-    TwoLayerExpertParams,
     apply_expert,
     finite_diff_check,
     lecun_normal_init,
@@ -24,10 +23,9 @@ __all__ = [
     "ExperimentConfig",
     "load_config",
     "parse_config",
-    "ConstantExpertParams",
     "GradCheckReport",
+    "MemoryTable",
     "TransformerBlockParams",
-    "TwoLayerExpertParams",
     "apply_expert",
     "finite_diff_check",
     "lecun_normal_init",

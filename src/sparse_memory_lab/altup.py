@@ -180,13 +180,6 @@ def pcc_forward_simplified(x_old: WideRepresentation, params: PccSimplifiedParam
     return WideRepresentation(blocks=new_blocks)
 
 
-def sum_consume(x: Tensor, mem: Tensor) -> Tensor:
-    """Add a looked-up memory vector into the token representation."""
-    if x.shape != mem.shape:
-        raise ValueError(f"shape mismatch: {x.shape} vs {mem.shape}")
-    return x + mem
-
-
 @dataclass
 class DivideProjectParams:
     """Split an e-wide augmentation into K-1 chunks and project each to width d."""

@@ -40,11 +40,14 @@ def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
 class Tensor:
     """A node in the computation graph holding a float64 array."""
 
-    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward")
+    __slots__ = ("data", "grad", "grad_rows", "requires_grad", "_parents", "_backward")
 
     def __init__(self, data, requires_grad: bool = False):
         self.data = _as_array(data)
         self.grad: np.ndarray | None = None
+        # axis-0 rows that received gradient while every contribution came
+        # through take(); None once any other op contributed
+        self.grad_rows: np.ndarray | None = None
         self.requires_grad = bool(requires_grad)
         self._parents: tuple[Tensor, ...] = ()
         self._backward: Callable[[np.ndarray], None] | None = None
@@ -83,10 +86,18 @@ class Tensor:
 
     def zero_grad(self) -> None:
         self.grad = None
+        self.grad_rows = None
 
-    def _accumulate(self, grad: np.ndarray) -> None:
+    def _accumulate(self, grad: np.ndarray, rows: np.ndarray | None = None) -> None:
+        """Add grad; `rows`, when given, are the only axis-0 rows it touches."""
         if self.grad is None:
             self.grad = np.zeros_like(self.data)
+            if rows is not None:
+                self.grad_rows = np.zeros(self.data.shape[0], dtype=bool)
+        if rows is None:
+            self.grad_rows = None
+        elif self.grad_rows is not None:
+            self.grad_rows[rows] = True
         self.grad += grad
 
     def backward(self) -> None:
@@ -232,7 +243,7 @@ class Tensor:
         def backward(g: np.ndarray) -> None:
             full = np.zeros_like(self.data)
             np.add.at(full, idx, g)
-            self._accumulate(full)
+            self._accumulate(full, rows=idx)
 
         return Tensor._op(self.data[idx].copy(), (self,), backward)
 

@@ -41,10 +41,15 @@ def load_checkpoint(path: str | Path) -> dict[str, np.ndarray]:
     raw = Path(path).read_bytes()
     if raw[:4] != MAGIC:
         raise ValueError(f"not a checkpoint file: bad magic {raw[:4]!r}")
+    if len(raw) < 16:
+        raise ValueError(f"checkpoint is truncated: {len(raw)}-byte file has no full header")
     version = struct.unpack("<I", raw[4:8])[0]
     if version != VERSION:
         raise ValueError(f"unsupported checkpoint version {version}")
     man_len = struct.unpack("<Q", raw[8:16])[0]
+    if len(raw) < 16 + man_len:
+        raise ValueError(f"checkpoint is truncated: manifest needs {man_len} bytes, "
+                         f"file holds {len(raw) - 16} after the header")
     manifest = json.loads(raw[16:16 + man_len].decode("utf-8"))
     payload = raw[16 + man_len:]
     out: dict[str, np.ndarray] = {}
@@ -52,6 +57,9 @@ def load_checkpoint(path: str | Path) -> dict[str, np.ndarray]:
         shape = tuple(entry["shape"])
         count = int(np.prod(shape)) if shape else 1
         start = entry["offset"]
+        if start + 8 * count > len(payload):
+            raise ValueError(f"checkpoint is truncated: tensor {entry['name']!r} needs payload "
+                             f"bytes up to {start + 8 * count}, file holds {len(payload)}")
         arr = np.frombuffer(payload, dtype="<f8", count=count, offset=start)
         out[entry["name"]] = arr.reshape(shape).astype(np.float64)
     return out

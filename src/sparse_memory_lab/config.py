@@ -6,6 +6,7 @@ hard errors because a silently ignored typo corrupts an entire sweep.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 
@@ -74,6 +75,12 @@ class ExperimentConfig:
 
     def validate(self) -> "ExperimentConfig":
         m, mem, alt, tr, io = self.model, self.memory, self.altup, self.training, self.io
+        for section in _SECTIONS:
+            obj = getattr(self, section)
+            for f in fields(obj):
+                value = getattr(obj, f.name)
+                if isinstance(value, float) and not math.isfinite(value):
+                    raise ValueError(f"{section}.{f.name} must be finite, got {value}")
         for name, value in (("model.d", m.d), ("model.layers", m.layers),
                             ("model.heads", m.heads), ("model.vocab", m.vocab),
                             ("model.seq_len", m.seq_len), ("training.steps", tr.steps),

@@ -14,7 +14,7 @@ import numpy as np
 
 from .autodiff import Tensor
 from .config import AltUpConfig, ExperimentConfig, MemoryConfig, ModelConfig, TrainingConfig
-from .lookup import MemoryTable, SoftmaxRouterParams, TokenContext, memory_augmented_forward
+from .lookup import MemoryTable, SoftmaxRouterParams, memory_augmented_forward
 from .model import LanguageModel
 from .nn import GradCheckReport, finite_diff_check
 
@@ -24,10 +24,10 @@ Scenario = tuple[str, Callable[[], Tensor], dict[str, Tensor]]
 
 
 def memory_softmax_scenario(seed: int = 7) -> Scenario:
-    """Memory-augmented layer, softmax routing: d=8, n=4 experts of rank 2, k=2."""
-    d, n, rank, k = 8, 4, 2, 2
+    """Memory-augmented layer, softmax routing: 3 rows of d=8, n=4 experts of rank 2, k=2."""
+    seq, d, n, rank, k = 3, 8, 4, 2, 2
     rng = np.random.default_rng(seed)
-    x = Tensor(rng.standard_normal(d))
+    x = Tensor(rng.standard_normal((seq, d)))
     layer_w = Tensor(rng.standard_normal((d, d)) / math.sqrt(d), requires_grad=True)
     router = SoftmaxRouterParams.init(n, d, k, seed + 1)
     table = MemoryTable.init(n, d, rank, seed + 2)
@@ -35,11 +35,10 @@ def memory_softmax_scenario(seed: int = 7) -> Scenario:
     params.update(table.parameters())
 
     def loss_fn() -> Tensor:
-        y = memory_augmented_forward(lambda v: layer_w @ v, x,
-                                     TokenContext(1), router, table)
+        y = memory_augmented_forward(lambda v: v @ layer_w, x, None, router, table)
         return (y * y).sum()
 
-    return "memory_augmented_softmax_d8_n4_rank2", loss_fn, params
+    return "memory_augmented_softmax_seq3_d8_n4_rank2", loss_fn, params
 
 
 def _lm_scenario(name: str, config: ExperimentConfig, window_seed: int = 3) -> Scenario:

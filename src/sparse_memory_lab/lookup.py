@@ -1,6 +1,7 @@
 """Sparse table lookups: token-id, learnable softmax routing, hyperplane and
 spherical LSH, min-hash, and the memory-augmented layer that consumes them.
 
+Every routine except min-hash routes all rows of a (seq, d) block at once.
 Lookup parameters are immutable after construction and safe to share across
 threads; the softmax router's jitter draws come from a caller-supplied
 generator so batch-parallel evaluation stays deterministic.
@@ -14,90 +15,34 @@ from typing import Callable, Iterable
 import numpy as np
 
 from .autodiff import Tensor
-from .nn import ConstantExpertParams, ExpertParams, TwoLayerExpertParams, apply_expert, as_seedseq
-
-
-@dataclass(frozen=True)
-class TokenContext:
-    """Vocabulary index of the original token, carried alongside the vector."""
-
-    id: int
-
-    def __post_init__(self) -> None:
-        if self.id < 0:
-            raise ValueError(f"token id must be nonnegative, got {self.id}")
-
-
-@dataclass
-class MemoryTable:
-    """External table of n expert parameter records, all of one kind."""
-
-    entries: list[ExpertParams]
-
-    def __post_init__(self) -> None:
-        if not self.entries:
-            raise ValueError("memory table needs at least one entry")
-        kinds = {type(e) for e in self.entries}
-        if len(kinds) > 1:
-            raise ValueError("memory table entries must all be of one kind")
-        d_ins = {e.d_in for e in self.entries}
-        ranks = {e.rank for e in self.entries}
-        if len(d_ins) > 1 or len(ranks) > 1:
-            raise ValueError("memory table entries must share d_in and rank")
-
-    @property
-    def n(self) -> int:
-        return len(self.entries)
-
-    @property
-    def d_in(self) -> int:
-        return self.entries[0].d_in
-
-    @property
-    def rank(self) -> int:
-        return self.entries[0].rank
-
-    @classmethod
-    def init(cls, n: int, d_in: int, rank: int, seed) -> "MemoryTable":
-        """rank >= 1 builds two-layer experts; rank 0 builds constant vectors."""
-        if rank > 0:
-            seeds = as_seedseq(seed).spawn(n)
-            entries: list[ExpertParams] = [
-                TwoLayerExpertParams.init(d_in, rank, s) for s in seeds
-            ]
-        else:
-            entries = [ConstantExpertParams.init(d_in) for _ in range(n)]
-        return cls(entries=entries)
-
-    def parameters(self) -> dict[str, Tensor]:
-        out: dict[str, Tensor] = {}
-        for i, e in enumerate(self.entries):
-            for name, t in e.parameters().items():
-                out[f"expert{i}_{name}"] = t
-        return out
+from .nn import MemoryTable, apply_expert
 
 
 @dataclass(frozen=True)
 class RouteResult:
-    """Selected table indices and their weights (a length-matched tensor)."""
+    """Selected table indices, flat and position-major (k per position), and
+    their weights as a length-matched tensor, or None when every weight is 1."""
 
     indices: tuple[int, ...]
-    weights: Tensor
+    weights: Tensor | None = None
 
     def __post_init__(self) -> None:
-        if len(self.indices) != self.weights.shape[0]:
+        if self.weights is not None and len(self.indices) != self.weights.shape[0]:
             raise ValueError("indices and weights must have equal length")
 
 
-def _unit_weights(count: int = 1) -> Tensor:
-    return Tensor(np.ones(count))
+def _rows(x) -> np.ndarray:
+    """The (seq, d) values of a Tensor or array, for the non-learnable lookups."""
+    return x.data if isinstance(x, Tensor) else np.asarray(x, dtype=np.float64)
 
 
-def token_id_lookup(ctx: TokenContext, n: int) -> RouteResult:
-    """Route by vocabulary index; the table size must equal the vocabulary size."""
-    if ctx.id >= n:
-        raise ValueError(f"token id {ctx.id} out of vocabulary for table size {n}")
-    return RouteResult(indices=(ctx.id,), weights=_unit_weights())
+def token_id_lookup(tokens, n: int) -> RouteResult:
+    """Route each position by its vocabulary index; the table size is the vocabulary size."""
+    ids = np.asarray(tokens, dtype=np.int64).reshape(-1)
+    bad = ids[(ids < 0) | (ids >= n)]
+    if bad.size:
+        raise ValueError(f"token id {int(bad[0])} out of vocabulary for table size {n}")
+    return RouteResult(indices=tuple(ids.tolist()))
 
 
 @dataclass
@@ -137,14 +82,16 @@ class SoftmaxRouterParams:
 
 def softmax_route(x: Tensor, params: SoftmaxRouterParams, train_mode: bool = False,
                   rng: np.random.Generator | None = None) -> RouteResult:
-    """Top-k probability routing; ties break toward the lower index.
+    """Row-wise top-k probability routing; ties break toward the lower index.
 
     In train mode the routing input is multiplied elementwise by jitter drawn
-    uniformly from [1-eps, 1+eps]; evaluation is jitter-free. Weights are the
-    selected probabilities, so gradients reach W through the weighting.
+    uniformly from [1-eps, 1+eps], one (seq, d) block per call, which is the
+    stream of seq consecutive per-row draws; evaluation is jitter-free.
+    Weights are the selected probabilities, so gradients reach W through the
+    weighting.
     """
-    if x.ndim != 1 or x.shape[0] != params.d_in:
-        raise ValueError(f"router expects a length-{params.d_in} vector, got {x.shape}")
+    if x.ndim != 2 or x.shape[1] != params.d_in:
+        raise ValueError(f"router expects (seq, {params.d_in}) rows, got {x.shape}")
     if params.k > params.n:
         raise ValueError("k exceeds table size")
     routed_x = x
@@ -153,11 +100,12 @@ def softmax_route(x: Tensor, params: SoftmaxRouterParams, train_mode: bool = Fal
             raise ValueError("train-mode jitter needs a random generator")
         eps = params.jitter_epsilon
         routed_x = x * rng.uniform(1.0 - eps, 1.0 + eps, size=x.shape)
-    logits = params.W @ routed_x
-    probs = logits.softmax(axis=-1)
-    order = np.argsort(-probs.data, kind="stable")
-    top = tuple(int(i) for i in order[: params.k])
-    return RouteResult(indices=top, weights=probs.take(list(top)))
+    probs = (routed_x @ params.W.T).softmax(axis=1)
+    top = np.argsort(-probs.data, axis=1, kind="stable")[:, : params.k]
+    seq, n = probs.shape
+    flat = (np.arange(seq)[:, None] * n + top).reshape(-1)
+    return RouteResult(indices=tuple(top.reshape(-1).tolist()),
+                       weights=probs.reshape(seq * n).take(flat))
 
 
 _MASK64 = np.uint64(0xFFFFFFFFFFFFFFFF)
@@ -170,8 +118,8 @@ def fold_cells(cells: np.ndarray, seed: int) -> np.ndarray:
     """Reduce integer cell tuples (..., k) to 64-bit bucket hashes.
 
     Splitmix-style mixing folded left to right; trailing axis is the tuple.
-    The same function serves the scalar lookup op and the vectorized
-    collision simulation, so the two routes share bucket math exactly.
+    The same function serves the lookup op and the vectorized collision
+    simulation, so the two routes share bucket math exactly.
     """
     cells = np.asarray(cells, dtype=np.int64)
     state = np.full(cells.shape[:-1], np.uint64(seed), dtype=np.uint64)
@@ -228,13 +176,13 @@ class HyperplaneLshParams:
 
 
 def hyperplane_lsh_lookup(x, params: HyperplaneLshParams) -> RouteResult:
-    """Bucket = mixed hash of the per-projection grid cells, mod n."""
-    vec = x.data if isinstance(x, Tensor) else np.asarray(x, dtype=np.float64)
-    if vec.shape != (params.d_in,):
-        raise ValueError(f"expected a length-{params.d_in} vector, got {vec.shape}")
-    cells = np.floor((params.directions @ vec + params.offsets) / params.width).astype(np.int64)
-    bucket = int(fold_cells(cells, params.mix_seed) % np.uint64(params.n))
-    return RouteResult(indices=(bucket,), weights=_unit_weights())
+    """Bucket per row = mixed hash of its per-projection grid cells, mod n."""
+    rows = _rows(x)
+    if rows.ndim != 2 or rows.shape[1] != params.d_in:
+        raise ValueError(f"expected (seq, {params.d_in}) rows, got {rows.shape}")
+    cells = np.floor((rows @ params.directions.T + params.offsets) / params.width)
+    buckets = fold_cells(cells.astype(np.int64), params.mix_seed) % np.uint64(params.n)
+    return RouteResult(indices=tuple(buckets.tolist()))
 
 
 @dataclass
@@ -269,15 +217,15 @@ class SphericalLshParams:
 
 
 def spherical_lsh_lookup(x, params: SphericalLshParams) -> RouteResult:
-    """Bucket = argmax anchor dot with x/||x||; ties go to the lower index."""
-    vec = x.data if isinstance(x, Tensor) else np.asarray(x, dtype=np.float64)
-    if vec.shape != (params.d_in,):
-        raise ValueError(f"expected a length-{params.d_in} vector, got {vec.shape}")
-    norm = np.linalg.norm(vec)
-    if norm == 0.0:
+    """Bucket per row = argmax anchor dot with row/||row||; ties go to the lower index."""
+    rows = _rows(x)
+    if rows.ndim != 2 or rows.shape[1] != params.d_in:
+        raise ValueError(f"expected (seq, {params.d_in}) rows, got {rows.shape}")
+    norms = np.linalg.norm(rows, axis=1, keepdims=True)
+    if np.any(norms == 0.0):
         raise ValueError("spherical lookup is undefined for the zero vector")
-    bucket = int(np.argmax(params.anchors @ (vec / norm)))
-    return RouteResult(indices=(bucket,), weights=_unit_weights())
+    buckets = np.argmax((rows / norms) @ params.anchors.T, axis=1)
+    return RouteResult(indices=tuple(buckets.tolist()))
 
 
 @dataclass
@@ -313,7 +261,7 @@ def minhash_lookup(token_set: Iterable[int], params: MinHashParams) -> RouteResu
     if any(e < 0 or e >= params.universe for e in elems):
         raise ValueError("set element outside the token universe")
     winner = min(elems, key=lambda e: params.ranks[e])
-    return RouteResult(indices=(winner % params.n,), weights=_unit_weights())
+    return RouteResult(indices=(winner % params.n,))
 
 
 @dataclass(frozen=True)
@@ -323,42 +271,37 @@ class TokenIdLookup:
     n: int
 
 
-LookupParams = (
-    TokenIdLookup | SoftmaxRouterParams | HyperplaneLshParams
-    | SphericalLshParams | MinHashParams
-)
+LookupParams = TokenIdLookup | SoftmaxRouterParams | HyperplaneLshParams | SphericalLshParams
 
 
-def route(x: Tensor, ctx: TokenContext, lookup: LookupParams,
-          train_mode: bool = False,
+def route(x: Tensor, tokens, lookup: LookupParams, train_mode: bool = False,
           rng: np.random.Generator | None = None) -> RouteResult:
-    """Dispatch (x, id) to table indices for any lookup kind."""
+    """Dispatch the rows of x (seq, d) and their token ids to table indices."""
     if isinstance(lookup, TokenIdLookup):
-        return token_id_lookup(ctx, lookup.n)
+        return token_id_lookup(tokens, lookup.n)
     if isinstance(lookup, SoftmaxRouterParams):
         return softmax_route(x, lookup, train_mode=train_mode, rng=rng)
     if isinstance(lookup, HyperplaneLshParams):
         return hyperplane_lsh_lookup(x, lookup)
     if isinstance(lookup, SphericalLshParams):
         return spherical_lsh_lookup(x, lookup)
-    if isinstance(lookup, MinHashParams):
-        return minhash_lookup({ctx.id}, lookup)
     raise ValueError(f"unknown lookup kind: {type(lookup).__name__}")
 
 
-def memory_augmented_forward(layer: Callable[[Tensor], Tensor], x: Tensor,
-                             ctx: TokenContext, lookup: LookupParams,
-                             table: MemoryTable, train_mode: bool = False,
+def memory_augmented_forward(layer: Callable[[Tensor], Tensor], x: Tensor, tokens,
+                             lookup: LookupParams, table: MemoryTable,
+                             train_mode: bool = False,
                              rng: np.random.Generator | None = None) -> Tensor:
-    """L(x) plus the weighted sum of selected partial experts on x."""
-    result = route(x, ctx, lookup, train_mode=train_mode, rng=rng)
-    out = layer(x)
-    for pos, idx in enumerate(result.indices):
-        if idx >= table.n:
-            raise ValueError(f"routed index {idx} outside table of size {table.n}")
-        w = result.weights.narrow(0, pos, 1)
-        out = out + w * apply_expert(x, table.entries[idx])
-    return out
+    """L(x) plus, per row of x (seq, d), the weighted sum of its selected
+    partial experts on that row."""
+    result = route(x, tokens, lookup, train_mode=train_mode, rng=rng)
+    idx = np.asarray(result.indices, dtype=np.intp).reshape(x.shape[0], -1)
+    if idx.max() >= table.n:
+        raise ValueError(f"routed index {int(idx.max())} outside table of size {table.n}")
+    experts = apply_expert(x, table, idx)
+    if result.weights is not None:
+        experts = experts * result.weights.reshape(*idx.shape, 1)
+    return layer(x) + experts.sum(axis=1)
 
 
 def partial_expert_param_count(rank: int, buckets: int, d_in: int) -> tuple[int, int]:

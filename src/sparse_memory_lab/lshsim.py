@@ -16,11 +16,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from functools import cache, partial
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
 from .lookup import fold_cells
+from .nn import as_seedseq
 
 FAMILIES = ("token_id", "spherical", "hyperplane", "minhash")
 
@@ -36,12 +38,6 @@ _MIX_SEED = 0x5EED
 
 _PAIR_BATCH = 2048
 _width_cache: dict[tuple[int, int], float] = {}
-
-
-def _as_seedseq(seed) -> np.random.SeedSequence:
-    if isinstance(seed, np.random.SeedSequence):
-        return seed
-    return np.random.SeedSequence(seed)
 
 
 @dataclass(frozen=True)
@@ -146,7 +142,7 @@ def estimate_mixing_dot(f: float, l: int, d: int, pairs: int, seed) -> tuple[flo
     if pairs < 1:
         raise ValueError("need at least one pair")
     dots = np.empty(pairs)
-    rng = np.random.default_rng(_as_seedseq(seed))
+    rng = np.random.default_rng(as_seedseq(seed))
     s = round(f * l)
     own = l - s
     total = s + 2 * own
@@ -296,6 +292,32 @@ def hyperplane_collision_width(d: int = DEFAULT_EMBED_DIM,
     return width
 
 
+def _cell_p_hat(family: str, f: float, n: int, l: int, d: int, trials: int, hash_seed,
+                cosines: Callable[[], np.ndarray], *, width: float | None = None,
+                num_projections: int | None = None,
+                sampled_token_id: bool = False) -> float:
+    """Same-bucket frequency of one (family, f, n) cell.
+
+    Hash draws come from `hash_seed`; `cosines` supplies the sentence-pair
+    draws, and is called only by the families that need them.
+    """
+    rng = np.random.default_rng(hash_seed)
+    if family == "token_id":
+        if not sampled_token_id:
+            return round(f * l) / l
+        positions = rng.integers(0, l, size=trials)
+        return float(np.mean(positions < round(f * l)))
+    if family == "minhash":
+        hits = _minhash_collisions(f, l, n, trials, rng)
+    elif family == "spherical":
+        hits = _spherical_collisions(cosines(), n, d, rng)
+    else:
+        k = num_projections if num_projections is not None else default_num_projections(n)
+        w = width if width is not None else hyperplane_collision_width(d, l)
+        hits = _hyperplane_collisions(cosines(), n, k, w, rng)
+    return float(hits.mean())
+
+
 def estimate_collision(family: str, f: float, n: int, l: int, d: int,
                        trials: int, seed, *, width: float | None = None,
                        num_projections: int | None = None,
@@ -312,29 +334,10 @@ def estimate_collision(family: str, f: float, n: int, l: int, d: int,
     if trials < 1:
         raise ValueError("need at least one trial")
     SentencePairSpec(l=l, f=f, d=d, seed=0)  # reuse the range validation
-    s_pairs, s_hash = _as_seedseq(seed).spawn(2)
-
-    if family == "token_id":
-        exact = round(f * l) / l
-        if sampled_token_id:
-            rng = np.random.default_rng(s_hash)
-            positions = rng.integers(0, l, size=trials)
-            p_hat = float(np.mean(positions < round(f * l)))
-        else:
-            p_hat = exact
-    elif family == "minhash":
-        hits = _minhash_collisions(f, l, n, trials, np.random.default_rng(s_hash))
-        p_hat = float(hits.mean())
-    else:
-        cosines = _pair_cosines(f, l, d, trials, np.random.default_rng(s_pairs))
-        if family == "spherical":
-            hits = _spherical_collisions(cosines, n, d, np.random.default_rng(s_hash))
-        else:
-            k = num_projections if num_projections is not None else default_num_projections(n)
-            w = width if width is not None else hyperplane_collision_width(d, l)
-            hits = _hyperplane_collisions(cosines, n, k, w, np.random.default_rng(s_hash))
-        p_hat = float(hits.mean())
-
+    s_pairs, s_hash = as_seedseq(seed).spawn(2)
+    cosines = partial(_pair_cosines, f, l, d, trials, np.random.default_rng(s_pairs))
+    p_hat = _cell_p_hat(family, f, n, l, d, trials, s_hash, cosines, width=width,
+                        num_projections=num_projections, sampled_token_id=sampled_token_id)
     stderr = math.sqrt(p_hat * (1.0 - p_hat) / trials)
     return CollisionEstimate(family=family, n=n, f=f, p_hat=p_hat,
                              stderr=stderr, trials=trials, l=l, d=d)
@@ -400,31 +403,13 @@ def collision_grid(families: Sequence[str], f_grid: Sequence[float],
             raise ValueError(f"unknown family {fam!r}")
     rows = []
     for fi, f in enumerate(f_grid):
-        cosines = None
+        pair_seed = np.random.SeedSequence(entropy=seed, spawn_key=(fi, 999))
+        pair_rng = np.random.default_rng(pair_seed)
+        cosines = cache(partial(_pair_cosines, f, l, d, trials, pair_rng))
         for ni, n in enumerate(n_grid):
             for mi, fam in enumerate(families):
                 cell_seed = np.random.SeedSequence(entropy=seed, spawn_key=(fi, ni, mi))
-                if fam in ("spherical", "hyperplane"):
-                    if cosines is None:
-                        pair_seed = np.random.SeedSequence(entropy=seed, spawn_key=(fi, 999))
-                        cosines = _pair_cosines(f, l, d, trials,
-                                                np.random.default_rng(pair_seed))
-                    if fam == "spherical":
-                        hits = _spherical_collisions(cosines, n, d,
-                                                     np.random.default_rng(cell_seed))
-                        p_hat = float(hits.mean())
-                    else:
-                        k = default_num_projections(n)
-                        w = hyperplane_collision_width(d, l)
-                        hits = _hyperplane_collisions(cosines, n, k, w,
-                                                      np.random.default_rng(cell_seed))
-                        p_hat = float(hits.mean())
-                elif fam == "minhash":
-                    hits = _minhash_collisions(f, l, n, trials,
-                                               np.random.default_rng(cell_seed))
-                    p_hat = float(hits.mean())
-                else:
-                    p_hat = round(f * l) / l
+                p_hat = _cell_p_hat(fam, f, n, l, d, trials, cell_seed, cosines)
                 stderr = math.sqrt(p_hat * (1.0 - p_hat) / trials)
                 rho = -math.log(p_hat) / math.log(n) if p_hat > 0 and n > 1 else float("nan")
                 rows.append({

@@ -22,9 +22,8 @@ from .altup import (
     WideRepresentation,
     altup_stack_forward,
     divide_and_project,
-    sum_consume,
 )
-from .autodiff import Tensor, concat
+from .autodiff import Tensor
 from .config import ExperimentConfig
 from .lookup import (
     HyperplaneLshParams,
@@ -32,7 +31,6 @@ from .lookup import (
     MemoryTable,
     SoftmaxRouterParams,
     SphericalLshParams,
-    TokenContext,
     TokenIdLookup,
     memory_augmented_forward,
 )
@@ -176,18 +174,23 @@ class LanguageModel:
         if self.dp is not None:
             for name, t in self.dp.parameters().items():
                 out[f"dp_{name}"] = t
-        if self.tables is not None:
-            seen: set[int] = set()
-            for i, table in enumerate(self.tables):
-                if id(table) in seen:
-                    continue
-                seen.add(id(table))
-                for name, t in table.parameters().items():
-                    out[f"mem{i}_{name}"] = t
+        out.update(self.memory_parameters())
         if self.lookups is not None:
             for i, lk in enumerate(self.lookups):
                 if isinstance(lk, SoftmaxRouterParams):
                     out[f"router{i}_W"] = lk.W
+        return out
+
+    def memory_parameters(self) -> dict[str, Tensor]:
+        """The expert tables; row i of each is expert i's own parameters."""
+        out: dict[str, Tensor] = {}
+        seen: set[int] = set()
+        for i, table in enumerate(self.tables or []):
+            if id(table) in seen:
+                continue
+            seen.add(id(table))
+            for name, t in table.parameters().items():
+                out[f"mem{i}_{name}"] = t
         return out
 
     def parameters(self) -> dict[str, Tensor]:
@@ -211,24 +214,15 @@ class LanguageModel:
         def augmented(x: Tensor) -> Tensor:
             # the block is the always-on main expert; each position adds its
             # routed partial experts on the block *input*, per the layer contract
-            seq, d = x.shape
-            out = transformer_block_forward(x, block, causal=True)
-            zero = Tensor(np.zeros(d))
-            rows = []
-            for t in range(seq):
-                xt = x.narrow(0, t, 1).reshape(d)
-                yt = memory_augmented_forward(
-                    lambda _v: zero, xt, TokenContext(int(tokens[t])),
-                    lookup, table, train_mode=train_mode, rng=rng)
-                rows.append(yt.reshape(1, d))
-            return out + concat(rows, axis=0)
+            return memory_augmented_forward(base, x, tokens, lookup, table,
+                                            train_mode=train_mode, rng=rng)
 
         return augmented
 
     def initial_representation(self, tokens: np.ndarray) -> WideRepresentation:
         primary = self.embed_tables[0].take(tokens)
         if self.sum_table is not None:
-            primary = sum_consume(primary, self.sum_table.take(tokens))
+            primary = primary + self.sum_table.take(tokens)
         blocks = [primary]
         if self.wide:
             if self.aug_table is not None:

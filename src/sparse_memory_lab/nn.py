@@ -42,75 +42,76 @@ def lecun_normal_init(shape: tuple[int, ...], seed, fan_in: int | None = None) -
 
 
 @dataclass
-class TwoLayerExpertParams:
-    """Rank-r feed-forward expert: x -> V @ relu(U^T @ x), U and V both d_in x rank."""
+class MemoryTable:
+    """External table of n partial experts, stacked along axis 0.
 
-    U: Tensor
-    V: Tensor
+    rank >= 1 holds two-layer experts x -> V[i] @ relu(U[i]^T @ x), with U
+    and V both (n, d_in, rank); rank 0 holds constant vectors b, (n, d_in),
+    added regardless of the input.
+    """
+
+    U: Tensor | None = None
+    V: Tensor | None = None
+    b: Tensor | None = None
 
     def __post_init__(self) -> None:
+        if self.b is not None:
+            if self.U is not None or self.V is not None:
+                raise ValueError("a memory table holds either U and V or b, not both")
+            if self.b.ndim != 2 or self.b.shape[0] < 1:
+                raise ValueError(f"constant table must be (n, d_in) with n >= 1, "
+                                 f"got {self.b.shape}")
+            return
+        if self.U is None or self.V is None:
+            raise ValueError("a memory table needs both U and V, or b")
         if self.U.shape != self.V.shape:
             raise ValueError(f"U and V must share a shape, got {self.U.shape} vs {self.V.shape}")
-        if self.U.ndim != 2 or self.U.shape[1] < 1:
-            raise ValueError("expert matrices must be d_in x rank with rank >= 1")
+        if self.U.ndim != 3 or self.U.shape[0] < 1 or self.U.shape[2] < 1:
+            raise ValueError(f"expert stacks must be (n, d_in, rank) with n, rank >= 1, "
+                             f"got {self.U.shape}")
+
+    @property
+    def n(self) -> int:
+        return (self.b if self.b is not None else self.U).shape[0]
 
     @property
     def d_in(self) -> int:
-        return self.U.shape[0]
+        return (self.b if self.b is not None else self.U).shape[1]
 
     @property
     def rank(self) -> int:
-        return self.U.shape[1]
+        return 0 if self.b is not None else self.U.shape[2]
 
     @classmethod
-    def init(cls, d_in: int, rank: int, seed) -> "TwoLayerExpertParams":
-        s_u, s_v = as_seedseq(seed).spawn(2)
-        return cls(
-            U=lecun_normal_init((d_in, rank), s_u, fan_in=d_in),
-            V=lecun_normal_init((d_in, rank), s_v, fan_in=rank),
-        )
+    def init(cls, n: int, d_in: int, rank: int, seed) -> "MemoryTable":
+        """rank >= 1 draws expert i's U and V from the i-th spawned seed; rank 0 is zeros."""
+        if rank == 0:
+            return cls(b=Tensor(np.zeros((n, d_in)), requires_grad=True))
+        us, vs = [], []
+        for s in as_seedseq(seed).spawn(n):
+            s_u, s_v = s.spawn(2)
+            us.append(lecun_normal_init((d_in, rank), s_u, fan_in=d_in).data)
+            vs.append(lecun_normal_init((d_in, rank), s_v, fan_in=rank).data)
+        return cls(U=Tensor(np.stack(us), requires_grad=True),
+                   V=Tensor(np.stack(vs), requires_grad=True))
 
     def parameters(self) -> dict[str, Tensor]:
+        if self.b is not None:
+            return {"b": self.b}
         return {"U": self.U, "V": self.V}
 
 
-@dataclass
-class ConstantExpertParams:
-    """Rank-0 expert: a constant vector added regardless of the input."""
-
-    b: Tensor
-
-    def __post_init__(self) -> None:
-        if self.b.ndim != 1:
-            raise ValueError("constant expert holds a 1-D vector")
-
-    @property
-    def d_in(self) -> int:
-        return self.b.shape[0]
-
-    @property
-    def rank(self) -> int:
-        return 0
-
-    @classmethod
-    def init(cls, d_in: int) -> "ConstantExpertParams":
-        return cls(b=Tensor(np.zeros(d_in), requires_grad=True))
-
-    def parameters(self) -> dict[str, Tensor]:
-        return {"b": self.b}
-
-
-ExpertParams = TwoLayerExpertParams | ConstantExpertParams
-
-
-def apply_expert(x: Tensor, params: ExpertParams) -> Tensor:
-    """Evaluate one partial expert on a single token vector."""
-    if x.ndim != 1 or x.shape[0] != params.d_in:
-        raise ValueError(f"expert expects a length-{params.d_in} vector, got shape {x.shape}")
-    if isinstance(params, ConstantExpertParams):
-        return params.b
-    hidden = (params.U.T @ x).relu()
-    return params.V @ hidden
+def apply_expert(x: Tensor, table: MemoryTable, indices) -> Tensor:
+    """out[t, j] is expert indices[t, j] evaluated on row t of x (seq, d_in)."""
+    idx = np.asarray(indices, dtype=np.intp)
+    if x.ndim != 2 or x.shape[1] != table.d_in or idx.ndim != 2 or idx.shape[0] != x.shape[0]:
+        raise ValueError(f"experts expect (seq, {table.d_in}) rows and (seq, k) indices, "
+                         f"got {x.shape} and {idx.shape}")
+    if table.b is not None:
+        return table.b.take(idx)
+    seq, d = x.shape
+    hidden = (table.U.take(idx) * x.reshape(seq, 1, d, 1)).sum(axis=2).relu()
+    return (table.V.take(idx) * hidden.reshape(*idx.shape, 1, table.rank)).sum(axis=3)
 
 
 @dataclass

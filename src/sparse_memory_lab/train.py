@@ -13,6 +13,7 @@ import math
 import time
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Iterable
 
 import numpy as np
 
@@ -45,12 +46,17 @@ METRICS_COLUMNS = ("step", "train_loss", "eval_loss", "eval_accuracy",
 
 
 class AdamState:
+    """Adam that skips a parameter with no gradient, and skips the rows of a
+    `rowwise` parameter (a stack of independent experts) that received none."""
+
     def __init__(self, params: dict[str, Tensor], lr: float,
-                 beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
+                 beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8,
+                 rowwise: Iterable[str] = ()):
         self.lr, self.beta1, self.beta2, self.eps = lr, beta1, beta2, eps
         self.t = 0
         self.m = {k: np.zeros_like(p.data) for k, p in params.items()}
         self.v = {k: np.zeros_like(p.data) for k, p in params.items()}
+        self.rowwise = frozenset(rowwise)
 
     def step(self, params: dict[str, Tensor]) -> None:
         self.t += 1
@@ -59,9 +65,11 @@ class AdamState:
         for k, p in params.items():
             if p.grad is None:
                 continue
-            self.m[k] = b1 * self.m[k] + (1 - b1) * p.grad
-            self.v[k] = b2 * self.v[k] + (1 - b2) * p.grad * p.grad
-            p.data -= scale * self.m[k] / (np.sqrt(self.v[k]) + self.eps)
+            rows = p.grad_rows if k in self.rowwise and p.grad_rows is not None else slice(None)
+            g, m, v = p.grad[rows], self.m[k], self.v[k]
+            m[rows] = b1 * m[rows] + (1 - b1) * g
+            v[rows] = b2 * v[rows] + (1 - b2) * g * g
+            p.data[rows] -= scale * m[rows] / (np.sqrt(v[rows]) + self.eps)
 
 
 class SgdState:
@@ -113,7 +121,8 @@ class Trainer:
         self.model = LanguageModel.build(config)
         self.params = self.model.parameters()
         if tr.optimizer == "adam":
-            self.opt = AdamState(self.params, tr.learning_rate)
+            self.opt = AdamState(self.params, tr.learning_rate,
+                                 rowwise=self.model.memory_parameters())
         else:
             self.opt = SgdState(self.params, tr.learning_rate)
         self.batch_rng = np.random.default_rng(

@@ -15,7 +15,6 @@ from sparse_memory_lab.altup import (
     pcc_forward_simplified,
     pcc_simplified_multiplies,
     select_block,
-    sum_consume,
 )
 from sparse_memory_lab.autodiff import Tensor
 from sparse_memory_lab.nn import transformer_block_multiplies
@@ -161,21 +160,6 @@ def test_pcc_works_on_sequence_shaped_blocks():
     a = pcc_forward_simplified(wide(blocks), simp, layer, 1).to_flat().data
     b = pcc_forward_full(wide(blocks), simp.to_full(d), layer, 1).to_flat().data
     np.testing.assert_allclose(a, b, atol=1e-12)
-
-
-# -- sum consumption -----------------------------------------------------------------
-
-def test_sum_consume_examples():
-    rng = np.random.default_rng(8)
-    x = rng.standard_normal(6)
-    mem = rng.standard_normal(6)
-    np.testing.assert_array_equal(sum_consume(Tensor(x), Tensor(np.zeros(6))).data, x)
-    np.testing.assert_array_equal(sum_consume(Tensor(np.zeros(6)), Tensor(mem)).data, mem)
-    got = sum_consume(Tensor(x), Tensor(mem)).data
-    expected = np.array([x[i] + mem[i] for i in range(6)])
-    np.testing.assert_allclose(got, expected, rtol=1e-15)
-    with pytest.raises(ValueError):
-        sum_consume(Tensor(np.zeros(3)), Tensor(np.zeros(4)))
 
 
 # -- divide and project ----------------------------------------------------------------

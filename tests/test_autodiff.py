@@ -76,6 +76,16 @@ def test_take_grad_with_duplicates():
     check_op(lambda ts: (ts[0].take(idx) * ts[0].take(idx)).sum(), [(3, 4)])
 
 
+def test_take_records_gradient_rows_until_a_dense_contribution():
+    t = Tensor(np.ones((4, 2)), requires_grad=True)
+    (t.take([2, 0, 2]) * 0.0).sum().backward()
+    np.testing.assert_array_equal(t.grad_rows, [True, False, True, False])
+    t.zero_grad()
+    assert t.grad is None and t.grad_rows is None
+    (t.take([1]).sum() + t.sum()).backward()
+    assert t.grad is not None and t.grad_rows is None
+
+
 def test_gather_cols_grad():
     cols = [1, 0, 2]
     check_op(lambda ts: (ts[0].gather_cols(cols) * ts[0].gather_cols(cols)).sum(), [(3, 4)])

@@ -35,6 +35,18 @@ def test_bad_magic_rejected(tmp_path):
         load_checkpoint(path)
 
 
+@pytest.mark.parametrize("keep", ["payload", "manifest"])
+def test_truncated_file_rejected(tmp_path, keep):
+    path = tmp_path / "ck.smlb"
+    save_checkpoint(path, {"a": np.arange(6.0).reshape(2, 3), "b": np.ones(4)})
+    raw = path.read_bytes()
+    # cut 8 bytes off the payload, or 8 bytes off the manifest and all after it
+    cut = len(raw) - 8 if keep == "payload" else raw.index(b"]}") + 2 - 8
+    path.write_bytes(raw[:cut])
+    with pytest.raises(ValueError, match="checkpoint is truncated"):
+        load_checkpoint(path)
+
+
 def test_scalar_count_matches_param_split(tmp_path):
     cfg = ExperimentConfig(
         model=ModelConfig(d=8, layers=2, heads=2, vocab=12, seq_len=4),

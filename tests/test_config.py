@@ -61,6 +61,13 @@ def test_validation_errors():
         parse_config("memory.consumption = altup\naltup.K = 4\naltup.e = 100\n")
 
 
+@pytest.mark.parametrize("key", ["training.learning_rate", "memory.width"])
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_non_finite_float_is_error(key, value):
+    with pytest.raises(ValueError, match=f"{key} must be finite"):
+        parse_config(f"{key} = {value}\n")
+
+
 def test_altup_k1_is_allowed():
     parse_config("memory.consumption = altup\naltup.K = 1\n")
 

@@ -10,7 +10,6 @@ from sparse_memory_lab.lookup import (
     MinHashParams,
     SoftmaxRouterParams,
     SphericalLshParams,
-    TokenContext,
     TokenIdLookup,
     fold_cells,
     hyperplane_lsh_lookup,
@@ -22,65 +21,74 @@ from sparse_memory_lab.lookup import (
     spherical_lsh_lookup,
     token_id_lookup,
 )
-from sparse_memory_lab.nn import ConstantExpertParams, TwoLayerExpertParams
 
 
 # -- token-id ---------------------------------------------------------------
 
 def test_token_id_basic():
-    r = token_id_lookup(TokenContext(7), 32000)
-    assert r.indices == (7,)
-    np.testing.assert_array_equal(r.weights.data, [1.0])
-    assert token_id_lookup(TokenContext(0), 4).indices == (0,)
+    r = token_id_lookup(np.array([7, 0, 31999, 7]), 32000)
+    assert r.indices == (7, 0, 31999, 7)
+    assert all(type(i) is int for i in r.indices)
+    assert r.weights is None
+    assert token_id_lookup([0], 4).indices == (0,)
 
 
 def test_token_id_out_of_vocabulary():
-    with pytest.raises(ValueError):
-        token_id_lookup(TokenContext(4), 4)
+    with pytest.raises(ValueError, match="token id 4"):
+        token_id_lookup([1, 4], 4)
+    with pytest.raises(ValueError, match="token id -1"):
+        token_id_lookup([-1, 2], 4)
 
 
 def test_token_id_layer_independent():
-    ctx = TokenContext(9)
-    results = [route(Tensor(np.random.default_rng(i).standard_normal(4)), ctx,
+    tokens = np.array([9, 3, 9])
+    results = [route(Tensor(np.random.default_rng(i).standard_normal((3, 4))), tokens,
                      TokenIdLookup(n=16)).indices for i in range(5)]
-    assert all(r == (9,) for r in results)
+    assert all(r == (9, 3, 9) for r in results)
 
 
 # -- softmax routing -------------------------------------------------------------
 
 def test_softmax_uniform_logits_tie_break_low_index():
     params = SoftmaxRouterParams(W=Tensor(np.zeros((4, 3)), requires_grad=True), k=1)
-    r = softmax_route(Tensor(np.ones(3)), params)
-    assert r.indices == (0,)
-    np.testing.assert_allclose(r.weights.data, [0.25])
+    r = softmax_route(Tensor(np.ones((2, 3))), params)
+    assert r.indices == (0, 0)
+    np.testing.assert_allclose(r.weights.data, [0.25, 0.25])
+    params.k = 3
+    assert softmax_route(Tensor(np.ones((1, 3))), params).indices == (0, 1, 2)
 
 
 def test_softmax_identity_rows_pick_matching_index():
     params = SoftmaxRouterParams(W=Tensor(np.eye(4)), k=1)
-    x = np.zeros(4)
-    x[2] = 1.0
-    assert softmax_route(Tensor(x), params).indices == (2,)
+    x = np.zeros((4, 4))
+    x[[0, 1, 2, 3], [2, 0, 3, 1]] = 1.0
+    assert softmax_route(Tensor(x), params).indices == (2, 0, 3, 1)
 
 
 def test_softmax_matches_full_sort_oracle():
     rng = np.random.default_rng(21)
-    w = rng.standard_normal((8, 4))
-    x = rng.standard_normal(4)
+    w = rng.standard_normal((40, 4))
+    w[30:] = w[:10]  # exact ties, which must go to the lower index
+    x = rng.standard_normal((5, 4))
     params = SoftmaxRouterParams(W=Tensor(w), k=2)
     r = softmax_route(Tensor(x), params)
 
-    logits = w @ x
-    probs = np.exp(logits) / np.exp(logits).sum()
-    order = sorted(range(8), key=lambda i: (-probs[i], i))
-    assert r.indices == tuple(order[:2])
-    np.testing.assert_allclose(r.weights.data, probs[list(order[:2])], rtol=1e-12)
-    assert abs(probs.sum() - 1.0) < 1e-12
+    expected_idx, expected_w = [], []
+    for row in x:
+        logits = w @ row
+        probs = np.exp(logits) / np.exp(logits).sum()
+        order = sorted(range(40), key=lambda i: (-probs[i], i))
+        expected_idx.extend(order[:2])
+        expected_w.extend(probs[order[:2]])
+        assert abs(probs.sum() - 1.0) < 1e-12
+    assert r.indices == tuple(expected_idx)
+    np.testing.assert_allclose(r.weights.data, expected_w, rtol=1e-12)
     assert np.all((r.weights.data > 0) & (r.weights.data <= 1))
 
 
 def test_softmax_jitter_needs_rng_and_is_train_only():
     params = SoftmaxRouterParams.init(4, 3, k=1, seed=0)
-    x = Tensor(np.ones(3))
+    x = Tensor(np.ones((2, 3)))
     with pytest.raises(ValueError):
         softmax_route(x, params, train_mode=True)
     eval_a = softmax_route(x, params)
@@ -89,21 +97,27 @@ def test_softmax_jitter_needs_rng_and_is_train_only():
     t1 = softmax_route(x, params, train_mode=True, rng=np.random.default_rng(1))
     t2 = softmax_route(x, params, train_mode=True, rng=np.random.default_rng(1))
     np.testing.assert_array_equal(t1.weights.data, t2.weights.data)
+    assert not np.array_equal(t1.weights.data, eval_a.weights.data)
 
 
 def test_softmax_k_bounds():
     with pytest.raises(ValueError):
         SoftmaxRouterParams(W=Tensor(np.zeros((4, 3))), k=5)
+    params = SoftmaxRouterParams(W=Tensor(np.zeros((4, 3))), k=2)
+    params.k = 5
+    with pytest.raises(ValueError, match="k exceeds"):
+        softmax_route(Tensor(np.ones((1, 3))), params)
 
 
 # -- hyperplane LSH ---------------------------------------------------------------
 
 def test_hyperplane_deterministic():
     params = HyperplaneLshParams.init(8, 4, 1.0, 64, seed=5)
-    x = np.random.default_rng(0).standard_normal(8)
+    x = np.random.default_rng(0).standard_normal((6, 8))
     a = hyperplane_lsh_lookup(x, params)
     b = hyperplane_lsh_lookup(x, params)
     assert a.indices == b.indices
+    assert a.indices[2] == hyperplane_lsh_lookup(x[2:3], params).indices[0]
 
 
 def test_hyperplane_single_projection_arithmetic():
@@ -112,11 +126,12 @@ def test_hyperplane_single_projection_arithmetic():
     directions[0, 0] = 1.0
     params = HyperplaneLshParams(directions=directions, offsets=np.zeros(1),
                                  width=1.0, n=16)
-    x = np.zeros(d)
-    x[0] = 2.5  # cell floor(2.5/1.0) = 2
+    x = np.zeros((3, d))
+    x[:, 0] = [2.5, -0.5, 7.0]  # cells floor(x0 / 1.0) = 2, -1, 7
     r = hyperplane_lsh_lookup(x, params)
-    expected = int(fold_cells(np.array([2]), params.mix_seed) % np.uint64(16))
-    assert r.indices == (expected,)
+    expected = tuple(int(fold_cells(np.array([c]), params.mix_seed) % np.uint64(16))
+                     for c in (2, -1, 7))
+    assert r.indices == expected
 
 
 def test_hyperplane_near_pairs_collide_more_than_far_pairs():
@@ -130,10 +145,10 @@ def test_hyperplane_near_pairs_collide_more_than_far_pairs():
         x /= np.linalg.norm(x)
         delta = rng.standard_normal(d)
         delta /= np.linalg.norm(delta)
-        near += hyperplane_lsh_lookup(x, params).indices == \
-            hyperplane_lsh_lookup(x + 0.1 * w * delta, params).indices
-        far += hyperplane_lsh_lookup(x, params).indices == \
-            hyperplane_lsh_lookup(x + 10.0 * w * delta, params).indices
+        b = hyperplane_lsh_lookup(np.stack([x, x + 0.1 * w * delta, x + 10.0 * w * delta]),
+                                  params).indices
+        near += b[0] == b[1]
+        far += b[0] == b[2]
     assert near / trials > far / trials
 
 
@@ -141,8 +156,8 @@ def test_hyperplane_near_pairs_collide_more_than_far_pairs():
 
 def test_spherical_self_anchor():
     params = SphericalLshParams.init(8, 5, seed=3)
-    r = spherical_lsh_lookup(params.anchors[3], params)
-    assert r.indices == (3,)
+    r = spherical_lsh_lookup(params.anchors, params)
+    assert r.indices == tuple(range(8))
 
 
 def test_spherical_antipodal_sign():
@@ -150,34 +165,34 @@ def test_spherical_antipodal_sign():
     u[1] = 1.0
     params = SphericalLshParams(anchors=np.stack([u, -u]))
     x = np.array([0.3, 0.9, 0.1, -0.2])
-    assert spherical_lsh_lookup(x, params).indices == (0,)
-    assert spherical_lsh_lookup(-x, params).indices == (1,)
+    assert spherical_lsh_lookup(np.stack([x, -x]), params).indices == (0, 1)
 
 
 def test_spherical_matches_brute_force_scan():
     params = SphericalLshParams.init(32, 8, seed=7)
-    rng = np.random.default_rng(8)
-    for _ in range(20):
-        x = rng.standard_normal(8)
-        got = spherical_lsh_lookup(x, params).indices[0]
-        dots = [params.anchors[i] @ (x / np.linalg.norm(x)) for i in range(32)]
-        assert got == int(np.argmax(dots))
+    x = np.random.default_rng(8).standard_normal((20, 8))
+    got = spherical_lsh_lookup(x, params).indices
+    for t in range(20):
+        dots = [params.anchors[i] @ (x[t] / np.linalg.norm(x[t])) for i in range(32)]
+        assert got[t] == int(np.argmax(dots))
 
 
 def test_spherical_scaling_invariance():
     params = SphericalLshParams.init(16, 6, seed=9)
-    rng = np.random.default_rng(10)
-    for _ in range(10):
-        x = rng.standard_normal(6)
-        base = spherical_lsh_lookup(x, params).indices
-        for c in (0.01, 3.7, 250.0):
-            assert spherical_lsh_lookup(c * x, params).indices == base
+    x = np.random.default_rng(10).standard_normal((10, 6))
+    base = spherical_lsh_lookup(x, params).indices
+    for c in (0.01, 3.7, 250.0):
+        assert spherical_lsh_lookup(c * x, params).indices == base
+    scales = np.array([0.01, 3.7, 250.0, 1.0, 2.0, 0.5, 9.0, 1e-3, 40.0, 7.0])[:, None]
+    assert spherical_lsh_lookup(scales * x, params).indices == base
 
 
 def test_spherical_zero_vector_rejected():
     params = SphericalLshParams.init(4, 3, seed=0)
-    with pytest.raises(ValueError):
-        spherical_lsh_lookup(np.zeros(3), params)
+    x = np.ones((3, 3))
+    x[1] = 0.0
+    with pytest.raises(ValueError, match="zero vector"):
+        spherical_lsh_lookup(x, params)
 
 
 def test_spherical_anchor_norm_validated():
@@ -224,49 +239,43 @@ def test_minhash_empty_set_rejected():
 # -- memory-augmented layer -----------------------------------------------------------
 
 def test_memory_forward_zero_experts_is_layer_output():
-    table = MemoryTable(entries=[
-        TwoLayerExpertParams(U=Tensor(np.zeros((4, 2))), V=Tensor(np.zeros((4, 2))))
-        for _ in range(3)
-    ])
+    table = MemoryTable(U=Tensor(np.zeros((3, 4, 2))), V=Tensor(np.zeros((3, 4, 2))))
     router = SoftmaxRouterParams.init(3, 4, k=2, seed=1)
-    x = Tensor(np.random.default_rng(2).standard_normal(4))
-    out = memory_augmented_forward(lambda v: v * 2.0, x, TokenContext(0), router, table)
+    x = Tensor(np.random.default_rng(2).standard_normal((5, 4)))
+    out = memory_augmented_forward(lambda v: v * 2.0, x, None, router, table)
     np.testing.assert_allclose(out.data, 2.0 * x.data, rtol=1e-12)
 
 
 def test_memory_forward_token_id_constant_expert():
     d, n = 4, 5
-    table = MemoryTable(entries=[
-        ConstantExpertParams(b=Tensor(np.full(d, float(i)))) for i in range(n)
-    ])
-    x = Tensor(np.random.default_rng(3).standard_normal(d))
-    out = memory_augmented_forward(lambda v: v, x, TokenContext(2),
-                                   TokenIdLookup(n=n), table)
-    np.testing.assert_allclose(out.data, x.data + 2.0, rtol=1e-12)
+    table = MemoryTable(b=Tensor(np.repeat(np.arange(n, dtype=float)[:, None], d, axis=1)))
+    x = Tensor(np.random.default_rng(3).standard_normal((3, d)))
+    tokens = np.array([2, 0, 4])
+    out = memory_augmented_forward(lambda v: v, x, tokens, TokenIdLookup(n=n), table)
+    np.testing.assert_allclose(out.data, x.data + tokens[:, None], rtol=1e-12)
 
 
 def test_memory_forward_matches_scripted_formula():
     rng = np.random.default_rng(17)
-    d, n, k, rank = 4, 3, 2, 2
-    us = [rng.standard_normal((d, rank)) for _ in range(n)]
-    vs = [rng.standard_normal((d, rank)) for _ in range(n)]
+    seq, d, n, k, rank = 3, 4, 3, 2, 2
+    us = rng.standard_normal((n, d, rank))
+    vs = rng.standard_normal((n, d, rank))
     w = rng.standard_normal((n, d))
-    x = rng.standard_normal(d)
+    x = rng.standard_normal((seq, d))
     layer_m = rng.standard_normal((d, d))
 
-    table = MemoryTable(entries=[
-        TwoLayerExpertParams(U=Tensor(us[i]), V=Tensor(vs[i])) for i in range(n)
-    ])
+    table = MemoryTable(U=Tensor(us), V=Tensor(vs))
     router = SoftmaxRouterParams(W=Tensor(w), k=k)
-    got = memory_augmented_forward(lambda v: Tensor(layer_m) @ v, Tensor(x),
-                                   TokenContext(0), router, table).data
+    got = memory_augmented_forward(lambda v: v @ Tensor(layer_m.T), Tensor(x),
+                                   None, router, table).data
 
-    probs = np.exp(w @ x) / np.exp(w @ x).sum()
-    top = sorted(range(n), key=lambda i: (-probs[i], i))[:k]
-    expected = layer_m @ x
-    for i in top:
-        expected = expected + probs[i] * (vs[i] @ np.maximum(us[i].T @ x, 0.0))
-    np.testing.assert_allclose(got, expected, rtol=1e-12)
+    for t in range(seq):
+        probs = np.exp(w @ x[t]) / np.exp(w @ x[t]).sum()
+        top = sorted(range(n), key=lambda i: (-probs[i], i))[:k]
+        expected = layer_m @ x[t]
+        for i in top:
+            expected = expected + probs[i] * (vs[i] @ np.maximum(us[i].T @ x[t], 0.0))
+        np.testing.assert_allclose(got[t], expected, rtol=1e-12)
 
 
 def test_memory_forward_router_gradient_nonzero():
@@ -274,27 +283,38 @@ def test_memory_forward_router_gradient_nonzero():
     d, n = 4, 4
     table = MemoryTable.init(n, d, rank=2, seed=5)
     router = SoftmaxRouterParams.init(n, d, k=2, seed=6)
-    x = Tensor(rng.standard_normal(d))
-    out = memory_augmented_forward(lambda v: v, x, TokenContext(0), router, table)
+    x = Tensor(rng.standard_normal((3, d)))
+    out = memory_augmented_forward(lambda v: v, x, None, router, table)
     (out * out).sum().backward()
     assert router.W.grad is not None and np.abs(router.W.grad).max() > 0
 
 
+def test_memory_forward_rejects_index_outside_table():
+    table = MemoryTable.init(4, 3, rank=1, seed=0)
+    x = Tensor(np.ones((2, 3)))
+    with pytest.raises(ValueError, match="outside table"):
+        memory_augmented_forward(lambda v: v, x, [1, 5], TokenIdLookup(n=8), table)
+
+
 def test_route_purity_same_inputs_same_result():
     rng = np.random.default_rng(29)
-    x = Tensor(rng.standard_normal(6))
+    x = Tensor(rng.standard_normal((4, 6)))
+    tokens = np.array([5, 1, 5, 7])
     lookups = [
         TokenIdLookup(n=8),
         SoftmaxRouterParams.init(8, 6, k=3, seed=1),
         HyperplaneLshParams.init(6, 4, 1.0, 8, seed=2),
         SphericalLshParams.init(8, 6, seed=3),
-        MinHashParams.init(8, 8, seed=4),
     ]
     for lk in lookups:
-        a = route(x, TokenContext(5), lk)
-        b = route(x, TokenContext(5), lk)
+        a = route(x, tokens, lk)
+        b = route(x, tokens, lk)
         assert a.indices == b.indices
-        np.testing.assert_array_equal(a.weights.data, b.weights.data)
+        assert len(a.indices) == 4 * getattr(lk, "k", 1)
+        if a.weights is not None:
+            np.testing.assert_array_equal(a.weights.data, b.weights.data)
+    with pytest.raises(ValueError, match="unknown lookup kind"):
+        route(x, tokens, MinHashParams.init(8, 8, seed=4))
 
 
 # -- parameter count formula ----------------------------------------------------------
@@ -316,8 +336,14 @@ def test_partial_expert_param_count_validation():
 
 
 def test_memory_table_homogeneity_enforced():
+    with pytest.raises(ValueError, match="either"):
+        MemoryTable(U=Tensor(np.zeros((2, 4, 1))), V=Tensor(np.zeros((2, 4, 1))),
+                    b=Tensor(np.zeros((2, 4))))
+    with pytest.raises(ValueError, match="share a shape"):
+        MemoryTable(U=Tensor(np.zeros((2, 4, 1))), V=Tensor(np.zeros((2, 4, 2))))
+    with pytest.raises(ValueError, match="both U and V"):
+        MemoryTable(U=Tensor(np.zeros((2, 4, 1))))
     with pytest.raises(ValueError):
-        MemoryTable(entries=[
-            ConstantExpertParams(b=Tensor(np.zeros(4))),
-            TwoLayerExpertParams(U=Tensor(np.zeros((4, 1))), V=Tensor(np.zeros((4, 1)))),
-        ])
+        MemoryTable(U=Tensor(np.zeros((4, 1))), V=Tensor(np.zeros((4, 1))))
+    with pytest.raises(ValueError):
+        MemoryTable(b=Tensor(np.zeros(4)))

@@ -144,8 +144,8 @@ def test_spherical_fast_path_matches_literal_op_loop():
     for i in range(trials):
         u, v = _pair_vectors(f, l, d, seed=10_000 + i)
         params = SphericalLshParams.init(n, d, seed=20_000 + i)
-        hits += spherical_lsh_lookup(u, params).indices == \
-            spherical_lsh_lookup(v, params).indices
+        bu, bv = spherical_lsh_lookup(np.stack([u, v]), params).indices
+        hits += bu == bv
     direct = hits / trials
     fast = estimate_collision("spherical", f, n=n, l=l, d=d, trials=30000, seed=4)
     pooled = math.sqrt(direct * (1 - direct) / trials + fast.stderr ** 2)
@@ -161,8 +161,8 @@ def test_hyperplane_fast_path_matches_literal_op_loop():
     for i in range(trials):
         u, v = _pair_vectors(f, l, d, seed=30_000 + i)
         params = HyperplaneLshParams.init(d, k, width, n, seed=40_000 + i)
-        hits += hyperplane_lsh_lookup(u, params).indices == \
-            hyperplane_lsh_lookup(v, params).indices
+        bu, bv = hyperplane_lsh_lookup(np.stack([u, v]), params).indices
+        hits += bu == bv
     direct = hits / trials
     fast = estimate_collision("hyperplane", f, n=n, l=l, d=d, trials=30000, seed=8)
     pooled = math.sqrt(direct * (1 - direct) / trials + fast.stderr ** 2)

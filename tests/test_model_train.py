@@ -12,8 +12,10 @@ from sparse_memory_lab.config import (
     ModelConfig,
     TrainingConfig,
 )
+from sparse_memory_lab.autodiff import Tensor
 from sparse_memory_lab.model import LanguageModel, count_params
 from sparse_memory_lab.train import (
+    AdamState,
     DivergenceError,
     Trainer,
     run_lookup_benchmark,
@@ -212,6 +214,43 @@ def test_router_receives_gradient_in_training():
     grads = [lk.W.grad for lk in trainer.model.lookups]
     # step() zeroes then accumulates; after opt.step grads remain from backward
     assert all(g is not None and np.abs(g).max() > 0 for g in grads)
+
+
+def test_adam_rowwise_matches_one_adam_per_expert():
+    # a stacked table trains like n separate tensors: a row with no gradient
+    # in a step keeps its value and moments; a row gathered with a zero
+    # gradient still decays its moments and moves
+    rng = np.random.default_rng(3)
+    init = rng.standard_normal((4, 3))
+    stacked = Tensor(init.copy(), requires_grad=True)
+    rows = [Tensor(init[i].copy(), requires_grad=True) for i in range(4)]
+    opt_stacked = AdamState({"t": stacked}, 0.1, rowwise=["t"])
+    opt_rows = AdamState({f"r{i}": r for i, r in enumerate(rows)}, 0.1)
+    for picks, scale in (([0, 1], 1.0), ([1, 2], 0.0), ([3, 3], 1.0), ([0, 2], 1.0)):
+        weights = scale * rng.standard_normal((len(picks), 3))
+        for t in [stacked, *rows]:
+            t.zero_grad()
+        (stacked.take(picks) * weights).sum().backward()
+        sum((rows[i] * w).sum() for i, w in zip(picks, weights)).backward()
+        opt_stacked.step({"t": stacked})
+        opt_rows.step({f"r{i}": r for i, r in enumerate(rows)})
+        np.testing.assert_array_equal(stacked.data, np.stack([r.data for r in rows]))
+
+
+def test_unrouted_experts_keep_their_parameters_in_a_step():
+    cfg = tiny(memory=MemoryConfig(lookup="token_id", rank=2, buckets=32), batch=1)
+    trainer = Trainer(cfg)
+    trainer.step()
+    trainer.step()
+    batch = trainer.sample_batch()
+    routed = np.unique(batch[0, :-1])
+    idle = np.setdiff1d(np.arange(32), routed)
+    before = {k: t.data.copy() for k, t in trainer.model.memory_parameters().items()}
+    assert any(np.abs(trainer.opt.m[k][idle]).max() > 0 for k in before)
+    trainer.step(batch)
+    for k, t in trainer.model.memory_parameters().items():
+        np.testing.assert_array_equal(t.data[idle], before[k][idle])
+        assert np.any(t.data[routed] != before[k][routed])
 
 
 def test_lookup_benchmark_grid_rows(tmp_path):

@@ -7,9 +7,8 @@ import pytest
 
 from sparse_memory_lab.autodiff import Tensor
 from sparse_memory_lab.nn import (
-    ConstantExpertParams,
+    MemoryTable,
     TransformerBlockParams,
-    TwoLayerExpertParams,
     apply_expert,
     finite_diff_check,
     lecun_normal_init,
@@ -21,57 +20,82 @@ from sparse_memory_lab.nn import (
 # -- apply_expert ------------------------------------------------------------
 
 def test_expert_zero_weights_gives_zero():
-    params = TwoLayerExpertParams(U=Tensor(np.zeros((5, 2)), requires_grad=True),
-                                  V=Tensor(np.zeros((5, 2)), requires_grad=True))
-    out = apply_expert(Tensor(np.ones(5)), params)
-    np.testing.assert_array_equal(out.data, np.zeros(5))
+    table = MemoryTable(U=Tensor(np.zeros((3, 5, 2)), requires_grad=True),
+                        V=Tensor(np.zeros((3, 5, 2)), requires_grad=True))
+    out = apply_expert(Tensor(np.ones((2, 5))), table, [[0, 2], [1, 2]])
+    np.testing.assert_array_equal(out.data, np.zeros((2, 2, 5)))
 
 
 def test_constant_expert_returns_b():
-    b = np.array([1.0, -2.0, 0.5])
-    params = ConstantExpertParams(b=Tensor(b, requires_grad=True))
-    out = apply_expert(Tensor(np.array([9.0, 9.0, 9.0])), params)
-    np.testing.assert_array_equal(out.data, b)
+    b = np.array([[1.0, -2.0, 0.5], [4.0, 0.0, -1.0]])
+    table = MemoryTable(b=Tensor(b, requires_grad=True))
+    idx = [[1], [0], [1]]
+    out = apply_expert(Tensor(np.full((3, 3), 9.0)), table, idx)
+    np.testing.assert_array_equal(out.data, b[idx])
 
 
 def test_expert_matches_hand_rolled_matrix_multiply():
     rng = np.random.default_rng(11)
-    u = rng.standard_normal((4, 2))
-    v = rng.standard_normal((4, 2))
-    x = rng.standard_normal(4)
-    params = TwoLayerExpertParams(U=Tensor(u), V=Tensor(v))
-    out = apply_expert(Tensor(x), params).data
+    n, d, rank, seq = 3, 4, 2, 3
+    u = rng.standard_normal((n, d, rank))
+    v = rng.standard_normal((n, d, rank))
+    x = rng.standard_normal((seq, d))
+    idx = [[2, 0], [2, 1], [0, 0]]
+    out = apply_expert(Tensor(x), MemoryTable(U=Tensor(u), V=Tensor(v)), idx).data
 
     # independent elementwise recomputation
-    hidden = np.zeros(2)
-    for r in range(2):
-        for i in range(4):
-            hidden[r] += u[i, r] * x[i]
-        hidden[r] = max(hidden[r], 0.0)
-    expected = np.zeros(4)
-    for i in range(4):
-        for r in range(2):
-            expected[i] += v[i, r] * hidden[r]
+    expected = np.zeros((seq, 2, d))
+    for t in range(seq):
+        for j, e in enumerate(idx[t]):
+            hidden = np.zeros(rank)
+            for r in range(rank):
+                for i in range(d):
+                    hidden[r] += u[e, i, r] * x[t, i]
+                hidden[r] = max(hidden[r], 0.0)
+            for i in range(d):
+                for r in range(rank):
+                    expected[t, j, i] += v[e, i, r] * hidden[r]
     np.testing.assert_allclose(out, expected, rtol=1e-12)
 
 
 def test_expert_dimension_mismatch_raises():
-    params = TwoLayerExpertParams.init(4, 2, seed=0)
+    table = MemoryTable.init(3, 4, 2, seed=0)
     with pytest.raises(ValueError):
-        apply_expert(Tensor(np.ones(5)), params)
+        apply_expert(Tensor(np.ones((2, 5))), table, [[0], [1]])
+    with pytest.raises(ValueError):
+        apply_expert(Tensor(np.ones((2, 4))), table, [[0], [1], [2]])
+    with pytest.raises(ValueError):
+        apply_expert(Tensor(np.ones((2, 4))), table, [0, 1])
+    with pytest.raises(ValueError):
+        apply_expert(Tensor(np.ones(4)), table, [[0]])
 
 
 def test_expert_positive_homogeneity_in_v():
     rng = np.random.default_rng(3)
     for trial in range(10):
-        d, r = 6, 3
-        u = rng.standard_normal((d, r))
-        v = rng.standard_normal((d, r))
-        x = rng.standard_normal(d)
+        n, d, r = 2, 6, 3
+        u = rng.standard_normal((n, d, r))
+        v = rng.standard_normal((n, d, r))
+        x = rng.standard_normal((4, d))
         c = rng.uniform(0.0, 4.0)
-        base = apply_expert(Tensor(x), TwoLayerExpertParams(U=Tensor(u), V=Tensor(v))).data
-        scaled = apply_expert(Tensor(x), TwoLayerExpertParams(U=Tensor(u), V=Tensor(c * v))).data
+        idx = [[0, 1], [1, 1], [0, 0], [1, 0]]
+        base = apply_expert(Tensor(x), MemoryTable(U=Tensor(u), V=Tensor(v)), idx).data
+        scaled = apply_expert(Tensor(x), MemoryTable(U=Tensor(u), V=Tensor(c * v)), idx).data
         np.testing.assert_allclose(scaled, c * base, rtol=1e-12, atol=1e-12)
+
+
+def test_memory_table_init_stacks_per_expert_draws():
+    n, d, rank = 3, 5, 2
+    table = MemoryTable.init(n, d, rank, seed=9)
+    assert (table.n, table.d_in, table.rank) == (n, d, rank)
+    for i, s in enumerate(np.random.SeedSequence(9).spawn(n)):
+        s_u, s_v = s.spawn(2)
+        np.testing.assert_array_equal(table.U.data[i], lecun_normal_init((d, rank), s_u).data)
+        np.testing.assert_array_equal(table.V.data[i],
+                                      lecun_normal_init((d, rank), s_v, fan_in=rank).data)
+    zeros = MemoryTable.init(n, d, 0, seed=9)
+    assert zeros.rank == 0 and set(zeros.parameters()) == {"b"}
+    np.testing.assert_array_equal(zeros.b.data, np.zeros((n, d)))
 
 
 # -- transformer block oracle ---------------------------------------------------
