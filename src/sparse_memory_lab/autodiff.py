@@ -1,9 +1,10 @@
 """Minimal reverse-mode autodiff over dense float64 numpy arrays.
 
 Only the operations the layers in this package need are implemented; there
-is deliberately no general broadcasting matmul, no views, no in-place graph
-surgery. Values are validated to be finite at construction, so a divergence
-(NaN/Inf) surfaces at the op that produced it instead of three layers later.
+are no views and no in-place graph surgery. Matmul follows np.matmul, so a
+whole batch of sequences, or of attention heads, is one node. Values are
+validated to be finite at construction, so a divergence (NaN/Inf) surfaces
+at the op that produced it, named in the error, instead of three layers later.
 """
 
 from __future__ import annotations
@@ -57,7 +58,11 @@ class Tensor:
     @staticmethod
     def _op(data: np.ndarray, parents: Sequence["Tensor"],
             backward: Callable[[np.ndarray], None]) -> "Tensor":
-        out = Tensor(data)
+        try:
+            out = Tensor(data)
+        except NonFiniteError:
+            op = backward.__qualname__.split(".<locals>")[0].rsplit(".", 1)[-1]
+            raise NonFiniteError(f"{op} produced a non-finite value (NaN or Inf)") from None
         if any(p.requires_grad for p in parents):
             out.requires_grad = True
             out._parents = tuple(parents)
@@ -175,46 +180,37 @@ class Tensor:
     def __matmul__(self, other: "Tensor") -> "Tensor":
         other = self._coerce(other)
         a, b = self.data, other.data
-        if a.ndim not in (1, 2) or b.ndim not in (1, 2):
-            raise ValueError(f"matmul supports 1-D/2-D operands, got {a.ndim}-D @ {b.ndim}-D")
-        out_data = a @ b
+        out_data = np.matmul(a, b)
 
         def backward(g: np.ndarray) -> None:
+            # promote 1-D operands to matrices as np.matmul does, and g with them
+            a2 = a[None, :] if a.ndim == 1 else a
+            b2 = b[:, None] if b.ndim == 1 else b
+            if b.ndim == 1:
+                g = np.expand_dims(g, -1)
+            if a.ndim == 1:
+                g = np.expand_dims(g, -2)
             if self.requires_grad:
-                if a.ndim == 2 and b.ndim == 2:
-                    self._accumulate(g @ b.T)
-                elif a.ndim == 2 and b.ndim == 1:
-                    self._accumulate(np.outer(g, b))
-                elif a.ndim == 1 and b.ndim == 2:
-                    self._accumulate(b @ g)
-                else:
-                    self._accumulate(g * b)
+                ga = np.matmul(g, np.swapaxes(b2, -1, -2))
+                self._accumulate(_unbroadcast(ga, a2.shape).reshape(a.shape))
             if other.requires_grad:
-                if a.ndim == 2 and b.ndim == 2:
-                    other._accumulate(a.T @ g)
-                elif a.ndim == 2 and b.ndim == 1:
-                    other._accumulate(a.T @ g)
-                elif a.ndim == 1 and b.ndim == 2:
-                    other._accumulate(np.outer(a, g))
-                else:
-                    other._accumulate(g * a)
+                gb = np.matmul(np.swapaxes(a2, -1, -2), g)
+                other._accumulate(_unbroadcast(gb, b2.shape).reshape(b.shape))
 
         return Tensor._op(out_data, (self, other), backward)
 
     # -- shape ops -----------------------------------------------------------
 
-    def transpose(self) -> "Tensor":
-        if self.data.ndim != 2:
-            raise ValueError("transpose expects a 2-D tensor")
-
+    def swapaxes(self, axis1: int, axis2: int) -> "Tensor":
         def backward(g: np.ndarray) -> None:
-            self._accumulate(g.T)
+            self._accumulate(np.swapaxes(g, axis1, axis2))
 
-        return Tensor._op(self.data.T.copy(), (self,), backward)
+        return Tensor._op(np.swapaxes(self.data, axis1, axis2).copy(), (self,), backward)
 
     @property
     def T(self) -> "Tensor":
-        return self.transpose()
+        """The last two axes swapped: the transpose of every trailing matrix."""
+        return self.swapaxes(-2, -1)
 
     def reshape(self, *shape: int) -> "Tensor":
         orig = self.data.shape

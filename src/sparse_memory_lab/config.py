@@ -107,6 +107,11 @@ class ExperimentConfig:
             raise ValueError("memory.width must be positive")
         if mem.lookup == "softmax" and mem.k > mem.buckets:
             raise ValueError("memory.k cannot exceed memory.buckets")
+        # settings a lookup would silently ignore; lookup = none ignores them all
+        if mem.share_table and mem.lookup in ("softmax", "hyperplane", "spherical"):
+            raise ValueError("memory.share_table = true needs memory.lookup = token_id")
+        if mem.k != 1 and mem.lookup in ("token_id", "hyperplane", "spherical"):
+            raise ValueError("memory.k != 1 needs memory.lookup = softmax")
         if alt.selection not in SELECTION_KINDS:
             raise ValueError(f"altup.selection must be one of {SELECTION_KINDS}")
         if alt.variant not in VARIANT_KINDS:

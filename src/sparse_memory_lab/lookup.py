@@ -1,7 +1,8 @@
 """Sparse table lookups: token-id, learnable softmax routing, hyperplane and
 spherical LSH, min-hash, and the memory-augmented layer that consumes them.
 
-Every routine except min-hash routes all rows of a (seq, d) block at once.
+Every routine except min-hash routes all rows of a (..., d) block at once,
+such as a (seq, d) sequence or a (B, seq, d) batch of them.
 Lookup parameters are immutable after construction and safe to share across
 threads; the softmax router's jitter draws come from a caller-supplied
 generator so batch-parallel evaluation stays deterministic.
@@ -81,31 +82,36 @@ class SoftmaxRouterParams:
 
 
 def softmax_route(x: Tensor, params: SoftmaxRouterParams, train_mode: bool = False,
-                  rng: np.random.Generator | None = None) -> RouteResult:
-    """Row-wise top-k probability routing; ties break toward the lower index.
+                  rng: np.random.Generator | None = None,
+                  jitter: np.ndarray | None = None) -> RouteResult:
+    """Row-wise top-k probability routing of x (..., d); ties break toward
+    the lower index.
 
     In train mode the routing input is multiplied elementwise by jitter drawn
-    uniformly from [1-eps, 1+eps], one (seq, d) block per call, which is the
-    stream of seq consecutive per-row draws; evaluation is jitter-free.
+    uniformly from [1-eps, 1+eps], one block of x's shape per call, which is
+    the stream of consecutive per-row draws; a caller that drew the block
+    already passes it as `jitter` instead. Evaluation is jitter-free.
     Weights are the selected probabilities, so gradients reach W through the
     weighting.
     """
-    if x.ndim != 2 or x.shape[1] != params.d_in:
-        raise ValueError(f"router expects (seq, {params.d_in}) rows, got {x.shape}")
+    if x.shape[-1] != params.d_in:
+        raise ValueError(f"router expects (..., {params.d_in}) rows, got {x.shape}")
     if params.k > params.n:
         raise ValueError("k exceeds table size")
     routed_x = x
     if train_mode and params.jitter_epsilon > 0:
-        if rng is None:
-            raise ValueError("train-mode jitter needs a random generator")
-        eps = params.jitter_epsilon
-        routed_x = x * rng.uniform(1.0 - eps, 1.0 + eps, size=x.shape)
-    probs = (routed_x @ params.W.T).softmax(axis=1)
-    top = np.argsort(-probs.data, axis=1, kind="stable")[:, : params.k]
-    seq, n = probs.shape
-    flat = (np.arange(seq)[:, None] * n + top).reshape(-1)
+        if jitter is None:
+            if rng is None:
+                raise ValueError("train-mode jitter needs a random generator")
+            eps = params.jitter_epsilon
+            jitter = rng.uniform(1.0 - eps, 1.0 + eps, size=x.shape)
+        routed_x = x * jitter
+    probs = (routed_x @ params.W.T).softmax(axis=-1)
+    n = params.n
+    top = np.argsort(-probs.data.reshape(-1, n), axis=1, kind="stable")[:, : params.k]
+    flat = (np.arange(top.shape[0])[:, None] * n + top).reshape(-1)
     return RouteResult(indices=tuple(top.reshape(-1).tolist()),
-                       weights=probs.reshape(seq * n).take(flat))
+                       weights=probs.reshape(probs.size).take(flat))
 
 
 _MASK64 = np.uint64(0xFFFFFFFFFFFFFFFF)
@@ -178,11 +184,11 @@ class HyperplaneLshParams:
 def hyperplane_lsh_lookup(x, params: HyperplaneLshParams) -> RouteResult:
     """Bucket per row = mixed hash of its per-projection grid cells, mod n."""
     rows = _rows(x)
-    if rows.ndim != 2 or rows.shape[1] != params.d_in:
-        raise ValueError(f"expected (seq, {params.d_in}) rows, got {rows.shape}")
+    if rows.shape[-1] != params.d_in:
+        raise ValueError(f"expected (..., {params.d_in}) rows, got {rows.shape}")
     cells = np.floor((rows @ params.directions.T + params.offsets) / params.width)
     buckets = fold_cells(cells.astype(np.int64), params.mix_seed) % np.uint64(params.n)
-    return RouteResult(indices=tuple(buckets.tolist()))
+    return RouteResult(indices=tuple(buckets.reshape(-1).tolist()))
 
 
 @dataclass
@@ -219,13 +225,13 @@ class SphericalLshParams:
 def spherical_lsh_lookup(x, params: SphericalLshParams) -> RouteResult:
     """Bucket per row = argmax anchor dot with row/||row||; ties go to the lower index."""
     rows = _rows(x)
-    if rows.ndim != 2 or rows.shape[1] != params.d_in:
-        raise ValueError(f"expected (seq, {params.d_in}) rows, got {rows.shape}")
-    norms = np.linalg.norm(rows, axis=1, keepdims=True)
+    if rows.shape[-1] != params.d_in:
+        raise ValueError(f"expected (..., {params.d_in}) rows, got {rows.shape}")
+    norms = np.linalg.norm(rows, axis=-1, keepdims=True)
     if np.any(norms == 0.0):
         raise ValueError("spherical lookup is undefined for the zero vector")
-    buckets = np.argmax((rows / norms) @ params.anchors.T, axis=1)
-    return RouteResult(indices=tuple(buckets.tolist()))
+    buckets = np.argmax((rows / norms) @ params.anchors.T, axis=-1)
+    return RouteResult(indices=tuple(buckets.reshape(-1).tolist()))
 
 
 @dataclass
@@ -275,12 +281,13 @@ LookupParams = TokenIdLookup | SoftmaxRouterParams | HyperplaneLshParams | Spher
 
 
 def route(x: Tensor, tokens, lookup: LookupParams, train_mode: bool = False,
-          rng: np.random.Generator | None = None) -> RouteResult:
-    """Dispatch the rows of x (seq, d) and their token ids to table indices."""
+          rng: np.random.Generator | None = None,
+          jitter: np.ndarray | None = None) -> RouteResult:
+    """Dispatch the rows of x (..., d) and their token ids to table indices."""
     if isinstance(lookup, TokenIdLookup):
         return token_id_lookup(tokens, lookup.n)
     if isinstance(lookup, SoftmaxRouterParams):
-        return softmax_route(x, lookup, train_mode=train_mode, rng=rng)
+        return softmax_route(x, lookup, train_mode=train_mode, rng=rng, jitter=jitter)
     if isinstance(lookup, HyperplaneLshParams):
         return hyperplane_lsh_lookup(x, lookup)
     if isinstance(lookup, SphericalLshParams):
@@ -291,17 +298,27 @@ def route(x: Tensor, tokens, lookup: LookupParams, train_mode: bool = False,
 def memory_augmented_forward(layer: Callable[[Tensor], Tensor], x: Tensor, tokens,
                              lookup: LookupParams, table: MemoryTable,
                              train_mode: bool = False,
-                             rng: np.random.Generator | None = None) -> Tensor:
-    """L(x) plus, per row of x (seq, d), the weighted sum of its selected
-    partial experts on that row."""
-    result = route(x, tokens, lookup, train_mode=train_mode, rng=rng)
-    idx = np.asarray(result.indices, dtype=np.intp).reshape(x.shape[0], -1)
+                             rng: np.random.Generator | None = None,
+                             jitter: np.ndarray | None = None) -> Tensor:
+    """L(x) plus, per row of x (..., seq, d), the weighted sum of its selected
+    partial experts on that row.
+
+    One route and one expert call serve every row; `jitter`, when given, has
+    x's shape (see softmax_route).
+    """
+    # Routing keeps x's leading axes, so numpy runs its matmuls as one small
+    # GEMM per sequence. One GEMM over all B*seq rows crosses OpenBLAS's
+    # threading threshold in an eval pass, and the worker thread it wakes
+    # spins after the call, slowing whatever the process runs next.
+    result = route(x, tokens, lookup, train_mode=train_mode, rng=rng, jitter=jitter)
+    rows = x.reshape(-1, x.shape[-1])
+    idx = np.asarray(result.indices, dtype=np.intp).reshape(rows.shape[0], -1)
     if idx.max() >= table.n:
         raise ValueError(f"routed index {int(idx.max())} outside table of size {table.n}")
-    experts = apply_expert(x, table, idx)
+    experts = apply_expert(rows, table, idx)
     if result.weights is not None:
         experts = experts * result.weights.reshape(*idx.shape, 1)
-    return layer(x) + experts.sum(axis=1)
+    return layer(x) + experts.sum(axis=1).reshape(*x.shape)
 
 
 def partial_expert_param_count(rank: int, buckets: int, d_in: int) -> tuple[int, int]:

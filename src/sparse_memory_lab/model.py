@@ -134,7 +134,7 @@ class LanguageModel:
                         d, k_proj, mem.width, n, _seed(master, 5, i)))
                 else:
                     lookups.append(SphericalLshParams.init(n, d, _seed(master, 5, i)))
-                if mem.share_table and mem.lookup == "token_id":
+                if mem.share_table:  # validate() allows it for token_id only
                     if shared_table is None:
                         shared_table = MemoryTable.init(n, d, mem.rank, _seed(master, 4, 0))
                     tables.append(shared_table)
@@ -199,7 +199,7 @@ class LanguageModel:
     # -- forward ---------------------------------------------------------------
 
     def _layer_fn(self, layer_index: int, tokens: np.ndarray, train_mode: bool,
-                  rng: np.random.Generator | None) -> Callable[[Tensor], Tensor]:
+                  jitter: np.ndarray | None) -> Callable[[Tensor], Tensor]:
         block = self.blocks[layer_index]
 
         def base(x: Tensor) -> Tensor:
@@ -215,9 +215,28 @@ class LanguageModel:
             # the block is the always-on main expert; each position adds its
             # routed partial experts on the block *input*, per the layer contract
             return memory_augmented_forward(base, x, tokens, lookup, table,
-                                            train_mode=train_mode, rng=rng)
+                                            train_mode=train_mode, jitter=jitter)
 
         return augmented
+
+    def _router_jitter(self, tokens: np.ndarray, train_mode: bool,
+                       rng: np.random.Generator | None) -> np.ndarray | None:
+        """Softmax-router jitter for every layer, (..., layers, seq, d), or None.
+
+        One draw, sequence-major then layer, is the stream that one forward
+        per sequence would draw layer by layer, so a batch routes each
+        sequence exactly as running it alone would.
+        """
+        router = self.lookups[0] if self.lookups else None
+        if not (train_mode and isinstance(router, SoftmaxRouterParams)
+                and router.jitter_epsilon > 0):
+            return None
+        if rng is None:
+            raise ValueError("train-mode jitter needs a random generator")
+        eps = router.jitter_epsilon
+        *lead, seq = tokens.shape
+        return rng.uniform(1.0 - eps, 1.0 + eps,
+                           size=(*lead, len(self.blocks), seq, self.config.model.d))
 
     def initial_representation(self, tokens: np.ndarray) -> WideRepresentation:
         primary = self.embed_tables[0].take(tokens)
@@ -233,12 +252,14 @@ class LanguageModel:
 
     def forward(self, tokens: np.ndarray, train_mode: bool = False,
                 rng: np.random.Generator | None = None) -> Tensor:
-        """Logits (seq, vocab) for one token sequence."""
+        """Logits (..., seq, vocab) for a (seq,) token sequence or a (B, seq) batch."""
         tokens = np.asarray(tokens, dtype=np.int64)
-        if tokens.ndim != 1:
-            raise ValueError("forward expects a 1-D token sequence")
+        if tokens.ndim not in (1, 2):
+            raise ValueError("forward expects a (seq,) sequence or a (B, seq) batch of tokens")
         x0 = self.initial_representation(tokens)
-        fns = [self._layer_fn(i, tokens, train_mode, rng)
+        jitter = self._router_jitter(tokens, train_mode, rng)
+        fns = [self._layer_fn(i, tokens, train_mode,
+                              None if jitter is None else jitter[..., i, :, :])
                for i in range(len(self.blocks))]
         final, _ = altup_stack_forward(
             x0, fns, self.selection, self.pcc if self.wide else None)
@@ -256,11 +277,12 @@ class LanguageModel:
 
     def sequence_loss(self, window: np.ndarray, train_mode: bool = False,
                       rng: np.random.Generator | None = None) -> Tensor:
-        """Mean next-token cross-entropy (nats) over one (seq+1)-token window."""
+        """Mean next-token cross-entropy (nats) over one (seq+1)-token window,
+        or over every token of a (B, seq+1) batch of windows."""
         window = np.asarray(window, dtype=np.int64)
-        logits = self.forward(window[:-1], train_mode=train_mode, rng=rng)
-        logprobs = logits.log_softmax(axis=1)
-        picked = logprobs.gather_cols(window[1:])
+        logits = self.forward(window[..., :-1], train_mode=train_mode, rng=rng)
+        logprobs = logits.reshape(-1, logits.shape[-1]).log_softmax(axis=1)
+        picked = logprobs.gather_cols(window[..., 1:].reshape(-1))
         return -picked.mean()
 
 

@@ -13,7 +13,7 @@ from typing import Callable, Mapping
 
 import numpy as np
 
-from .autodiff import Tensor, concat, zero_grads
+from .autodiff import Tensor, zero_grads
 
 
 def as_seedseq(seed) -> np.random.SeedSequence:
@@ -181,34 +181,29 @@ _NEG_MASK = -1e30  # additive attention mask; exp() underflows to exactly 0
 
 def transformer_block_forward(x: Tensor, params: TransformerBlockParams,
                               causal: bool = False) -> Tensor:
-    """Run one block on a (seq, d) tensor; deterministic given params."""
-    if x.ndim != 2 or x.shape[1] != params.d:
-        raise ValueError(f"block expects (seq, {params.d}), got {x.shape}")
-    seq, d = x.shape
+    """Run one block on a (..., seq, d) tensor; deterministic given params.
+
+    Leading axes are independent sequences; the heads run as one
+    (..., h, seq, d/h) batch.
+    """
+    if x.ndim < 2 or x.shape[-1] != params.d:
+        raise ValueError(f"block expects (..., seq, {params.d}), got {x.shape}")
+    *lead, seq, d = x.shape
     h = params.n_heads
     dh = d // h
 
+    def heads(t: Tensor) -> Tensor:
+        return t.reshape(*lead, seq, h, dh).swapaxes(-3, -2)
+
     ln1 = x.normalize() * params.ln1_scale + params.ln1_bias
-    q = ln1 @ params.wq
-    k = ln1 @ params.wk
-    v = ln1 @ params.wv
+    q = heads(ln1 @ params.wq)
+    k = heads(ln1 @ params.wk)
+    v = heads(ln1 @ params.wv)
 
-    mask = None
+    scores = (q @ k.T) * (1.0 / math.sqrt(dh))
     if causal and seq > 1:
-        mask = np.triu(np.full((seq, seq), _NEG_MASK), k=1)
-
-    head_outs = []
-    scale = 1.0 / math.sqrt(dh)
-    for i in range(h):
-        qi = q.narrow(1, i * dh, dh)
-        ki = k.narrow(1, i * dh, dh)
-        vi = v.narrow(1, i * dh, dh)
-        scores = (qi @ ki.T) * scale
-        if mask is not None:
-            scores = scores + mask
-        attn = scores.softmax(axis=1)
-        head_outs.append(attn @ vi)
-    attended = concat(head_outs, axis=1) if h > 1 else head_outs[0]
+        scores = scores + np.triu(np.full((seq, seq), _NEG_MASK), k=1)
+    attended = (scores.softmax(axis=-1) @ v).swapaxes(-3, -2).reshape(*lead, seq, d)
     x = x + attended @ params.wo
 
     ln2 = x.normalize() * params.ln2_scale + params.ln2_bias

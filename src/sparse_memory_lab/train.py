@@ -138,12 +138,9 @@ class Trainer:
         return np.stack([self.train_tokens[s: s + window] for s in starts])
 
     def batch_loss(self, batch: np.ndarray, train_mode: bool) -> Tensor:
-        total = None
-        for row in batch:
-            loss = self.model.sequence_loss(row, train_mode=train_mode,
-                                            rng=self.jitter_rng if train_mode else None)
-            total = loss if total is None else total + loss
-        return total * (1.0 / batch.shape[0])
+        """Mean loss over every token of a (B, seq+1) batch, as one graph."""
+        return self.model.sequence_loss(batch, train_mode=train_mode,
+                                        rng=self.jitter_rng if train_mode else None)
 
     def step(self, batch: np.ndarray | None = None) -> float:
         """One optimizer step; returns the training loss in nats/token."""
@@ -162,25 +159,18 @@ class Trainer:
         return float(loss.data)
 
     def evaluate(self) -> tuple[float, float, float]:
-        """(loss, accuracy, loss stderr) on fixed held-out windows, jitter-free."""
+        """(loss, accuracy, loss stderr) on fixed held-out windows, jitter-free;
+        all windows run as one batch."""
         window = self.config.model.seq_len + 1
-        count = max(1, len(self.eval_tokens) // window)
-        token_losses = []
-        correct = 0
-        total = 0
-        for i in range(count):
-            chunk = self.eval_tokens[i * window: (i + 1) * window]
-            if len(chunk) < window:
-                break
-            logits = self.model.forward(chunk[:-1])
-            logprobs = logits.log_softmax(axis=1)
-            picked = logprobs.gather_cols(chunk[1:])
-            token_losses.extend((-picked.data).tolist())
-            correct += int(np.sum(np.argmax(logits.data, axis=1) == chunk[1:]))
-            total += window - 1
-        losses = np.asarray(token_losses)
+        count = len(self.eval_tokens) // window
+        windows = self.eval_tokens[: count * window].reshape(count, window)
+        targets = windows[:, 1:]
+        logits = self.model.forward(windows[:, :-1])
+        logprobs = logits.log_softmax(axis=-1).data
+        losses = -np.take_along_axis(logprobs, targets[..., None], axis=-1).reshape(-1)
+        correct = int(np.sum(np.argmax(logits.data, axis=-1) == targets))
         stderr = float(losses.std(ddof=1) / math.sqrt(losses.size)) if losses.size > 1 else 0.0
-        return float(losses.mean()), correct / total, stderr
+        return float(losses.mean()), correct / losses.size, stderr
 
 
 def train_model(config: ExperimentConfig, out_dir: str | Path | None = None,

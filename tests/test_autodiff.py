@@ -59,11 +59,24 @@ def test_matmul_grad_all_arities():
     check_op(lambda ts: (ts[0] @ ts[1]).sum(), [(3, 4), (4,)])
     check_op(lambda ts: (ts[0] @ ts[1]).sum(), [(4,), (4, 2)])
     check_op(lambda ts: ts[0] @ ts[1], [(4,), (4,)])
+    square = lambda ts: ((ts[0] @ ts[1]) * (ts[0] @ ts[1])).sum()  # noqa: E731
+    check_op(square, [(2, 3, 4), (4, 5)])
+    check_op(square, [(2, 3, 4), (2, 4, 5)])
+    check_op(square, [(1, 3, 4), (2, 4, 5)])  # broadcast leading axis
+    check_op(square, [(2, 1, 3, 4), (3, 4, 5)])
+    check_op(square, [(2, 3, 4), (4,)])
+    check_op(square, [(4,), (2, 4, 5)])
 
 
 def test_transpose_reshape_grad():
     check_op(lambda ts: (ts[0].T @ ts[0]).sum(), [(3, 4)])
     check_op(lambda ts: (ts[0].reshape(6) * ts[0].reshape(6)).sum(), [(2, 3)])
+
+
+def test_swapaxes_grad():
+    check_op(lambda ts: (ts[0].swapaxes(0, 2) * ts[1]).sum(), [(2, 3, 4), (4, 3, 2)])
+    check_op(lambda ts: (ts[0].T @ ts[0]).sum(), [(2, 3, 4)])
+    check_op(lambda ts: (ts[0].swapaxes(-3, -2) * ts[1]).sum(), [(2, 3, 4), (3, 2, 4)])
 
 
 def test_narrow_grad():
@@ -141,6 +154,15 @@ def test_nonfinite_rejected_at_construction():
         Tensor([1.0, np.nan])
     with pytest.raises(NonFiniteError):
         Tensor(np.array([np.inf]))
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_nonfinite_op_result_names_the_op():
+    big = Tensor(np.array([1000.0]), requires_grad=True)
+    with pytest.raises(NonFiniteError, match="^exp produced a non-finite value"):
+        big.exp()
+    with pytest.raises(NonFiniteError, match="^__matmul__ produced"):
+        Tensor(np.full((2, 2), 1e200)) @ Tensor(np.full((2, 2), 1e200))
 
 
 def test_backward_requires_scalar():

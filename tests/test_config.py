@@ -78,3 +78,21 @@ def test_load_config_missing_file(tmp_path):
     path = tmp_path / "ok.cfg"
     path.write_text("model.d = 8\n")
     assert load_config(path).model.d == 8
+
+
+@pytest.mark.parametrize("lookup", ["softmax", "hyperplane", "spherical"])
+def test_share_table_only_with_token_id(lookup):
+    with pytest.raises(ValueError, match="memory.share_table = true needs"):
+        parse_config(f"memory.lookup = {lookup}\nmemory.share_table = true\n")
+    parse_config("memory.lookup = token_id\nmemory.share_table = true\n")
+
+
+@pytest.mark.parametrize("lookup", ["token_id", "hyperplane", "spherical"])
+def test_k_only_with_softmax(lookup):
+    with pytest.raises(ValueError, match="memory.k != 1 needs"):
+        parse_config(f"memory.lookup = {lookup}\nmemory.k = 2\n")
+    parse_config("memory.lookup = softmax\nmemory.buckets = 4\nmemory.k = 2\n")
+
+
+def test_lookup_none_ignores_memory_settings():
+    parse_config("memory.share_table = true\nmemory.k = 2\n")

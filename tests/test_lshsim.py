@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from sparse_memory_lab import lshsim
 from sparse_memory_lab.lookup import (
     HyperplaneLshParams,
     MinHashParams,
@@ -216,6 +217,13 @@ def test_hyperplane_estimate_stable_across_independent_seeds():
                            trials=100_000, seed=2002)
     pooled = math.sqrt(a.stderr ** 2 + b.stderr ** 2)
     assert abs(a.p_hat - b.p_hat) < 4 * pooled
+
+
+@pytest.mark.slow
+def test_pinned_default_width_equals_bisection(monkeypatch):
+    pinned = hyperplane_collision_width(64, 32)
+    monkeypatch.setattr(lshsim, "_width_cache", {})
+    assert hyperplane_collision_width(64, 32) == pinned
 
 
 @pytest.mark.slow

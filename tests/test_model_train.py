@@ -176,7 +176,8 @@ def test_divergence_aborts_with_diagnostic():
     cfg = tiny(d=8, layers=1, heads=1, vocab=16, seq=4, steps=60, batch=2,
                lr=1e8, optimizer="sgd")
     trainer = Trainer(cfg)
-    with pytest.raises(DivergenceError, match="diverged"):
+    with pytest.raises(DivergenceError,
+                       match=r"diverged at step \d+: __matmul__ produced a non-finite value"):
         for _ in range(60):
             trainer.step()
 
