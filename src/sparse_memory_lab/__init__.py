@@ -2,7 +2,7 @@
 partial experts, wide-representation predict-compute-correct updates, and
 Monte Carlo verification of the lookup families' collision behavior."""
 
-from .autodiff import NonFiniteError, Tensor, concat
+from .autodiff import NonFiniteError, Tensor, concat, no_grad
 from .config import ExperimentConfig, load_config, parse_config
 from .nn import (
     GradCheckReport,
@@ -20,6 +20,7 @@ __all__ = [
     "NonFiniteError",
     "Tensor",
     "concat",
+    "no_grad",
     "ExperimentConfig",
     "load_config",
     "parse_config",

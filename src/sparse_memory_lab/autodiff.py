@@ -5,11 +5,15 @@ are no views and no in-place graph surgery. Matmul follows np.matmul, so a
 whole batch of sequences, or of attention heads, is one node. Values are
 validated to be finite at construction, so a divergence (NaN/Inf) surfaces
 at the op that produced it, named in the error, instead of three layers later.
+Inside `no_grad()` ops record no graph, so a forward-only pass frees each
+intermediate as soon as the next op has used it.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, Sequence
+import threading
+from contextlib import contextmanager
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -38,6 +42,26 @@ def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     return grad
 
 
+class _GradMode(threading.local):
+    # per thread, so a forward-only pass in one worker thread never switches
+    # off the graph another thread is building
+    enabled = True
+
+
+_grad_mode = _GradMode()
+
+
+@contextmanager
+def no_grad() -> Iterator[None]:
+    """Ops run inside record no parents or backward closure, in this thread."""
+    prev = _grad_mode.enabled
+    _grad_mode.enabled = False
+    try:
+        yield
+    finally:
+        _grad_mode.enabled = prev
+
+
 class Tensor:
     """A node in the computation graph holding a float64 array."""
 
@@ -63,7 +87,7 @@ class Tensor:
         except NonFiniteError:
             op = backward.__qualname__.split(".<locals>")[0].rsplit(".", 1)[-1]
             raise NonFiniteError(f"{op} produced a non-finite value (NaN or Inf)") from None
-        if any(p.requires_grad for p in parents):
+        if _grad_mode.enabled and any(p.requires_grad for p in parents):
             out.requires_grad = True
             out._parents = tuple(parents)
             out._backward = backward
@@ -96,19 +120,26 @@ class Tensor:
     def _accumulate(self, grad: np.ndarray, rows: np.ndarray | None = None) -> None:
         """Add grad; `rows`, when given, are the only axis-0 rows it touches."""
         if self.grad is None:
-            self.grad = np.zeros_like(self.data)
+            # a fresh C-ordered copy (keeping grad's layout, say a transposed
+            # view, would change later GEMMs' sums); + 0.0 maps -0.0 to 0.0
+            # as a sum into zeros does
+            self.grad = np.add(grad, 0.0, order="C")
             if rows is not None:
                 self.grad_rows = np.zeros(self.data.shape[0], dtype=bool)
+        else:
+            self.grad += grad
         if rows is None:
             self.grad_rows = None
         elif self.grad_rows is not None:
             self.grad_rows[rows] = True
-        self.grad += grad
 
     def backward(self) -> None:
         """Reverse-mode sweep from a scalar node."""
         if self.data.size != 1:
             raise ValueError("backward() requires a scalar tensor")
+        if not self.requires_grad:
+            raise ValueError("backward() on a tensor that records no graph: it was "
+                             "built under no_grad() or from constants only")
         topo: list[Tensor] = []
         seen: set[int] = set()
         stack: list[tuple[Tensor, bool]] = [(self, False)]
@@ -237,9 +268,11 @@ class Tensor:
         idx = np.asarray(indices, dtype=np.intp)
 
         def backward(g: np.ndarray) -> None:
-            full = np.zeros_like(self.data)
-            np.add.at(full, idx, g)
-            self._accumulate(full, rows=idx)
+            # one bincount over flat positions sums duplicate rows as add.at does
+            width = self.data[0].size
+            flat = (idx[..., None] * width + np.arange(width)).reshape(-1)
+            full = np.bincount(flat, weights=g.reshape(-1), minlength=self.data.size)
+            self._accumulate(full.reshape(self.data.shape), rows=idx)
 
         return Tensor._op(self.data[idx].copy(), (self,), backward)
 
@@ -252,7 +285,7 @@ class Tensor:
 
         def backward(g: np.ndarray) -> None:
             full = np.zeros_like(self.data)
-            np.add.at(full, (rows, cols), g)
+            full[rows, cols] = g  # rows are unique, so nothing to sum
             self._accumulate(full)
 
         return Tensor._op(self.data[rows, cols].copy(), (self,), backward)

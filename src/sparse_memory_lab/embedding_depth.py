@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import Tensor
+from .autodiff import Tensor, no_grad
 from .reporting import run_cells, write_csv
 from .train import AdamState
 
@@ -178,8 +178,9 @@ def train_separation(config: SeparationConfig) -> dict:
         loss = net.mse(u_tr[idx], q_tr[idx], y_tr[idx])
         loss.backward()
         opt.step(params)
-    train_mse = float(net.mse(u_tr, q_tr, y_tr).data)
-    test_mse = float(net.mse(u_te, q_te, y_te).data)
+    with no_grad():
+        train_mse = float(net.mse(u_tr, q_tr, y_tr).data)
+        test_mse = float(net.mse(u_te, q_te, y_te).data)
     return {
         "architecture": config.architecture, "width": config.width,
         "seed": config.seed, "train_mse": train_mse, "test_mse": test_mse,

@@ -7,6 +7,8 @@ an absolute quality floor to compare against.
 
 from __future__ import annotations
 
+from bisect import bisect_right
+
 import numpy as np
 
 
@@ -66,14 +68,16 @@ def sample_markov(matrix: np.ndarray, length: int, seed) -> np.ndarray:
     cumulative = np.cumsum(m, axis=1)
     cumulative[:, -1] = 1.0
     pi = stationary_distribution(m)
-    tokens = np.empty(length, dtype=np.int64)
     state = int(rng.choice(m.shape[0], p=pi / pi.sum()))
-    tokens[0] = state
-    draws = rng.random(length - 1)
-    for i in range(1, length):
-        state = int(np.searchsorted(cumulative[state], draws[i - 1], side="right"))
-        tokens[i] = state
-    return tokens
+    # Python floats and bisect compare exactly as searchsorted(side="right")
+    # on the float64 rows, without a numpy call per token; the memoryview
+    # hands out the draws one float at a time instead of as one big list
+    rows = cumulative.tolist()
+    tokens = [state]
+    for u in memoryview(rng.random(length - 1)):
+        state = bisect_right(rows[state], u)
+        tokens.append(state)
+    return np.array(tokens, dtype=np.int64)
 
 
 def generate_markov_corpus(num_symbols: int, transition_seed, length: int,

@@ -13,7 +13,7 @@ from typing import Callable, Mapping
 
 import numpy as np
 
-from .autodiff import Tensor, zero_grads
+from .autodiff import Tensor, no_grad, zero_grads
 
 
 def as_seedseq(seed) -> np.random.SeedSequence:
@@ -257,20 +257,21 @@ def finite_diff_check(loss_fn: Callable[[], Tensor],
     }
 
     per_param: dict[str, float] = {}
-    for name, t in tensors.items():
-        flat = t.data.reshape(-1)
-        grad_flat = analytic[name].reshape(-1)
-        worst = 0.0
-        for i in range(flat.size):
-            orig = flat[i]
-            flat[i] = orig + epsilon
-            lp = float(loss_fn().data)
-            flat[i] = orig - epsilon
-            lm = float(loss_fn().data)
-            flat[i] = orig
-            numeric = (lp - lm) / (2.0 * epsilon)
-            denom = max(abs(grad_flat[i]), abs(numeric), 1e-12)
-            worst = max(worst, abs(grad_flat[i] - numeric) / denom)
-        per_param[name] = worst
+    with no_grad():
+        for name, t in tensors.items():
+            flat = t.data.reshape(-1)
+            grad_flat = analytic[name].reshape(-1)
+            worst = 0.0
+            for i in range(flat.size):
+                orig = flat[i]
+                flat[i] = orig + epsilon
+                lp = float(loss_fn().data)
+                flat[i] = orig - epsilon
+                lm = float(loss_fn().data)
+                flat[i] = orig
+                numeric = (lp - lm) / (2.0 * epsilon)
+                denom = max(abs(grad_flat[i]), abs(numeric), 1e-12)
+                worst = max(worst, abs(grad_flat[i] - numeric) / denom)
+            per_param[name] = worst
 
     return GradCheckReport(per_param=per_param, epsilon=epsilon, tolerance=tolerance)

@@ -17,7 +17,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .autodiff import NonFiniteError, Tensor
+from .autodiff import NonFiniteError, Tensor, no_grad
 from .checkpoint import save_checkpoint
 from .config import ExperimentConfig, format_config
 from .lookup import partial_expert_param_count
@@ -160,13 +160,14 @@ class Trainer:
 
     def evaluate(self) -> tuple[float, float, float]:
         """(loss, accuracy, loss stderr) on fixed held-out windows, jitter-free;
-        all windows run as one batch."""
+        all windows run as one batch, with no gradient graph."""
         window = self.config.model.seq_len + 1
         count = len(self.eval_tokens) // window
         windows = self.eval_tokens[: count * window].reshape(count, window)
         targets = windows[:, 1:]
-        logits = self.model.forward(windows[:, :-1])
-        logprobs = logits.log_softmax(axis=-1).data
+        with no_grad():
+            logits = self.model.forward(windows[:, :-1])
+            logprobs = logits.log_softmax(axis=-1).data
         losses = -np.take_along_axis(logprobs, targets[..., None], axis=-1).reshape(-1)
         correct = int(np.sum(np.argmax(logits.data, axis=-1) == targets))
         stderr = float(losses.std(ddof=1) / math.sqrt(losses.size)) if losses.size > 1 else 0.0
@@ -183,12 +184,18 @@ def train_model(config: ExperimentConfig, out_dir: str | Path | None = None,
     interval = config.io.checkpoint_interval
     rows: list[MetricsRow] = []
     examples_done = 0
+    seq_len = config.model.seq_len
+    eval_pass_tokens = len(trainer.eval_tokens) // (seq_len + 1) * seq_len
+    eval_tokens_done, eval_seconds = 0, 0.0
     t_start = time.perf_counter()
     for step in range(1, config.training.steps + 1):
         train_loss = trainer.step()
         examples_done += config.training.batch
         if step % interval == 0 or step == config.training.steps:
+            t_eval = time.perf_counter()
             eval_loss, eval_acc, _ = trainer.evaluate()
+            eval_seconds += time.perf_counter() - t_eval
+            eval_tokens_done += eval_pass_tokens
             elapsed = max(time.perf_counter() - t_start, 1e-9)
             rows.append(MetricsRow(
                 step=step, train_loss=train_loss, eval_loss=eval_loss,
@@ -204,6 +211,7 @@ def train_model(config: ExperimentConfig, out_dir: str | Path | None = None,
     with open(out / "speed.txt", "w") as fh:
         final_speed = rows[-1].examples_per_sec if rows else 0.0
         fh.write(f"examples_per_sec {final_speed:.3f}\n")
+        fh.write(f"eval_tokens_per_sec {eval_tokens_done / max(eval_seconds, 1e-9):.3f}\n")
     (out / "config.txt").write_text(format_config(config))
     save_checkpoint(out / "checkpoint.smlb",
                     {k: v.data for k, v in trainer.params.items()})

@@ -1,9 +1,11 @@
 """Gradient correctness of every autodiff op against local finite differences."""
 
+import threading
+
 import numpy as np
 import pytest
 
-from sparse_memory_lab.autodiff import NonFiniteError, Tensor, concat
+from sparse_memory_lab.autodiff import NonFiniteError, Tensor, concat, no_grad
 
 
 def numeric_grad(fn, arrays, index, eps=1e-6):
@@ -175,3 +177,109 @@ def test_grad_not_tracked_without_requires_grad():
     a = Tensor(np.ones(3))
     b = a * 2.0
     assert not b.requires_grad and b._parents == ()
+
+
+def test_no_grad_results_record_no_graph():
+    a = Tensor(np.arange(6.0).reshape(2, 3), requires_grad=True)
+    with no_grad():
+        outs = [a * 2.0, a @ a.T, a.take([1, 1]), a.gather_cols([0, 2]),
+                a.log_softmax(axis=-1), concat([a, a], axis=0), a.sum()]
+    for out in outs:
+        assert not out.requires_grad and out._parents == () and out._backward is None
+    assert (a * 2.0).requires_grad  # the mode ends with the scope
+
+
+def test_no_grad_nests_and_is_restored_after_an_exception():
+    a = Tensor(np.ones(2), requires_grad=True)
+    with no_grad():
+        with no_grad():
+            assert not (a + a).requires_grad
+        assert not (a + a).requires_grad
+    assert (a + a).requires_grad
+    with pytest.raises(RuntimeError):
+        with no_grad():
+            raise RuntimeError("inside the scope")
+    assert (a + a).requires_grad
+
+
+def test_no_grad_is_per_thread():
+    # thread A holds no_grad() while thread B builds an op; B keeps its graph
+    a = Tensor(np.ones(3), requires_grad=True)
+    inside, built = threading.Barrier(2, timeout=10), threading.Barrier(2, timeout=10)
+    results = {}
+
+    def hold():
+        with no_grad():
+            inside.wait()
+            built.wait()
+            results["a"] = a * 2.0
+
+    def build():
+        inside.wait()
+        results["b"] = a * 2.0
+        built.wait()
+
+    threads = [threading.Thread(target=hold), threading.Thread(target=build)]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join(timeout=10)
+    assert not any(t.is_alive() for t in threads)
+    assert results["b"].requires_grad and results["b"]._parents[0] is a
+    assert not results["a"].requires_grad
+
+
+def test_backward_without_a_graph_raises():
+    a = Tensor(np.ones(3), requires_grad=True)
+    with no_grad():
+        loss = (a * a).sum()
+    with pytest.raises(ValueError, match="records no graph"):
+        loss.backward()
+    with pytest.raises(ValueError, match="records no graph"):
+        (Tensor(np.ones(3)) * 2.0).sum().backward()
+    assert a.grad is None
+
+
+@pytest.mark.parametrize("table_shape, idx", [
+    ((5,), [3, 0, 3, 4, 3, 3, 0, 3, 3]),
+    ((6, 4), [[2, 5, 2], [0, 2, 5]]),
+    ((7, 3, 2), [6, 1, 6, 6, 0, 1]),
+], ids=["1d", "2d", "3d"])
+def test_take_backward_equals_add_at_bitwise(table_shape, idx):
+    rng = np.random.default_rng(3)
+    t = Tensor(rng.standard_normal(table_shape), requires_grad=True)
+    idx = np.asarray(idx)
+    # magnitudes spread over 16 decades, so another summation order shows
+    shape = idx.shape + table_shape[1:]
+    w = rng.standard_normal(shape) * 10.0 ** rng.integers(-8, 8, shape)
+    (t.take(idx) * w).sum().backward()
+    expected = np.zeros(table_shape)
+    np.add.at(expected, idx, w)
+    assert t.grad.tobytes() == expected.tobytes()
+    np.testing.assert_array_equal(t.grad_rows, np.isin(np.arange(table_shape[0]), idx))
+
+
+def test_gather_cols_backward_equals_add_at_bitwise():
+    rng = np.random.default_rng(4)
+    t = Tensor(rng.standard_normal((5, 4)), requires_grad=True)
+    cols = np.array([3, 3, 0, 1, 3])
+    w = rng.standard_normal(5)
+    (t.gather_cols(cols) * w).sum().backward()
+    expected = np.zeros((5, 4))
+    np.add.at(expected, (np.arange(5), cols), w)
+    assert t.grad.tobytes() == expected.tobytes()
+
+
+def test_first_gradient_is_a_c_contiguous_copy():
+    t = Tensor(np.zeros((3, 4)), requires_grad=True)
+    w = np.random.default_rng(5).standard_normal((4, 3))
+    (t.swapaxes(0, 1) * w).sum().backward()  # hands t a transposed view
+    assert t.grad.flags.c_contiguous
+    np.testing.assert_array_equal(t.grad, w.T)
+    g = np.full((3, 4), -0.0)
+    g[1] = 2.0
+    u = Tensor(np.zeros((3, 4)), requires_grad=True)
+    u._accumulate(g)
+    assert u.grad.tobytes() == (np.zeros((3, 4)) + g).tobytes()  # -0.0 became 0.0
+    g[0, 0] = 5.0
+    assert u.grad[0, 0] == 0.0  # a copy, not an alias

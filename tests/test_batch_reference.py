@@ -9,12 +9,14 @@ identically, draw identical jitter, and agree within 1e-12 in the loss, in
 every parameter gradient and in the rows a gradient touched.
 """
 
+import contextlib
 import math
 
 import numpy as np
 import pytest
 
 from sparse_memory_lab import lookup as lookup_mod
+from sparse_memory_lab import train as train_mod
 from sparse_memory_lab.altup import altup_stack_forward
 from sparse_memory_lab.autodiff import concat
 from sparse_memory_lab.config import ExperimentConfig, set_config_value
@@ -211,3 +213,23 @@ def test_evaluate_matches_per_window_loop(cell):
     assert abs(loss - ref_loss) <= TOL
     assert accuracy == ref_accuracy
     assert abs(stderr - ref_stderr) <= TOL
+
+
+@pytest.mark.parametrize("cell", sorted(CELLS))
+def test_evaluate_without_graph_equals_graph_building_forward(cell, monkeypatch):
+    trainer = make_trainer(CELLS[cell])
+    trainer.step()
+    result = trainer.evaluate()
+    built = []
+    real_forward = trainer.model.forward
+
+    def recording_forward(*args, **kwargs):
+        built.append(real_forward(*args, **kwargs))
+        return built[-1]
+
+    monkeypatch.setattr(trainer.model, "forward", recording_forward)
+    trainer.evaluate()
+    assert not built[0].requires_grad and built[0]._parents == ()
+    monkeypatch.setattr(train_mod, "no_grad", contextlib.nullcontext)
+    assert trainer.evaluate() == result  # bit for bit
+    assert built[1].requires_grad

@@ -60,3 +60,40 @@ def test_corpus_deterministic_per_seed():
 def test_num_symbols_minimum():
     with pytest.raises(ValueError):
         random_transition_matrix(1, seed=0)
+
+
+def reference_sample_markov(matrix, length, seed):
+    """The per-token searchsorted loop the sampler replaced, draw for draw."""
+    m = np.asarray(matrix, dtype=np.float64)
+    rng = np.random.default_rng(seed)
+    cumulative = np.cumsum(m, axis=1)
+    cumulative[:, -1] = 1.0
+    pi = stationary_distribution(m)
+    tokens = np.empty(length, dtype=np.int64)
+    state = int(rng.choice(m.shape[0], p=pi / pi.sum()))
+    tokens[0] = state
+    draws = rng.random(length - 1)
+    for i in range(1, length):
+        state = int(np.searchsorted(cumulative[state], draws[i - 1], side="right"))
+        tokens[i] = state
+    return tokens
+
+
+@pytest.mark.parametrize("seed", [0, 1, 7, 12345])
+@pytest.mark.parametrize("length", [1, 2, 5000])
+def test_sampler_equals_searchsorted_loop(seed, length):
+    p = random_transition_matrix(16, seed=seed + 100)
+    got = sample_markov(p, length, seed=seed)
+    assert got.dtype == np.int64 and got.shape == (length,)
+    np.testing.assert_array_equal(got, reference_sample_markov(p, length, seed))
+
+
+def test_sampler_equals_searchsorted_loop_with_zero_probabilities():
+    p = np.array([[0.0, 0.5, 0.5, 0.0],
+                  [0.25, 0.0, 0.0, 0.75],
+                  [0.0, 0.0, 0.0, 1.0],
+                  [0.5, 0.0, 0.5, 0.0]])
+    for seed in range(3):
+        got = sample_markov(p, 2000, seed=seed)
+        np.testing.assert_array_equal(got, reference_sample_markov(p, 2000, seed))
+        assert not np.any(p[got[:-1], got[1:]] == 0.0)

@@ -12,7 +12,7 @@ from sparse_memory_lab.config import (
     ModelConfig,
     TrainingConfig,
 )
-from sparse_memory_lab.autodiff import Tensor
+from sparse_memory_lab.autodiff import Tensor, no_grad
 from sparse_memory_lab.model import LanguageModel, count_params
 from sparse_memory_lab.train import (
     AdamState,
@@ -192,6 +192,18 @@ def test_train_model_writes_deterministic_metrics(tmp_path):
     assert run("a") == run("b")
     files = {p.name for p in (tmp_path / "a").iterdir()}
     assert files == {"metrics.csv", "speed.txt", "config.txt", "checkpoint.smlb"}
+    speed = dict(line.split() for line in (tmp_path / "a" / "speed.txt").read_text().splitlines())
+    assert speed.keys() == {"examples_per_sec", "eval_tokens_per_sec"}
+    assert all(float(v) > 0 for v in speed.values())
+
+
+def test_step_under_no_grad_fails_loudly():
+    trainer = Trainer(tiny())
+    before = {k: p.data.copy() for k, p in trainer.params.items()}
+    with no_grad(), pytest.raises(ValueError, match="records no graph"):
+        trainer.step()
+    for k, p in trainer.params.items():
+        np.testing.assert_array_equal(p.data, before[k])
 
 
 def test_jitter_only_affects_train_mode():
@@ -273,6 +285,21 @@ def test_lookup_benchmark_grid_rows(tmp_path):
     dup = run_lookup_benchmark([("softmax", 4, 8)], base, tmp_path / "dup")
     assert dup[0]["final_eval_loss"] == [
         r for r in rows if (r["rank"], r["buckets"]) == (4, 8)][0]["final_eval_loss"]
+
+
+def test_lookup_benchmark_threaded_csv_equals_serial(tmp_path, monkeypatch):
+    # worker threads evaluate (no graph) while others train (graph), so the
+    # grad mode must not leak between them
+    base = tiny(d=8, layers=1, heads=2, vocab=8, seq=4, steps=4, batch=2)
+    base.io.checkpoint_interval = 1
+    base.training.eval_tokens = 100
+    grid = [("softmax", 4, 8), ("hyperplane", 2, 8), ("token_id", 2, 8), ("spherical", 0, 8)]
+    monkeypatch.setenv("SPARSE_MEMORY_LAB_THREADS", "1")
+    run_lookup_benchmark(grid, base, tmp_path / "serial")
+    monkeypatch.setenv("SPARSE_MEMORY_LAB_THREADS", "2")
+    run_lookup_benchmark(grid, base, tmp_path / "threaded")
+    assert ((tmp_path / "threaded" / "route_bench.csv").read_bytes()
+            == (tmp_path / "serial" / "route_bench.csv").read_bytes())
 
 
 def test_file_corpus_reader(tmp_path):
