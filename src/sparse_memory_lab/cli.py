@@ -16,7 +16,7 @@ from .config import ExperimentConfig, config_keys, load_config, set_config_value
 from .embedding_depth import run_separation_experiment
 from .lshsim import FAMILIES, collision_grid
 from .reporting import write_csv
-from .train import run_lookup_benchmark, train_model
+from .train import DivergenceError, run_lookup_benchmark, train_model
 
 LSHSIM_COLUMNS = ("family", "f", "n", "l", "d", "trials", "p_hat", "stderr", "rho_hat")
 
@@ -166,10 +166,7 @@ def cli_main(argv: list[str] | None = None) -> int:
                 print(f"{r['check']:>40}: max rel err {r['max_rel_error']:.3e} [{status}]")
             return 0 if ok else 1
 
-    except FileNotFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
+    except (FileNotFoundError, ValueError, DivergenceError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

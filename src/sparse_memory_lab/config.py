@@ -112,6 +112,10 @@ class ExperimentConfig:
             raise ValueError("memory.share_table = true needs memory.lookup = token_id")
         if mem.k != 1 and mem.lookup in ("token_id", "hyperplane", "spherical"):
             raise ValueError("memory.k != 1 needs memory.lookup = softmax")
+        if mem.lookup == "token_id" and mem.buckets not in (1, m.vocab):
+            raise ValueError(
+                "token_id lookup requires memory.buckets equal to the vocabulary "
+                f"size ({m.vocab}) or left at the default 1")
         if alt.selection not in SELECTION_KINDS:
             raise ValueError(f"altup.selection must be one of {SELECTION_KINDS}")
         if alt.variant not in VARIANT_KINDS:
@@ -120,6 +124,8 @@ class ExperimentConfig:
             raise ValueError(f"altup.head must be one of {HEAD_KINDS}")
         if alt.K < 1:
             raise ValueError("altup.K must be at least 1 (K=1 degenerates to the baseline)")
+        if alt.K > 1 and mem.consumption not in ("sameup", "altup"):
+            raise ValueError("altup.K > 1 needs memory.consumption = sameup or altup")
         if alt.e < 0:
             raise ValueError("altup.e must be nonnegative")
         if alt.e > 0 and alt.K < 2:

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .autodiff import Tensor, no_grad
-from .reporting import run_cells, write_csv
+from .reporting import write_csv
 from .train import AdamState
 
 ARCHITECTURES = ("input_only", "per_layer")
@@ -205,7 +205,7 @@ def run_separation_experiment(d: int = 16, u_count: int = 64, depth: int = 2,
         for w in (d, 2 * d)
         for s in seeds
     ]
-    rows = run_cells(train_separation, cells)
+    rows = [train_separation(cell) for cell in cells]
     rows.sort(key=lambda r: (r["architecture"], r["width"], r["seed"]))
     if out_path is not None:
         write_csv(out_path, SEPARATION_COLUMNS, rows)

@@ -4,8 +4,7 @@ spherical LSH, min-hash, and the memory-augmented layer that consumes them.
 Every routine except min-hash routes all rows of a (..., d) block at once,
 such as a (seq, d) sequence or a (B, seq, d) batch of them.
 Lookup parameters are immutable after construction and safe to share across
-threads; the softmax router's jitter draws come from a caller-supplied
-generator so batch-parallel evaluation stays deterministic.
+threads; the softmax router's jitter is drawn by the caller and passed in.
 """
 
 from __future__ import annotations
@@ -81,31 +80,21 @@ class SoftmaxRouterParams:
         return {"W": self.W}
 
 
-def softmax_route(x: Tensor, params: SoftmaxRouterParams, train_mode: bool = False,
-                  rng: np.random.Generator | None = None,
+def softmax_route(x: Tensor, params: SoftmaxRouterParams,
                   jitter: np.ndarray | None = None) -> RouteResult:
     """Row-wise top-k probability routing of x (..., d); ties break toward
     the lower index.
 
-    In train mode the routing input is multiplied elementwise by jitter drawn
-    uniformly from [1-eps, 1+eps], one block of x's shape per call, which is
-    the stream of consecutive per-row draws; a caller that drew the block
-    already passes it as `jitter` instead. Evaluation is jitter-free.
-    Weights are the selected probabilities, so gradients reach W through the
-    weighting.
+    A training caller passes `jitter`, an array of x's shape drawn uniformly
+    from [1-eps, 1+eps], and the routing input is x * jitter; None routes x
+    itself, as evaluation does. Weights are the selected probabilities, so
+    gradients reach W through the weighting.
     """
     if x.shape[-1] != params.d_in:
         raise ValueError(f"router expects (..., {params.d_in}) rows, got {x.shape}")
     if params.k > params.n:
         raise ValueError("k exceeds table size")
-    routed_x = x
-    if train_mode and params.jitter_epsilon > 0:
-        if jitter is None:
-            if rng is None:
-                raise ValueError("train-mode jitter needs a random generator")
-            eps = params.jitter_epsilon
-            jitter = rng.uniform(1.0 - eps, 1.0 + eps, size=x.shape)
-        routed_x = x * jitter
+    routed_x = x if jitter is None else x * jitter
     probs = (routed_x @ params.W.T).softmax(axis=-1)
     n = params.n
     top = np.argsort(-probs.data.reshape(-1, n), axis=1, kind="stable")[:, : params.k]
@@ -113,6 +102,9 @@ def softmax_route(x: Tensor, params: SoftmaxRouterParams, train_mode: bool = Fal
     return RouteResult(indices=tuple(top.reshape(-1).tolist()),
                        weights=probs.reshape(probs.size).take(flat))
 
+
+# seed of the cell-to-bucket hash, shared by the hyperplane lookup and lshsim
+MIX_SEED = 0x5EED
 
 _MASK64 = np.uint64(0xFFFFFFFFFFFFFFFF)
 _MIX_A = np.uint64(0x9E3779B97F4A7C15)
@@ -147,7 +139,7 @@ class HyperplaneLshParams:
     offsets: np.ndarray     # (num_projections,), uniform in [0, width)
     width: float
     n: int
-    mix_seed: int = 0x5EED
+    mix_seed: int = MIX_SEED
 
     def __post_init__(self) -> None:
         if self.width <= 0:
@@ -280,14 +272,14 @@ class TokenIdLookup:
 LookupParams = TokenIdLookup | SoftmaxRouterParams | HyperplaneLshParams | SphericalLshParams
 
 
-def route(x: Tensor, tokens, lookup: LookupParams, train_mode: bool = False,
-          rng: np.random.Generator | None = None,
+def route(x: Tensor, tokens, lookup: LookupParams,
           jitter: np.ndarray | None = None) -> RouteResult:
-    """Dispatch the rows of x (..., d) and their token ids to table indices."""
+    """Dispatch the rows of x (..., d) and their token ids to table indices;
+    `jitter` reaches the softmax router only (see softmax_route)."""
     if isinstance(lookup, TokenIdLookup):
         return token_id_lookup(tokens, lookup.n)
     if isinstance(lookup, SoftmaxRouterParams):
-        return softmax_route(x, lookup, train_mode=train_mode, rng=rng, jitter=jitter)
+        return softmax_route(x, lookup, jitter=jitter)
     if isinstance(lookup, HyperplaneLshParams):
         return hyperplane_lsh_lookup(x, lookup)
     if isinstance(lookup, SphericalLshParams):
@@ -297,8 +289,6 @@ def route(x: Tensor, tokens, lookup: LookupParams, train_mode: bool = False,
 
 def memory_augmented_forward(layer: Callable[[Tensor], Tensor], x: Tensor, tokens,
                              lookup: LookupParams, table: MemoryTable,
-                             train_mode: bool = False,
-                             rng: np.random.Generator | None = None,
                              jitter: np.ndarray | None = None) -> Tensor:
     """L(x) plus, per row of x (..., seq, d), the weighted sum of its selected
     partial experts on that row.
@@ -310,7 +300,7 @@ def memory_augmented_forward(layer: Callable[[Tensor], Tensor], x: Tensor, token
     # GEMM per sequence. One GEMM over all B*seq rows crosses OpenBLAS's
     # threading threshold in an eval pass, and the worker thread it wakes
     # spins after the call, slowing whatever the process runs next.
-    result = route(x, tokens, lookup, train_mode=train_mode, rng=rng, jitter=jitter)
+    result = route(x, tokens, lookup, jitter=jitter)
     rows = x.reshape(-1, x.shape[-1])
     idx = np.asarray(result.indices, dtype=np.intp).reshape(rows.shape[0], -1)
     if idx.max() >= table.n:

@@ -21,7 +21,7 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .lookup import fold_cells
+from .lookup import MIX_SEED, fold_cells
 from .nn import as_seedseq
 
 FAMILIES = ("token_id", "spherical", "hyperplane", "minhash")
@@ -34,7 +34,6 @@ _CALIBRATION_F = 0.9
 _CALIBRATION_TARGET = 0.5
 _CALIBRATION_TRIALS = 20000
 _CALIBRATION_SEED = 20240917
-_MIX_SEED = 0x5EED
 
 _PAIR_BATCH = 2048
 # hyperplane_collision_width(64, 32), pinned so that a process using the
@@ -243,8 +242,8 @@ def _hyperplane_collisions(cosines: np.ndarray, n: int, k: int, width: float,
         pv = t * w1 + np.sqrt(np.maximum(0.0, 1.0 - t * t)) * w2
         cu = np.floor((pu + offs) / width).astype(np.int64)
         cv = np.floor((pv + offs) / width).astype(np.int64)
-        bu = fold_cells(cu, _MIX_SEED) % np.uint64(n)
-        bv = fold_cells(cv, _MIX_SEED) % np.uint64(n)
+        bu = fold_cells(cu, MIX_SEED) % np.uint64(n)
+        bv = fold_cells(cv, MIX_SEED) % np.uint64(n)
         hits[done: done + b] = bu == bv
         done += b
     return hits
@@ -298,7 +297,6 @@ def hyperplane_collision_width(d: int = DEFAULT_EMBED_DIM,
 
 def _cell_p_hat(family: str, f: float, n: int, l: int, d: int, trials: int, hash_seed,
                 cosines: Callable[[], np.ndarray], *, width: float | None = None,
-                num_projections: int | None = None,
                 sampled_token_id: bool = False) -> float:
     """Same-bucket frequency of one (family, f, n) cell.
 
@@ -316,15 +314,13 @@ def _cell_p_hat(family: str, f: float, n: int, l: int, d: int, trials: int, hash
     elif family == "spherical":
         hits = _spherical_collisions(cosines(), n, d, rng)
     else:
-        k = num_projections if num_projections is not None else default_num_projections(n)
         w = width if width is not None else hyperplane_collision_width(d, l)
-        hits = _hyperplane_collisions(cosines(), n, k, w, rng)
+        hits = _hyperplane_collisions(cosines(), n, default_num_projections(n), w, rng)
     return float(hits.mean())
 
 
 def estimate_collision(family: str, f: float, n: int, l: int, d: int,
                        trials: int, seed, *, width: float | None = None,
-                       num_projections: int | None = None,
                        sampled_token_id: bool = False) -> CollisionEstimate:
     """Fraction of trials in which the two sentences land in the same bucket.
 
@@ -341,7 +337,7 @@ def estimate_collision(family: str, f: float, n: int, l: int, d: int,
     s_pairs, s_hash = as_seedseq(seed).spawn(2)
     cosines = partial(_pair_cosines, f, l, d, trials, np.random.default_rng(s_pairs))
     p_hat = _cell_p_hat(family, f, n, l, d, trials, s_hash, cosines, width=width,
-                        num_projections=num_projections, sampled_token_id=sampled_token_id)
+                        sampled_token_id=sampled_token_id)
     stderr = math.sqrt(p_hat * (1.0 - p_hat) / trials)
     return CollisionEstimate(family=family, n=n, f=f, p_hat=p_hat,
                              stderr=stderr, trials=trials, l=l, d=d)

@@ -57,13 +57,12 @@ class LanguageModel:
 
     @property
     def K(self) -> int:
-        if self.config.memory.consumption in ("sameup", "altup"):
-            return self.config.altup.K
-        return 1
+        # validate() allows K > 1 only with memory.consumption sameup or altup
+        return self.config.altup.K
 
     @property
     def wide(self) -> bool:
-        return self.config.memory.consumption in ("sameup", "altup") and self.K > 1
+        return self.K > 1
 
     # -- construction -------------------------------------------------------
 
@@ -74,13 +73,13 @@ class LanguageModel:
         master = tr.seed
         V, d = m.vocab, m.d
 
-        wide = mem.consumption in ("sameup", "altup")
-        K = alt.K if wide else 1
+        K = alt.K
+        wide = K > 1
 
         embed_tables = [lecun_normal_init((V, d), _seed(master, 0, 0), fan_in=d)]
         aug_table = None
         dp = None
-        if wide and K > 1:
+        if wide:
             if alt.e > 0:
                 aug_table = lecun_normal_init((V, alt.e), _seed(master, 0, 1), fan_in=alt.e)
                 dp = DivideProjectParams.init(alt.e, K - 1, d, _seed(master, 6))
@@ -93,7 +92,7 @@ class LanguageModel:
         if mem.consumption == "sum":
             sum_table = lecun_normal_init((V, d), _seed(master, 1), fan_in=d)
 
-        head_width = K * d if (wide and K > 1 and alt.head == "proj") else d
+        head_width = K * d if (wide and alt.head == "proj") else d
         out_table = lecun_normal_init((V, head_width), _seed(master, 2), fan_in=head_width)
 
         blocks = [
@@ -102,7 +101,7 @@ class LanguageModel:
         ]
 
         pcc: list[PccParams] | None = None
-        if wide and K > 1:
+        if wide:
             if alt.variant == "full":
                 pcc = [PccFullParams.identity_init(K, d) for _ in range(m.layers)]
             else:
@@ -111,14 +110,7 @@ class LanguageModel:
         lookups: list[LookupParams] | None = None
         tables: list[MemoryTable] | None = None
         if mem.lookup != "none":
-            if mem.lookup == "token_id":
-                if mem.buckets not in (1, V):
-                    raise ValueError(
-                        "token_id lookup requires memory.buckets equal to the vocabulary "
-                        f"size ({V}) or left at the default 1")
-                n = V
-            else:
-                n = mem.buckets
+            n = V if mem.lookup == "token_id" else mem.buckets
             lookups = []
             tables = []
             shared_table: MemoryTable | None = None
@@ -198,7 +190,7 @@ class LanguageModel:
 
     # -- forward ---------------------------------------------------------------
 
-    def _layer_fn(self, layer_index: int, tokens: np.ndarray, train_mode: bool,
+    def _layer_fn(self, layer_index: int, tokens: np.ndarray,
                   jitter: np.ndarray | None) -> Callable[[Tensor], Tensor]:
         block = self.blocks[layer_index]
 
@@ -214,8 +206,7 @@ class LanguageModel:
         def augmented(x: Tensor) -> Tensor:
             # the block is the always-on main expert; each position adds its
             # routed partial experts on the block *input*, per the layer contract
-            return memory_augmented_forward(base, x, tokens, lookup, table,
-                                            train_mode=train_mode, jitter=jitter)
+            return memory_augmented_forward(base, x, tokens, lookup, table, jitter=jitter)
 
         return augmented
 
@@ -258,8 +249,7 @@ class LanguageModel:
             raise ValueError("forward expects a (seq,) sequence or a (B, seq) batch of tokens")
         x0 = self.initial_representation(tokens)
         jitter = self._router_jitter(tokens, train_mode, rng)
-        fns = [self._layer_fn(i, tokens, train_mode,
-                              None if jitter is None else jitter[..., i, :, :])
+        fns = [self._layer_fn(i, tokens, None if jitter is None else jitter[..., i, :, :])
                for i in range(len(self.blocks))]
         final, _ = altup_stack_forward(
             x0, fns, self.selection, self.pcc if self.wide else None)

@@ -3,12 +3,8 @@ LF newlines, rows stable-sorted by the caller's key columns."""
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
-from typing import Callable, Iterable, Sequence
-
-THREADS_ENV = "SPARSE_MEMORY_LAB_THREADS"
+from typing import Iterable, Sequence
 
 
 def fmt_value(value) -> str:
@@ -28,20 +24,3 @@ def write_csv(path: str | Path, header: Sequence[str], rows: Iterable[dict]) -> 
     Path(path).parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")
-
-
-def worker_count() -> int:
-    raw = os.environ.get(THREADS_ENV, "")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
-
-
-def run_cells(fn: Callable, cells: Sequence) -> list:
-    """Run independent sweep cells, optionally in parallel; order preserved."""
-    workers = worker_count()
-    if workers <= 1 or len(cells) <= 1:
-        return [fn(c) for c in cells]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, cells))

@@ -23,7 +23,7 @@ from .config import ExperimentConfig, format_config
 from .lookup import partial_expert_param_count
 from .markov import markov_entropy_rate, random_transition_matrix, sample_markov
 from .model import LanguageModel, count_params
-from .reporting import run_cells, write_csv
+from .reporting import write_csv
 
 
 class DivergenceError(RuntimeError):
@@ -249,7 +249,7 @@ def run_lookup_benchmark(grid: list[tuple[str, int, int]],
             "seed": cfg.training.seed,
         }
 
-    results = run_cells(run_cell, grid)
+    results = [run_cell(cell) for cell in grid]
     results.sort(key=lambda r: (r["lookup"], r["rank"], r["buckets"]))
     write_csv(out / "route_bench.csv", BENCH_COLUMNS, results)
     return results

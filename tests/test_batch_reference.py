@@ -2,8 +2,8 @@
 
 The reference runs each sequence alone: one forward per sequence through a
 transformer block that narrows out each attention head and concatenates the
-heads back, the softmax router drawing its (seq, d) jitter from the
-generator layer by layer, and the batch loss as the mean of the per-row
+heads back, each softmax layer drawing its own (seq, d) jitter block from
+the generator before it routes, and the batch loss as the mean of the per-row
 losses; evaluation is one forward per window. The batched path must route
 identically, draw identical jitter, and agree within 1e-12 in the loss, in
 every parameter gradient and in the rows a gradient touched.
@@ -20,7 +20,7 @@ from sparse_memory_lab import train as train_mod
 from sparse_memory_lab.altup import altup_stack_forward
 from sparse_memory_lab.autodiff import concat
 from sparse_memory_lab.config import ExperimentConfig, set_config_value
-from sparse_memory_lab.lookup import memory_augmented_forward
+from sparse_memory_lab.lookup import SoftmaxRouterParams, memory_augmented_forward
 from sparse_memory_lab.nn import _NEG_MASK
 from sparse_memory_lab.train import Trainer
 
@@ -93,9 +93,17 @@ def reference_forward(model, tokens, train_mode, rng):
 
         if model.lookups is None:
             return base
-        return lambda x: memory_augmented_forward(
-            base, x, tokens, model.lookups[i], model.tables[i],
-            train_mode=train_mode, rng=rng)
+        lookup = model.lookups[i]
+
+        def augmented(x):
+            jitter = None
+            if train_mode and isinstance(lookup, SoftmaxRouterParams):
+                eps = lookup.jitter_epsilon
+                jitter = rng.uniform(1.0 - eps, 1.0 + eps, size=x.shape)
+            return memory_augmented_forward(base, x, tokens, lookup, model.tables[i],
+                                            jitter=jitter)
+
+        return augmented
 
     x0 = model.initial_representation(tokens)
     fns = [layer_fn(i) for i in range(len(model.blocks))]

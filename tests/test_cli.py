@@ -1,5 +1,11 @@
 """CLI surface: subcommands run, write the pinned schemas, and fail cleanly."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import sparse_memory_lab
 from sparse_memory_lab.cli import cli_main
 
 
@@ -93,3 +99,18 @@ def test_bad_family_reports_error(tmp_path, capsys):
                      "--out", str(tmp_path)])
     assert code != 0
     assert "error" in capsys.readouterr().err
+
+
+def test_divergence_is_a_clean_error(tmp_path):
+    src = str(Path(sparse_memory_lab.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    proc = subprocess.run(
+        [sys.executable, "-W", "ignore", "-m", "sparse_memory_lab", "train",
+         "--training.learning_rate", "1e30", "--training.steps", "20",
+         "--out", str(tmp_path / "run")],
+        capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error: training diverged at step ")
+    assert "non-finite value" in proc.stderr
+    assert "Traceback" not in proc.stderr

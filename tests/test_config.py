@@ -96,3 +96,18 @@ def test_k_only_with_softmax(lookup):
 
 def test_lookup_none_ignores_memory_settings():
     parse_config("memory.share_table = true\nmemory.k = 2\n")
+
+
+@pytest.mark.parametrize("consumption", ["none", "sum"])
+def test_altup_k_above_one_needs_a_wide_consumption(consumption):
+    with pytest.raises(ValueError, match="altup.K > 1 needs memory.consumption"):
+        parse_config(f"memory.consumption = {consumption}\naltup.K = 4\n")
+    for wide in ("sameup", "altup"):
+        parse_config(f"memory.consumption = {wide}\naltup.K = 4\n")
+
+
+def test_token_id_buckets_are_one_or_the_vocabulary():
+    with pytest.raises(ValueError, match="token_id lookup requires memory.buckets"):
+        parse_config("model.vocab = 32\nmemory.lookup = token_id\nmemory.buckets = 7\n")
+    for buckets in (1, 32):
+        parse_config(f"model.vocab = 32\nmemory.lookup = token_id\nmemory.buckets = {buckets}\n")

@@ -86,18 +86,19 @@ def test_softmax_matches_full_sort_oracle():
     assert np.all((r.weights.data > 0) & (r.weights.data <= 1))
 
 
-def test_softmax_jitter_needs_rng_and_is_train_only():
-    params = SoftmaxRouterParams.init(4, 3, k=1, seed=0)
-    x = Tensor(np.ones((2, 3)))
-    with pytest.raises(ValueError):
-        softmax_route(x, params, train_mode=True)
-    eval_a = softmax_route(x, params)
-    eval_b = softmax_route(x, params)
+def test_softmax_jitter_routes_the_premultiplied_input():
+    params = SoftmaxRouterParams.init(4, 3, k=2, seed=0, std=0.5)
+    x_data = np.random.default_rng(2).standard_normal((2, 5, 3))
+    eval_a = softmax_route(Tensor(x_data), params)
+    eval_b = softmax_route(Tensor(x_data), params)
+    assert eval_a.indices == eval_b.indices
     np.testing.assert_array_equal(eval_a.weights.data, eval_b.weights.data)
-    t1 = softmax_route(x, params, train_mode=True, rng=np.random.default_rng(1))
-    t2 = softmax_route(x, params, train_mode=True, rng=np.random.default_rng(1))
-    np.testing.assert_array_equal(t1.weights.data, t2.weights.data)
-    assert not np.array_equal(t1.weights.data, eval_a.weights.data)
+    j = np.random.default_rng(1).uniform(0.5, 1.5, size=x_data.shape)
+    jittered = softmax_route(Tensor(x_data), params, jitter=j)
+    premultiplied = softmax_route(Tensor(x_data * j), params)
+    assert jittered.indices == premultiplied.indices
+    np.testing.assert_array_equal(jittered.weights.data, premultiplied.weights.data)
+    assert not np.array_equal(jittered.weights.data, eval_a.weights.data)
 
 
 def test_softmax_k_bounds():

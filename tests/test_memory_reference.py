@@ -4,7 +4,9 @@ The reference is the layer written one token at a time: narrow each row out
 of the (seq, d) block, route that vector alone, evaluate each selected
 expert on it with its own U, V or b slice, and stack the rows. The batched
 layer must route identically and agree within 1e-12 in its output and in
-every gradient, with the softmax jitter drawn from the same generator seed.
+every gradient, with the softmax jitter drawn from the same generator seed:
+one (seq, d) block for the batched layer, one d-vector per position for the
+reference.
 """
 
 import numpy as np
@@ -123,9 +125,12 @@ def test_batched_layer_matches_per_position_reference(kind, rank, train_mode):
 
     def batched():
         rng = np.random.default_rng(11)
-        routed = route(x, tokens, lookup, train_mode, np.random.default_rng(11)).indices
-        out = memory_augmented_forward(layer, x, tokens, lookup, table,
-                                       train_mode=train_mode, rng=rng)
+        jitter = None
+        if train_mode and isinstance(lookup, SoftmaxRouterParams):
+            eps = lookup.jitter_epsilon
+            jitter = rng.uniform(1.0 - eps, 1.0 + eps, size=x.shape)
+        routed = route(x, tokens, lookup, jitter=jitter).indices
+        out = memory_augmented_forward(layer, x, tokens, lookup, table, jitter=jitter)
         return out, (routed, rng.random())
 
     def reference():

@@ -287,21 +287,6 @@ def test_lookup_benchmark_grid_rows(tmp_path):
         r for r in rows if (r["rank"], r["buckets"]) == (4, 8)][0]["final_eval_loss"]
 
 
-def test_lookup_benchmark_threaded_csv_equals_serial(tmp_path, monkeypatch):
-    # worker threads evaluate (no graph) while others train (graph), so the
-    # grad mode must not leak between them
-    base = tiny(d=8, layers=1, heads=2, vocab=8, seq=4, steps=4, batch=2)
-    base.io.checkpoint_interval = 1
-    base.training.eval_tokens = 100
-    grid = [("softmax", 4, 8), ("hyperplane", 2, 8), ("token_id", 2, 8), ("spherical", 0, 8)]
-    monkeypatch.setenv("SPARSE_MEMORY_LAB_THREADS", "1")
-    run_lookup_benchmark(grid, base, tmp_path / "serial")
-    monkeypatch.setenv("SPARSE_MEMORY_LAB_THREADS", "2")
-    run_lookup_benchmark(grid, base, tmp_path / "threaded")
-    assert ((tmp_path / "threaded" / "route_bench.csv").read_bytes()
-            == (tmp_path / "serial" / "route_bench.csv").read_bytes())
-
-
 def test_file_corpus_reader(tmp_path):
     rng = np.random.default_rng(0)
     path = tmp_path / "corpus.txt"
