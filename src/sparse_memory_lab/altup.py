@@ -3,8 +3,10 @@
 A K*d-wide representation is kept at every layer while each layer transforms
 only one d-wide block; a linear predictor guesses all blocks and a gain
 matrix folds the computed block's innovation back into the prediction. The
-full form uses dense P (Kd x Kd) and G (Kd x d); the simplified form treats
-blocks as atoms with scalar grids p_ij and gains g_i.
+representation is one flat (..., K*d) tensor, block j in columns
+[j*d, (j+1)*d). The full form uses dense P (Kd x Kd) and G (Kd x d) on that
+flat tensor; the simplified form treats blocks as atoms, with a scalar grid
+p_ij and gains g_i applied over the K axis of its (..., K, d) view.
 """
 
 from __future__ import annotations
@@ -18,40 +20,49 @@ from .autodiff import Tensor, concat
 from .nn import as_seedseq
 
 
-@dataclass
 class WideRepresentation:
-    """K contiguous d-wide blocks; concat(blocks) is the flat vector."""
+    """K contiguous d-wide blocks held as one flat (..., K*d) tensor.
 
-    blocks: list[Tensor]
+    Build it from the flat tensor (`flat=`, `K=`) or from the blocks
+    (`blocks=[...]`), which is one concat, or the block itself when K = 1.
+    """
 
-    def __post_init__(self) -> None:
-        if not self.blocks:
-            raise ValueError("need at least one block")
-        shapes = {b.shape for b in self.blocks}
-        if len(shapes) > 1:
-            raise ValueError(f"blocks must share a shape, got {shapes}")
-
-    @property
-    def K(self) -> int:
-        return len(self.blocks)
+    def __init__(self, blocks: Sequence[Tensor] | None = None, *,
+                 flat: Tensor | None = None, K: int = 1):
+        if (blocks is None) == (flat is None):
+            raise ValueError("give either blocks or flat")
+        if blocks is not None:
+            if not blocks:
+                raise ValueError("need at least one block")
+            shapes = {b.shape for b in blocks}
+            if len(shapes) > 1:
+                raise ValueError(f"blocks must share a shape, got {shapes}")
+            K = len(blocks)
+            flat = blocks[0] if K == 1 else concat(blocks, axis=blocks[0].ndim - 1)
+        elif K < 1 or flat.shape[-1] % K != 0:
+            raise ValueError(f"flat width {flat.shape[-1]} not divisible by K={K}")
+        self._flat = flat
+        self.K = K
 
     @property
     def d(self) -> int:
-        return self.blocks[0].shape[-1]
+        return self._flat.shape[-1] // self.K
 
     def to_flat(self) -> Tensor:
-        if self.K == 1:
-            return self.blocks[0]
-        return concat(self.blocks, axis=self.blocks[0].ndim - 1)
+        return self._flat
 
-    @classmethod
-    def from_flat(cls, flat: Tensor, K: int) -> "WideRepresentation":
-        total = flat.shape[-1]
-        if total % K != 0:
-            raise ValueError(f"flat width {total} not divisible by K={K}")
-        d = total // K
-        axis = flat.ndim - 1
-        return cls(blocks=[flat.narrow(axis, j * d, d) for j in range(K)])
+    def view(self) -> Tensor:
+        """The (..., K, d) reshape: block j is row j of the K axis."""
+        return self._flat.reshape(*self._flat.shape[:-1], self.K, self.d)
+
+    def block(self, j: int) -> Tensor:
+        if self.K == 1:
+            return self._flat
+        return self._flat.narrow(self._flat.ndim - 1, j * self.d, self.d)
+
+    @property
+    def blocks(self) -> list[Tensor]:
+        return [self.block(j) for j in range(self.K)]
 
 
 @dataclass
@@ -148,36 +159,26 @@ def pcc_forward_full(x_old: WideRepresentation, params: PccFullParams,
         raise ValueError("predictor/gain shapes inconsistent with the representation")
     if not (0 <= j_star < K):
         raise ValueError(f"j_star {j_star} outside [0, {K})")
-    flat = x_old.to_flat()
-    predicted = flat @ params.P.T
+    predicted = x_old.to_flat() @ params.P.T
     pred_j = predicted.narrow(predicted.ndim - 1, j_star * d, d)
-    computed = layer(x_old.blocks[j_star])
-    innovation = computed - pred_j
-    corrected = predicted + innovation @ params.G.T
-    return WideRepresentation.from_flat(corrected, K)
+    innovation = layer(x_old.block(j_star)) - pred_j
+    return WideRepresentation(flat=predicted + innovation @ params.G.T, K=K)
 
 
 def pcc_forward_simplified(x_old: WideRepresentation, params: PccSimplifiedParams,
                            layer: Callable[[Tensor], Tensor], j_star: int) -> WideRepresentation:
     """Blockwise scalar form: x_new^i = sum_j p_ij x^j + g_i (computed - predicted j*)."""
-    K = x_old.K
+    K, d = x_old.K, x_old.d
     if params.K != K:
         raise ValueError(f"params built for K={params.K}, representation has K={K}")
     if not (0 <= j_star < K):
         raise ValueError(f"j_star {j_star} outside [0, {K})")
-    p_flat = params.p.reshape(K * K)
-    predicted = []
-    for i in range(K):
-        acc = p_flat.narrow(0, i * K, 1) * x_old.blocks[0]
-        for j in range(1, K):
-            acc = acc + p_flat.narrow(0, i * K + j, 1) * x_old.blocks[j]
-        predicted.append(acc)
-    computed = layer(x_old.blocks[j_star])
-    innovation = computed - predicted[j_star]
-    new_blocks = [
-        predicted[i] + params.g.narrow(0, i, 1) * innovation for i in range(K)
-    ]
-    return WideRepresentation(blocks=new_blocks)
+    predicted = params.p @ x_old.view()  # (..., K, d)
+    lead = predicted.shape[:-2]
+    computed = layer(x_old.block(j_star)).reshape(*lead, 1, d)
+    innovation = computed - predicted.narrow(len(lead), j_star, 1)
+    corrected = predicted + params.g.reshape(K, 1) * innovation
+    return WideRepresentation(flat=corrected.reshape(*lead, K * d), K=K)
 
 
 @dataclass
@@ -263,12 +264,10 @@ def altup_stack_forward(x0: WideRepresentation,
     if pcc_params is None:
         if K != 1:
             raise ValueError("K > 1 requires predictor/gain parameters per layer")
-        x = x0
-        trace = []
+        x = x0.to_flat()
         for layer in layers:
-            trace.append(0)
-            x = WideRepresentation(blocks=[layer(x.blocks[0])])
-        return x, trace
+            x = layer(x)
+        return WideRepresentation(flat=x), [0] * len(layers)
     if len(pcc_params) != len(layers):
         raise ValueError("one predictor/gain parameter set per layer required")
     x = x0

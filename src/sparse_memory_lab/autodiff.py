@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import threading
 from contextlib import contextmanager
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -393,8 +393,3 @@ def concat(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
                 t._accumulate(g[tuple(idx)])
 
     return Tensor._op(out_data, tuple(tensors), backward)
-
-
-def zero_grads(params: Iterable[Tensor]) -> None:
-    for p in params:
-        p.zero_grad()

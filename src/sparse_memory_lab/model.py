@@ -257,12 +257,9 @@ class LanguageModel:
         if head == "proj":
             read = final.to_flat()
         elif head == "mean":
-            acc = final.blocks[0]
-            for b in final.blocks[1:]:
-                acc = acc + b
-            read = acc * (1.0 / final.K)
+            read = final.view().mean(axis=-2)
         else:
-            read = final.blocks[0]
+            read = final.block(0)
         return read @ self.out_table.T
 
     def sequence_loss(self, window: np.ndarray, train_mode: bool = False,

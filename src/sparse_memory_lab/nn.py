@@ -13,7 +13,7 @@ from typing import Callable, Mapping
 
 import numpy as np
 
-from .autodiff import Tensor, no_grad, zero_grads
+from .autodiff import Tensor, no_grad
 
 
 def as_seedseq(seed) -> np.random.SeedSequence:
@@ -246,7 +246,8 @@ def finite_diff_check(loss_fn: Callable[[], Tensor],
     if epsilon <= 0:
         raise ValueError("epsilon must be positive")
     tensors = dict(params)
-    zero_grads(tensors.values())
+    for t in tensors.values():
+        t.zero_grad()
     loss = loss_fn()
     if loss.size != 1:
         raise ValueError("loss_fn must return a scalar tensor")

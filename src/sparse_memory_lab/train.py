@@ -27,7 +27,7 @@ from .reporting import write_csv
 
 
 class DivergenceError(RuntimeError):
-    """Raised when the training loss stops being finite."""
+    """Raised when a training step or an eval pass stops being finite."""
 
 
 @dataclass
@@ -165,9 +165,13 @@ class Trainer:
         count = len(self.eval_tokens) // window
         windows = self.eval_tokens[: count * window].reshape(count, window)
         targets = windows[:, 1:]
-        with no_grad():
-            logits = self.model.forward(windows[:, :-1])
-            logprobs = logits.log_softmax(axis=-1).data
+        try:
+            with no_grad():
+                logits = self.model.forward(windows[:, :-1])
+                logprobs = logits.log_softmax(axis=-1).data
+        except NonFiniteError as exc:
+            raise DivergenceError(
+                f"training diverged: eval after step {self.step_count}: {exc}") from exc
         losses = -np.take_along_axis(logprobs, targets[..., None], axis=-1).reshape(-1)
         correct = int(np.sum(np.argmax(logits.data, axis=-1) == targets))
         stderr = float(losses.std(ddof=1) / math.sqrt(losses.size)) if losses.size > 1 else 0.0

@@ -24,6 +24,44 @@ def wide(blocks):
     return WideRepresentation(blocks=[Tensor(b) for b in blocks])
 
 
+def graph_size(root):
+    """Distinct nodes reachable from `root` through `_parents`."""
+    seen = {id(root)}
+    stack = [root]
+    while stack:
+        for p in stack.pop()._parents:
+            if id(p) not in seen:
+                seen.add(id(p))
+                stack.append(p)
+    return len(seen)
+
+
+# -- the flat representation --------------------------------------------------
+
+@pytest.mark.parametrize("K", [1, 2, 3])
+def test_wide_representation_round_trip(K):
+    rng = np.random.default_rng(16)
+    bs = [Tensor(rng.standard_normal((3, 4))) for _ in range(K)]
+    x = WideRepresentation(blocks=bs)
+    assert (x.K, x.d) == (K, 4)
+    assert len(x.blocks) == K
+    for got, b in zip(x.blocks, bs):
+        np.testing.assert_array_equal(got.data, b.data)
+    np.testing.assert_array_equal(x.to_flat().data, np.concatenate([b.data for b in bs], -1))
+    np.testing.assert_array_equal(x.view().data, np.stack([b.data for b in bs], -2))
+    if K == 1:
+        assert x.to_flat() is bs[0]
+
+
+def test_wide_representation_rejects_bad_blocks():
+    with pytest.raises(ValueError, match="at least one block"):
+        WideRepresentation(blocks=[])
+    with pytest.raises(ValueError, match="share a shape"):
+        wide([np.zeros(2), np.zeros(3)])
+    with pytest.raises(ValueError, match="not divisible"):
+        WideRepresentation(flat=Tensor(np.zeros(5)), K=2)
+
+
 # -- block selection --------------------------------------------------------
 
 def test_select_block_alternating_cycles():
@@ -160,6 +198,23 @@ def test_pcc_works_on_sequence_shaped_blocks():
     a = pcc_forward_simplified(wide(blocks), simp, layer, 1).to_flat().data
     b = pcc_forward_full(wide(blocks), simp.to_full(d), layer, 1).to_flat().data
     np.testing.assert_allclose(a, b, atol=1e-12)
+
+
+@pytest.mark.parametrize("variant", ["simplified", "full"])
+def test_pcc_graph_size_does_not_grow_with_k(variant):
+    d, seq = 4, 3
+    rng = np.random.default_rng(15)
+    sizes = []
+    for K in (2, 4):
+        # constant blocks, so the count is the pcc ops and their parameters only
+        x = wide([rng.standard_normal((seq, d)) for _ in range(K)])
+        if variant == "simplified":
+            out = pcc_forward_simplified(x, PccSimplifiedParams.identity_init(K),
+                                         lambda b: b, 1)
+        else:
+            out = pcc_forward_full(x, PccFullParams.identity_init(K, d), lambda b: b, 1)
+        sizes.append(graph_size(out.to_flat()))
+    assert sizes[0] == sizes[1], sizes
 
 
 # -- divide and project ----------------------------------------------------------------

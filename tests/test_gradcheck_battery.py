@@ -49,12 +49,13 @@ def test_full_loss_gradcheck_token_id_constant_experts():
     assert report.passed, report.per_param
 
 
-def test_divide_project_gradcheck():
+@pytest.mark.parametrize("variant,head", [("simplified", "mean"), ("full", "proj")])
+def test_divide_project_gradcheck(variant, head):
     # seed chosen away from ReLU kinks, where central differences are reliable
     cfg = ExperimentConfig(
         model=ModelConfig(d=8, layers=2, heads=2, vocab=8, seq_len=3),
         memory=MemoryConfig(consumption="altup"),
-        altup=AltUpConfig(K=3, e=6, head="mean"),
+        altup=AltUpConfig(K=3, e=6, variant=variant, head=head),
         training=TrainingConfig(seed=14),
     )
     model = LanguageModel.build(cfg)

@@ -182,6 +182,16 @@ def test_divergence_aborts_with_diagnostic():
             trainer.step()
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_eval_divergence_names_the_step():
+    trainer = Trainer(tiny(d=8, layers=1, heads=1, vocab=16, seq=4, batch=2))
+    trainer.step()
+    trainer.model.out_table.data[:] = 1e308
+    with pytest.raises(DivergenceError,
+                       match=r"eval after step 1: __matmul__ produced a non-finite value"):
+        trainer.evaluate()
+
+
 def test_train_model_writes_deterministic_metrics(tmp_path):
     def run(sub):
         cfg = tiny(steps=8, seed=9, io=IoConfig(out_dir=str(tmp_path / sub),
