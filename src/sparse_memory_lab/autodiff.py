@@ -264,7 +264,8 @@ class Tensor:
         return Tensor._op(self.data[sel].copy(), (self,), backward)
 
     def take(self, indices) -> "Tensor":
-        """Select rows along axis 0 (duplicates allowed); serves embedding lookup."""
+        """Select rows along axis 0 (duplicates allowed); serves embedding
+        lookup, and picks single entries from a flattened tensor."""
         idx = np.asarray(indices, dtype=np.intp)
 
         def backward(g: np.ndarray) -> None:
@@ -275,20 +276,6 @@ class Tensor:
             self._accumulate(full.reshape(self.data.shape), rows=idx)
 
         return Tensor._op(self.data[idx].copy(), (self,), backward)
-
-    def gather_cols(self, col_indices) -> "Tensor":
-        """out[i] = self[i, col_indices[i]] for a 2-D tensor."""
-        if self.data.ndim != 2:
-            raise ValueError("gather_cols expects a 2-D tensor")
-        cols = np.asarray(col_indices, dtype=np.intp)
-        rows = np.arange(self.data.shape[0])
-
-        def backward(g: np.ndarray) -> None:
-            full = np.zeros_like(self.data)
-            full[rows, cols] = g  # rows are unique, so nothing to sum
-            self._accumulate(full)
-
-        return Tensor._op(self.data[rows, cols].copy(), (self,), backward)
 
     # -- nonlinearities -------------------------------------------------------
 

@@ -2,7 +2,9 @@
 spherical LSH, min-hash, and the memory-augmented layer that consumes them.
 
 Every routine except min-hash routes all rows of a (..., d) block at once,
-such as a (seq, d) sequence or a (B, seq, d) batch of them.
+such as a (seq, d) sequence or a (B, seq, d) batch of them, and returns the
+selected table indices as one flat integer array that the memory layer
+reshapes to (rows, k) without a conversion.
 Lookup parameters are immutable after construction and safe to share across
 threads; the softmax router's jitter is drawn by the caller and passed in.
 """
@@ -20,10 +22,11 @@ from .nn import MemoryTable, apply_expert
 
 @dataclass(frozen=True)
 class RouteResult:
-    """Selected table indices, flat and position-major (k per position), and
-    their weights as a length-matched tensor, or None when every weight is 1."""
+    """Selected table indices as a 1-D intp array, position-major (k per
+    position), and their weights as a length-matched tensor, or None when
+    every weight is 1."""
 
-    indices: tuple[int, ...]
+    indices: np.ndarray
     weights: Tensor | None = None
 
     def __post_init__(self) -> None:
@@ -38,11 +41,11 @@ def _rows(x) -> np.ndarray:
 
 def token_id_lookup(tokens, n: int) -> RouteResult:
     """Route each position by its vocabulary index; the table size is the vocabulary size."""
-    ids = np.asarray(tokens, dtype=np.int64).reshape(-1)
+    ids = np.asarray(tokens, dtype=np.intp).reshape(-1)
     bad = ids[(ids < 0) | (ids >= n)]
     if bad.size:
         raise ValueError(f"token id {int(bad[0])} out of vocabulary for table size {n}")
-    return RouteResult(indices=tuple(ids.tolist()))
+    return RouteResult(indices=ids)
 
 
 @dataclass
@@ -99,8 +102,7 @@ def softmax_route(x: Tensor, params: SoftmaxRouterParams,
     n = params.n
     top = np.argsort(-probs.data.reshape(-1, n), axis=1, kind="stable")[:, : params.k]
     flat = (np.arange(top.shape[0])[:, None] * n + top).reshape(-1)
-    return RouteResult(indices=tuple(top.reshape(-1).tolist()),
-                       weights=probs.reshape(probs.size).take(flat))
+    return RouteResult(indices=top.reshape(-1), weights=probs.reshape(probs.size).take(flat))
 
 
 # seed of the cell-to-bucket hash, shared by the hyperplane lookup and lshsim
@@ -180,7 +182,7 @@ def hyperplane_lsh_lookup(x, params: HyperplaneLshParams) -> RouteResult:
         raise ValueError(f"expected (..., {params.d_in}) rows, got {rows.shape}")
     cells = np.floor((rows @ params.directions.T + params.offsets) / params.width)
     buckets = fold_cells(cells.astype(np.int64), params.mix_seed) % np.uint64(params.n)
-    return RouteResult(indices=tuple(buckets.reshape(-1).tolist()))
+    return RouteResult(indices=buckets.reshape(-1).astype(np.intp))
 
 
 @dataclass
@@ -223,7 +225,7 @@ def spherical_lsh_lookup(x, params: SphericalLshParams) -> RouteResult:
     if np.any(norms == 0.0):
         raise ValueError("spherical lookup is undefined for the zero vector")
     buckets = np.argmax((rows / norms) @ params.anchors.T, axis=-1)
-    return RouteResult(indices=tuple(buckets.reshape(-1).tolist()))
+    return RouteResult(indices=buckets.reshape(-1))
 
 
 @dataclass
@@ -259,7 +261,7 @@ def minhash_lookup(token_set: Iterable[int], params: MinHashParams) -> RouteResu
     if any(e < 0 or e >= params.universe for e in elems):
         raise ValueError("set element outside the token universe")
     winner = min(elems, key=lambda e: params.ranks[e])
-    return RouteResult(indices=(winner % params.n,))
+    return RouteResult(indices=np.array([winner % params.n], dtype=np.intp))
 
 
 @dataclass(frozen=True)
@@ -302,7 +304,7 @@ def memory_augmented_forward(layer: Callable[[Tensor], Tensor], x: Tensor, token
     # spins after the call, slowing whatever the process runs next.
     result = route(x, tokens, lookup, jitter=jitter)
     rows = x.reshape(-1, x.shape[-1])
-    idx = np.asarray(result.indices, dtype=np.intp).reshape(rows.shape[0], -1)
+    idx = result.indices.reshape(rows.shape[0], -1)
     if idx.max() >= table.n:
         raise ValueError(f"routed index {int(idx.max())} outside table of size {table.n}")
     experts = apply_expert(rows, table, idx)

@@ -10,6 +10,10 @@ chi-square(d-2) term) instead of materializing d-dimensional hash
 parameters per trial. This is equal in law to the literal construction and
 roughly 20x faster; the cell-to-bucket mixing hash is shared verbatim with
 the lookup ops, and the test suite cross-checks both routes.
+
+Every sampler draws its trials in fixed-size batches through one helper.
+`collision_grid`, `estimate_collision` and `estimate_mixing_dot` reject an
+unknown family and an out-of-range f, n, l, d or trial count before any draw.
 """
 
 from __future__ import annotations
@@ -142,49 +146,53 @@ def mixing_dot(ids1: Sequence[int], ids2: Sequence[int],
 
 def estimate_mixing_dot(f: float, l: int, d: int, pairs: int, seed) -> tuple[float, float]:
     """Mean and standard error of the rescaled average dot over fresh pairs."""
-    if pairs < 1:
-        raise ValueError("need at least one pair")
-    dots = np.empty(pairs)
+    _check_cells((), [f], (), l, d, pairs)
     rng = np.random.default_rng(as_seedseq(seed))
-    s = round(f * l)
-    own = l - s
-    total = s + 2 * own
-    done = 0
-    while done < pairs:
-        batch = min(_PAIR_BATCH, pairs - done)
-        e = rng.standard_normal((batch, total, d))
-        e /= np.linalg.norm(e, axis=2, keepdims=True)
-        a1 = e[:, : s + own].sum(axis=1) / l
-        a2 = np.concatenate([e[:, :s], e[:, s + own:]], axis=1).sum(axis=1) / l
-        dots[done: done + batch] = l * np.einsum("td,td->t", a1, a2)
-        done += batch
+
+    def draw(start: int, stop: int) -> np.ndarray:
+        a1, a2 = _sentence_sums(f, l, d, stop - start, rng)
+        return l * np.einsum("td,td->t", a1 / l, a2 / l)
+
+    dots = _batched(pairs, _PAIR_BATCH, draw)
     mean = float(dots.mean())
     stderr = float(dots.std(ddof=1) / math.sqrt(pairs)) if pairs > 1 else 0.0
     return mean, stderr
 
 
+def _batched(total: int, batch: int, draw: Callable[[int, int], np.ndarray]) -> np.ndarray:
+    """draw(start, stop) for consecutive runs of at most `batch` of `total`
+    trials, in order, concatenated; the batch size sets the random stream."""
+    return np.concatenate([draw(start, min(start + batch, total))
+                           for start in range(0, total, batch)])
+
+
+def _sentence_sums(f: float, l: int, d: int, size: int,
+                   rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+    """Sums of the unit wordpiece embeddings of `size` fresh sentence pairs
+    sharing round(f*l) of their l ids: two (size, d) arrays."""
+    s = round(f * l)
+    own = l - s
+    e = rng.standard_normal((size, s + 2 * own, d))
+    e /= np.linalg.norm(e, axis=2, keepdims=True)
+    a1 = e[:, : s + own].sum(axis=1)
+    a2 = np.concatenate([e[:, :s], e[:, s + own:]], axis=1).sum(axis=1)
+    return a1, a2
+
+
 def _pair_cosines(f: float, l: int, d: int, trials: int,
                   rng: np.random.Generator) -> np.ndarray:
     """Realized cosine between the two unit-normalized mixed averages, per trial."""
-    s = round(f * l)
-    if s == l:
+    if round(f * l) == l:
         # identical sentences: the averages are literally the same vector
         return np.ones(trials)
-    own = l - s
-    total = s + 2 * own
-    out = np.empty(trials)
-    done = 0
-    while done < trials:
-        batch = min(_PAIR_BATCH, trials - done)
-        e = rng.standard_normal((batch, total, d))
-        e /= np.linalg.norm(e, axis=2, keepdims=True)
-        a1 = e[:, : s + own].sum(axis=1)
-        a2 = np.concatenate([e[:, :s], e[:, s + own:]], axis=1).sum(axis=1)
+
+    def draw(start: int, stop: int) -> np.ndarray:
+        a1, a2 = _sentence_sums(f, l, d, stop - start, rng)
         cos = np.einsum("td,td->t", a1, a2)
         cos /= np.linalg.norm(a1, axis=1) * np.linalg.norm(a2, axis=1)
-        out[done: done + batch] = np.clip(cos, -1.0, 1.0)
-        done += batch
-    return out
+        return np.clip(cos, -1.0, 1.0)
+
+    return _batched(trials, _PAIR_BATCH, draw)
 
 
 def default_num_projections(n: int) -> int:
@@ -201,40 +209,27 @@ def default_num_projections(n: int) -> int:
 
 def _spherical_collisions(cosines: np.ndarray, n: int, d: int,
                           rng: np.random.Generator) -> np.ndarray:
-    """Same-argmax indicator per trial over n fresh uniform anchors."""
-    if d < 2:
-        raise ValueError("spherical simulation needs d >= 2")
-    trials = cosines.size
-    hits = np.empty(trials, dtype=bool)
-    batch = max(1, int(2e7 / n))
-    done = 0
-    while done < trials:
-        t = cosines[done: done + batch][:, None]
-        b = t.shape[0]
+    """Same-argmax indicator per trial over n fresh uniform anchors; d >= 2."""
+    def draw(start: int, stop: int) -> np.ndarray:
+        t = cosines[start:stop, None]
+        b = stop - start
         w1 = rng.standard_normal((b, n))
         w2 = rng.standard_normal((b, n))
-        if d > 2:
-            resid = rng.chisquare(d - 2, (b, n))
-        else:
-            resid = np.zeros((b, n))
+        resid = rng.chisquare(d - 2, (b, n)) if d > 2 else np.zeros((b, n))
         inv = 1.0 / np.sqrt(w1 * w1 + w2 * w2 + resid)
         du = w1 * inv
         dv = (t * w1 + np.sqrt(np.maximum(0.0, 1.0 - t * t)) * w2) * inv
-        hits[done: done + b] = np.argmax(du, axis=1) == np.argmax(dv, axis=1)
-        done += b
-    return hits
+        return np.argmax(du, axis=1) == np.argmax(dv, axis=1)
+
+    return _batched(cosines.size, max(1, int(2e7 / n)), draw)
 
 
 def _hyperplane_collisions(cosines: np.ndarray, n: int, k: int, width: float,
                            rng: np.random.Generator) -> np.ndarray:
     """Same-bucket indicator per trial: k fresh projections, real mixing hash."""
-    trials = cosines.size
-    hits = np.empty(trials, dtype=bool)
-    batch = max(1, int(2e7 / k))
-    done = 0
-    while done < trials:
-        t = cosines[done: done + batch][:, None]
-        b = t.shape[0]
+    def draw(start: int, stop: int) -> np.ndarray:
+        t = cosines[start:stop, None]
+        b = stop - start
         w1 = rng.standard_normal((b, k))
         w2 = rng.standard_normal((b, k))
         offs = rng.uniform(0.0, width, (b, k))
@@ -244,9 +239,9 @@ def _hyperplane_collisions(cosines: np.ndarray, n: int, k: int, width: float,
         cv = np.floor((pv + offs) / width).astype(np.int64)
         bu = fold_cells(cu, MIX_SEED) % np.uint64(n)
         bv = fold_cells(cv, MIX_SEED) % np.uint64(n)
-        hits[done: done + b] = bu == bv
-        done += b
-    return hits
+        return bu == bv
+
+    return _batched(cosines.size, max(1, int(2e7 / k)), draw)
 
 
 def _minhash_collisions(f: float, l: int, n: int, trials: int,
@@ -257,17 +252,14 @@ def _minhash_collisions(f: float, l: int, n: int, trials: int,
     universe = s + 2 * own
     cols_a = np.arange(s + own)
     cols_b = np.concatenate([np.arange(s), np.arange(s + own, universe)])
-    hits = np.empty(trials, dtype=bool)
-    batch = max(1, int(2e7 / max(universe, 1)))
-    done = 0
-    while done < trials:
-        b = min(batch, trials - done)
-        keys = rng.random((b, universe))
+
+    def draw(start: int, stop: int) -> np.ndarray:
+        keys = rng.random((stop - start, universe))
         elem_a = cols_a[np.argmin(keys[:, cols_a], axis=1)]
         elem_b = cols_b[np.argmin(keys[:, cols_b], axis=1)]
-        hits[done: done + b] = (elem_a % n) == (elem_b % n)
-        done += b
-    return hits
+        return (elem_a % n) == (elem_b % n)
+
+    return _batched(trials, max(1, int(2e7 / universe)), draw)
 
 
 def hyperplane_collision_width(d: int = DEFAULT_EMBED_DIM,
@@ -295,20 +287,33 @@ def hyperplane_collision_width(d: int = DEFAULT_EMBED_DIM,
     return width
 
 
+def _check_cells(families: Sequence[str], f_grid: Sequence[float],
+                 n_grid: Sequence[int], l: int, d: int, trials: int) -> None:
+    """Reject an unknown family or an out-of-range input before any draw."""
+    checks = [(fam in FAMILIES, f"unknown family {fam!r}; expected one of {FAMILIES}")
+              for fam in families]
+    checks += [(0.0 <= f <= 1.0, f"overlap fraction must lie in [0, 1], got {f}") for f in f_grid]
+    checks += [(n >= 1, f"table size must be at least 1, got {n}") for n in n_grid]
+    checks += [(l >= 1, f"sentence length must be at least 1, got {l}"),
+               (d >= 1, f"embedding dimension must be at least 1, got {d}"),
+               (d >= 2 or "spherical" not in families, "spherical simulation needs d >= 2"),
+               (trials >= 1, f"need at least one trial, got {trials}")]
+    for ok, message in checks:
+        if not ok:
+            raise ValueError(message)
+
+
 def _cell_p_hat(family: str, f: float, n: int, l: int, d: int, trials: int, hash_seed,
-                cosines: Callable[[], np.ndarray], *, width: float | None = None,
-                sampled_token_id: bool = False) -> float:
+                cosines: Callable[[], np.ndarray], *, width: float | None = None) -> float:
     """Same-bucket frequency of one (family, f, n) cell.
 
-    Hash draws come from `hash_seed`; `cosines` supplies the sentence-pair
-    draws, and is called only by the families that need them.
+    Token-id collisions are exactly the shared fraction. Hash draws come
+    from `hash_seed`; `cosines` supplies the sentence-pair draws, and is
+    called only by the families that need them.
     """
-    rng = np.random.default_rng(hash_seed)
     if family == "token_id":
-        if not sampled_token_id:
-            return round(f * l) / l
-        positions = rng.integers(0, l, size=trials)
-        return float(np.mean(positions < round(f * l)))
+        return round(f * l) / l
+    rng = np.random.default_rng(hash_seed)
     if family == "minhash":
         hits = _minhash_collisions(f, l, n, trials, rng)
     elif family == "spherical":
@@ -320,24 +325,17 @@ def _cell_p_hat(family: str, f: float, n: int, l: int, d: int, trials: int, hash
 
 
 def estimate_collision(family: str, f: float, n: int, l: int, d: int,
-                       trials: int, seed, *, width: float | None = None,
-                       sampled_token_id: bool = False) -> CollisionEstimate:
+                       trials: int, seed, *, width: float | None = None) -> CollisionEstimate:
     """Fraction of trials in which the two sentences land in the same bucket.
 
     Hash parameters are redrawn every trial so p_hat estimates the
     hash-family average. Deterministic per seed. Token-id collisions are
-    exact by construction and computed analytically unless sampling is
-    explicitly requested.
+    exact by construction and computed analytically.
     """
-    if family not in FAMILIES:
-        raise ValueError(f"unknown family {family!r}; expected one of {FAMILIES}")
-    if trials < 1:
-        raise ValueError("need at least one trial")
-    SentencePairSpec(l=l, f=f, d=d, seed=0)  # reuse the range validation
+    _check_cells([family], [f], [n], l, d, trials)
     s_pairs, s_hash = as_seedseq(seed).spawn(2)
     cosines = partial(_pair_cosines, f, l, d, trials, np.random.default_rng(s_pairs))
-    p_hat = _cell_p_hat(family, f, n, l, d, trials, s_hash, cosines, width=width,
-                        sampled_token_id=sampled_token_id)
+    p_hat = _cell_p_hat(family, f, n, l, d, trials, s_hash, cosines, width=width)
     stderr = math.sqrt(p_hat * (1.0 - p_hat) / trials)
     return CollisionEstimate(family=family, n=n, f=f, p_hat=p_hat,
                              stderr=stderr, trials=trials, l=l, d=d)
@@ -398,9 +396,7 @@ def collision_grid(families: Sequence[str], f_grid: Sequence[float],
     Sentence draws are shared across families and table sizes within an f
     cell (a variance-reduction choice); hash draws stay per cell.
     """
-    for fam in families:
-        if fam not in FAMILIES:
-            raise ValueError(f"unknown family {fam!r}")
+    _check_cells(families, f_grid, n_grid, l, d, trials)
     rows = []
     for fi, f in enumerate(f_grid):
         pair_seed = np.random.SeedSequence(entropy=seed, spawn_key=(fi, 999))

@@ -210,20 +210,19 @@ class LanguageModel:
 
         return augmented
 
-    def _router_jitter(self, tokens: np.ndarray, train_mode: bool,
+    def _router_jitter(self, tokens: np.ndarray,
                        rng: np.random.Generator | None) -> np.ndarray | None:
-        """Softmax-router jitter for every layer, (..., layers, seq, d), or None.
+        """Softmax-router jitter for every layer, (..., layers, seq, d), drawn
+        from `rng`; None without a generator or a jittering softmax router.
 
         One draw, sequence-major then layer, is the stream that one forward
         per sequence would draw layer by layer, so a batch routes each
         sequence exactly as running it alone would.
         """
         router = self.lookups[0] if self.lookups else None
-        if not (train_mode and isinstance(router, SoftmaxRouterParams)
-                and router.jitter_epsilon > 0):
+        if rng is None or not (isinstance(router, SoftmaxRouterParams)
+                               and router.jitter_epsilon > 0):
             return None
-        if rng is None:
-            raise ValueError("train-mode jitter needs a random generator")
         eps = router.jitter_epsilon
         *lead, seq = tokens.shape
         return rng.uniform(1.0 - eps, 1.0 + eps,
@@ -241,14 +240,14 @@ class LanguageModel:
                 blocks.extend(t.take(tokens) for t in self.embed_tables[1:])
         return WideRepresentation(blocks=blocks)
 
-    def forward(self, tokens: np.ndarray, train_mode: bool = False,
-                rng: np.random.Generator | None = None) -> Tensor:
-        """Logits (..., seq, vocab) for a (seq,) token sequence or a (B, seq) batch."""
+    def forward(self, tokens: np.ndarray, rng: np.random.Generator | None = None) -> Tensor:
+        """Logits (..., seq, vocab) for a (seq,) token sequence or a (B, seq) batch;
+        a given `rng` draws the router's training jitter, None routes as eval does."""
         tokens = np.asarray(tokens, dtype=np.int64)
         if tokens.ndim not in (1, 2):
             raise ValueError("forward expects a (seq,) sequence or a (B, seq) batch of tokens")
         x0 = self.initial_representation(tokens)
-        jitter = self._router_jitter(tokens, train_mode, rng)
+        jitter = self._router_jitter(tokens, rng)
         fns = [self._layer_fn(i, tokens, None if jitter is None else jitter[..., i, :, :])
                for i in range(len(self.blocks))]
         final, _ = altup_stack_forward(
@@ -262,15 +261,15 @@ class LanguageModel:
             read = final.block(0)
         return read @ self.out_table.T
 
-    def sequence_loss(self, window: np.ndarray, train_mode: bool = False,
+    def sequence_loss(self, window: np.ndarray,
                       rng: np.random.Generator | None = None) -> Tensor:
         """Mean next-token cross-entropy (nats) over one (seq+1)-token window,
-        or over every token of a (B, seq+1) batch of windows."""
+        or over every token of a (B, seq+1) batch of windows; `rng` as in forward."""
         window = np.asarray(window, dtype=np.int64)
-        logits = self.forward(window[..., :-1], train_mode=train_mode, rng=rng)
-        logprobs = logits.reshape(-1, logits.shape[-1]).log_softmax(axis=1)
-        picked = logprobs.gather_cols(window[..., 1:].reshape(-1))
-        return -picked.mean()
+        logits = self.forward(window[..., :-1], rng=rng)
+        targets = window[..., 1:].reshape(-1)
+        flat = np.arange(targets.size) * logits.shape[-1] + targets
+        return -logits.log_softmax(axis=-1).reshape(-1).take(flat).mean()
 
 
 def count_params(model: LanguageModel) -> tuple[int, int]:

@@ -137,10 +137,10 @@ class Trainer:
         starts = self.batch_rng.integers(0, max_start + 1, size=self.config.training.batch)
         return np.stack([self.train_tokens[s: s + window] for s in starts])
 
-    def batch_loss(self, batch: np.ndarray, train_mode: bool) -> Tensor:
-        """Mean loss over every token of a (B, seq+1) batch, as one graph."""
-        return self.model.sequence_loss(batch, train_mode=train_mode,
-                                        rng=self.jitter_rng if train_mode else None)
+    def batch_loss(self, batch: np.ndarray, rng: np.random.Generator | None) -> Tensor:
+        """Mean loss over every token of a (B, seq+1) batch, as one graph;
+        `rng` draws the router jitter, None scores the batch as eval does."""
+        return self.model.sequence_loss(batch, rng=rng)
 
     def step(self, batch: np.ndarray | None = None) -> float:
         """One optimizer step; returns the training loss in nats/token."""
@@ -149,11 +149,19 @@ class Trainer:
         for p in self.params.values():
             p.zero_grad()
         try:
-            loss = self.batch_loss(batch, train_mode=True)
+            loss = self.batch_loss(batch, self.jitter_rng)
             loss.backward()
         except NonFiniteError as exc:
             raise DivergenceError(
                 f"training diverged at step {self.step_count}: {exc}") from exc
+        # backward values are not checked per op, so check them here, before
+        # the optimizer can write them into the parameters and its state
+        bad = [name for name, p in self.params.items()
+               if p.grad is not None and not np.isfinite(p.grad).all()]
+        if bad:
+            raise DivergenceError(
+                f"training diverged at step {self.step_count}: the gradient of "
+                f"{', '.join(bad)} holds a non-finite value (NaN or Inf)")
         self.opt.step(self.params)
         self.step_count += 1
         return float(loss.data)

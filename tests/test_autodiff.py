@@ -101,11 +101,6 @@ def test_take_records_gradient_rows_until_a_dense_contribution():
     assert t.grad is not None and t.grad_rows is None
 
 
-def test_gather_cols_grad():
-    cols = [1, 0, 2]
-    check_op(lambda ts: (ts[0].gather_cols(cols) * ts[0].gather_cols(cols)).sum(), [(3, 4)])
-
-
 def test_relu_exp_log_grad():
     check_op(lambda ts: ts[0].relu().sum(), [(4, 3)], seed=3)
     check_op(lambda ts: ts[0].exp().sum(), [(4,)])
@@ -129,7 +124,8 @@ def test_softmax_matches_manual_and_grad():
 
 
 def test_log_softmax_grad():
-    check_op(lambda ts: ts[0].log_softmax(axis=1).gather_cols([1, 0]).sum(), [(2, 4)])
+    # the loss's pick: entry (0, 1) and (1, 0) of the flattened (2, 4) log-probs
+    check_op(lambda ts: ts[0].log_softmax(axis=1).reshape(-1).take([1, 4]).sum(), [(2, 4)])
 
 
 def test_normalize_grad():
@@ -182,7 +178,7 @@ def test_grad_not_tracked_without_requires_grad():
 def test_no_grad_results_record_no_graph():
     a = Tensor(np.arange(6.0).reshape(2, 3), requires_grad=True)
     with no_grad():
-        outs = [a * 2.0, a @ a.T, a.take([1, 1]), a.gather_cols([0, 2]),
+        outs = [a * 2.0, a @ a.T, a.take([1, 1]), a.reshape(-1),
                 a.log_softmax(axis=-1), concat([a, a], axis=0), a.sum()]
     for out in outs:
         assert not out.requires_grad and out._parents == () and out._backward is None
@@ -257,17 +253,6 @@ def test_take_backward_equals_add_at_bitwise(table_shape, idx):
     np.add.at(expected, idx, w)
     assert t.grad.tobytes() == expected.tobytes()
     np.testing.assert_array_equal(t.grad_rows, np.isin(np.arange(table_shape[0]), idx))
-
-
-def test_gather_cols_backward_equals_add_at_bitwise():
-    rng = np.random.default_rng(4)
-    t = Tensor(rng.standard_normal((5, 4)), requires_grad=True)
-    cols = np.array([3, 3, 0, 1, 3])
-    w = rng.standard_normal(5)
-    (t.gather_cols(cols) * w).sum().backward()
-    expected = np.zeros((5, 4))
-    np.add.at(expected, (np.arange(5), cols), w)
-    assert t.grad.tobytes() == expected.tobytes()
 
 
 def test_first_gradient_is_a_c_contiguous_copy():

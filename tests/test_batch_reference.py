@@ -85,8 +85,9 @@ def reference_block(x, p, causal=True):
     return x + (ln2 @ p.w1).relu() @ p.w2
 
 
-def reference_forward(model, tokens, train_mode, rng):
-    """Logits (seq, vocab) of one sequence; the router draws as it routes."""
+def reference_forward(model, tokens, rng):
+    """Logits (seq, vocab) of one sequence; the router draws from `rng`, when
+    given, as it routes."""
     def layer_fn(i):
         def base(x):
             return reference_block(x, model.blocks[i])
@@ -97,7 +98,7 @@ def reference_forward(model, tokens, train_mode, rng):
 
         def augmented(x):
             jitter = None
-            if train_mode and isinstance(lookup, SoftmaxRouterParams):
+            if rng is not None and isinstance(lookup, SoftmaxRouterParams):
                 eps = lookup.jitter_epsilon
                 jitter = rng.uniform(1.0 - eps, 1.0 + eps, size=x.shape)
             return memory_augmented_forward(base, x, tokens, lookup, model.tables[i],
@@ -122,11 +123,18 @@ def reference_forward(model, tokens, train_mode, rng):
     return read @ model.out_table.T
 
 
-def reference_batch_loss(model, batch, train_mode, rng):
+def pick_targets(logits, targets):
+    """Log-probability of each target under (seq, vocab) logits, taken from
+    the flattened log-probs."""
+    flat = np.arange(targets.size) * logits.shape[1] + targets
+    return logits.log_softmax(axis=1).reshape(-1).take(flat)
+
+
+def reference_batch_loss(model, batch, rng):
     total = None
     for row in batch:
-        logits = reference_forward(model, row[:-1], train_mode, rng)
-        loss = -logits.log_softmax(axis=1).gather_cols(row[1:]).mean()
+        logits = reference_forward(model, row[:-1], rng)
+        loss = -pick_targets(logits, row[1:]).mean()
         total = loss if total is None else total + loss
     return total * (1.0 / batch.shape[0])
 
@@ -136,8 +144,8 @@ def reference_evaluate(trainer):
     losses, correct, total = [], 0, 0
     for i in range(len(trainer.eval_tokens) // window):
         chunk = trainer.eval_tokens[i * window: (i + 1) * window]
-        logits = reference_forward(trainer.model, chunk[:-1], False, None)
-        picked = logits.log_softmax(axis=1).gather_cols(chunk[1:])
+        logits = reference_forward(trainer.model, chunk[:-1], None)
+        picked = pick_targets(logits, chunk[1:])
         losses.extend((-picked.data).tolist())
         correct += int(np.sum(np.argmax(logits.data, axis=1) == chunk[1:]))
         total += window - 1
@@ -155,15 +163,15 @@ def loss_and_grads(trainer, compute):
     return float(loss.data), grads
 
 
-@pytest.mark.parametrize("train_mode", [False, True], ids=["eval", "train"])
+@pytest.mark.parametrize("jittered", [False, True], ids=["eval", "train"])
 @pytest.mark.parametrize("cell", sorted(CELLS))
-def test_batch_loss_matches_per_row_losses(cell, train_mode, monkeypatch):
+def test_batch_loss_matches_per_row_losses(cell, jittered, monkeypatch):
     trainer = make_trainer(CELLS[cell])
     trainer.step()  # move the parameters off their initial values
     batch = trainer.sample_batch()
     model = trainer.model
 
-    routed: list[tuple[int, ...]] = []
+    routed: list[np.ndarray] = []
     real_route = lookup_mod.route
 
     def recording_route(*args, **kwargs):
@@ -173,16 +181,15 @@ def test_batch_loss_matches_per_row_losses(cell, train_mode, monkeypatch):
 
     monkeypatch.setattr(lookup_mod, "route", recording_route)
 
-    trainer.jitter_rng = RecordingRng(7)
-    loss_b, grads_b = loss_and_grads(trainer, lambda: trainer.batch_loss(batch, train_mode))
-    draws_b, routed_b = trainer.jitter_rng.draws, routed[:]
+    rng_b, rng_r = RecordingRng(7), RecordingRng(7)
+    loss_b, grads_b = loss_and_grads(
+        trainer, lambda: trainer.batch_loss(batch, rng_b if jittered else None))
+    draws_b, routed_b = rng_b.draws, routed[:]
 
     routed.clear()
-    rng = RecordingRng(7)
     loss_r, grads_r = loss_and_grads(
-        trainer, lambda: reference_batch_loss(model, batch, train_mode,
-                                              rng if train_mode else None))
-    draws_r, routed_r = rng.draws, routed[:]
+        trainer, lambda: reference_batch_loss(model, batch, rng_r if jittered else None))
+    draws_r, routed_r = rng_r.draws, routed[:]
 
     assert abs(loss_b - loss_r) <= TOL
     assert grads_b.keys() == grads_r.keys() == trainer.params.keys()
@@ -200,10 +207,10 @@ def test_batch_loss_matches_per_row_losses(cell, train_mode, monkeypatch):
         # batched: one route per layer over all rows; reference: per row, per layer
         assert len(routed_b) == layers and len(routed_r) == B * layers
         for i, flat in enumerate(routed_b):
-            per_row = np.asarray(flat).reshape(B, -1)
+            per_row = flat.reshape(B, -1)
             for b in range(B):
-                assert tuple(per_row[b].tolist()) == routed_r[b * layers + i]
-    if cell == "softmax" and train_mode:
+                assert per_row[b].tolist() == routed_r[b * layers + i].tolist()
+    if cell == "softmax" and jittered:
         # one (B, layers, seq, d) draw is the B * layers (seq, d) draws in order
         assert len(draws_b) == 1 and len(draws_r) == B * layers
         np.testing.assert_array_equal(draws_b[0],

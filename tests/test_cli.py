@@ -5,6 +5,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import sparse_memory_lab
 from sparse_memory_lab.cli import cli_main
 
@@ -99,6 +101,15 @@ def test_bad_family_reports_error(tmp_path, capsys):
                      "--out", str(tmp_path)])
     assert code != 0
     assert "error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag, value", [("--n", "0"), ("--f", "1.5")])
+def test_out_of_range_lshsim_input_is_a_clean_error(tmp_path, capsys, flag, value):
+    code = cli_main(["lshsim", flag, value, "--trials", "10", "--out", str(tmp_path)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+    assert not (tmp_path / "lshsim.csv").exists()
 
 
 def test_divergence_is_a_clean_error(tmp_path):

@@ -27,10 +27,9 @@ from sparse_memory_lab.lookup import (
 
 def test_token_id_basic():
     r = token_id_lookup(np.array([7, 0, 31999, 7]), 32000)
-    assert r.indices == (7, 0, 31999, 7)
-    assert all(type(i) is int for i in r.indices)
+    assert r.indices.tolist() == [7, 0, 31999, 7]
     assert r.weights is None
-    assert token_id_lookup([0], 4).indices == (0,)
+    assert token_id_lookup([0], 4).indices.tolist() == [0]
 
 
 def test_token_id_out_of_vocabulary():
@@ -43,8 +42,8 @@ def test_token_id_out_of_vocabulary():
 def test_token_id_layer_independent():
     tokens = np.array([9, 3, 9])
     results = [route(Tensor(np.random.default_rng(i).standard_normal((3, 4))), tokens,
-                     TokenIdLookup(n=16)).indices for i in range(5)]
-    assert all(r == (9, 3, 9) for r in results)
+                     TokenIdLookup(n=16)).indices.tolist() for i in range(5)]
+    assert all(r == [9, 3, 9] for r in results)
 
 
 # -- softmax routing -------------------------------------------------------------
@@ -52,17 +51,17 @@ def test_token_id_layer_independent():
 def test_softmax_uniform_logits_tie_break_low_index():
     params = SoftmaxRouterParams(W=Tensor(np.zeros((4, 3)), requires_grad=True), k=1)
     r = softmax_route(Tensor(np.ones((2, 3))), params)
-    assert r.indices == (0, 0)
+    assert r.indices.tolist() == [0, 0]
     np.testing.assert_allclose(r.weights.data, [0.25, 0.25])
     params.k = 3
-    assert softmax_route(Tensor(np.ones((1, 3))), params).indices == (0, 1, 2)
+    assert softmax_route(Tensor(np.ones((1, 3))), params).indices.tolist() == [0, 1, 2]
 
 
 def test_softmax_identity_rows_pick_matching_index():
     params = SoftmaxRouterParams(W=Tensor(np.eye(4)), k=1)
     x = np.zeros((4, 4))
     x[[0, 1, 2, 3], [2, 0, 3, 1]] = 1.0
-    assert softmax_route(Tensor(x), params).indices == (2, 0, 3, 1)
+    assert softmax_route(Tensor(x), params).indices.tolist() == [2, 0, 3, 1]
 
 
 def test_softmax_matches_full_sort_oracle():
@@ -81,7 +80,7 @@ def test_softmax_matches_full_sort_oracle():
         expected_idx.extend(order[:2])
         expected_w.extend(probs[order[:2]])
         assert abs(probs.sum() - 1.0) < 1e-12
-    assert r.indices == tuple(expected_idx)
+    assert r.indices.tolist() == expected_idx
     np.testing.assert_allclose(r.weights.data, expected_w, rtol=1e-12)
     assert np.all((r.weights.data > 0) & (r.weights.data <= 1))
 
@@ -91,12 +90,12 @@ def test_softmax_jitter_routes_the_premultiplied_input():
     x_data = np.random.default_rng(2).standard_normal((2, 5, 3))
     eval_a = softmax_route(Tensor(x_data), params)
     eval_b = softmax_route(Tensor(x_data), params)
-    assert eval_a.indices == eval_b.indices
+    assert eval_a.indices.tolist() == eval_b.indices.tolist()
     np.testing.assert_array_equal(eval_a.weights.data, eval_b.weights.data)
     j = np.random.default_rng(1).uniform(0.5, 1.5, size=x_data.shape)
     jittered = softmax_route(Tensor(x_data), params, jitter=j)
     premultiplied = softmax_route(Tensor(x_data * j), params)
-    assert jittered.indices == premultiplied.indices
+    assert jittered.indices.tolist() == premultiplied.indices.tolist()
     np.testing.assert_array_equal(jittered.weights.data, premultiplied.weights.data)
     assert not np.array_equal(jittered.weights.data, eval_a.weights.data)
 
@@ -117,7 +116,7 @@ def test_hyperplane_deterministic():
     x = np.random.default_rng(0).standard_normal((6, 8))
     a = hyperplane_lsh_lookup(x, params)
     b = hyperplane_lsh_lookup(x, params)
-    assert a.indices == b.indices
+    assert a.indices.tolist() == b.indices.tolist()
     assert a.indices[2] == hyperplane_lsh_lookup(x[2:3], params).indices[0]
 
 
@@ -130,9 +129,9 @@ def test_hyperplane_single_projection_arithmetic():
     x = np.zeros((3, d))
     x[:, 0] = [2.5, -0.5, 7.0]  # cells floor(x0 / 1.0) = 2, -1, 7
     r = hyperplane_lsh_lookup(x, params)
-    expected = tuple(int(fold_cells(np.array([c]), params.mix_seed) % np.uint64(16))
-                     for c in (2, -1, 7))
-    assert r.indices == expected
+    expected = [int(fold_cells(np.array([c]), params.mix_seed) % np.uint64(16))
+                for c in (2, -1, 7)]
+    assert r.indices.tolist() == expected
 
 
 def test_hyperplane_near_pairs_collide_more_than_far_pairs():
@@ -158,7 +157,7 @@ def test_hyperplane_near_pairs_collide_more_than_far_pairs():
 def test_spherical_self_anchor():
     params = SphericalLshParams.init(8, 5, seed=3)
     r = spherical_lsh_lookup(params.anchors, params)
-    assert r.indices == tuple(range(8))
+    assert r.indices.tolist() == list(range(8))
 
 
 def test_spherical_antipodal_sign():
@@ -166,7 +165,7 @@ def test_spherical_antipodal_sign():
     u[1] = 1.0
     params = SphericalLshParams(anchors=np.stack([u, -u]))
     x = np.array([0.3, 0.9, 0.1, -0.2])
-    assert spherical_lsh_lookup(np.stack([x, -x]), params).indices == (0, 1)
+    assert spherical_lsh_lookup(np.stack([x, -x]), params).indices.tolist() == [0, 1]
 
 
 def test_spherical_matches_brute_force_scan():
@@ -181,11 +180,11 @@ def test_spherical_matches_brute_force_scan():
 def test_spherical_scaling_invariance():
     params = SphericalLshParams.init(16, 6, seed=9)
     x = np.random.default_rng(10).standard_normal((10, 6))
-    base = spherical_lsh_lookup(x, params).indices
+    base = spherical_lsh_lookup(x, params).indices.tolist()
     for c in (0.01, 3.7, 250.0):
-        assert spherical_lsh_lookup(c * x, params).indices == base
+        assert spherical_lsh_lookup(c * x, params).indices.tolist() == base
     scales = np.array([0.01, 3.7, 250.0, 1.0, 2.0, 0.5, 9.0, 1e-3, 40.0, 7.0])[:, None]
-    assert spherical_lsh_lookup(scales * x, params).indices == base
+    assert spherical_lsh_lookup(scales * x, params).indices.tolist() == base
 
 
 def test_spherical_zero_vector_rejected():
@@ -208,7 +207,7 @@ def test_minhash_identical_sets_always_collide():
         params = MinHashParams.init(32, 32, seed=seed)
         a = minhash_lookup({3, 7, 11}, params)
         b = minhash_lookup({3, 7, 11}, params)
-        assert a.indices == b.indices
+        assert a.indices.tolist() == b.indices.tolist()
 
 
 def test_minhash_disjoint_sets_never_share_winner():
@@ -227,7 +226,8 @@ def test_minhash_collision_matches_jaccard_half():
     trials = 100000
     for seed in range(trials):
         params = MinHashParams.init(universe, universe, seed=seed)
-        hits += minhash_lookup(a, params).indices == minhash_lookup(b, params).indices
+        hits += (minhash_lookup(a, params).indices.tolist()
+                 == minhash_lookup(b, params).indices.tolist())
     assert abs(hits / trials - 0.5) < 0.01
 
 
@@ -310,12 +310,32 @@ def test_route_purity_same_inputs_same_result():
     for lk in lookups:
         a = route(x, tokens, lk)
         b = route(x, tokens, lk)
-        assert a.indices == b.indices
+        assert a.indices.tolist() == b.indices.tolist()
         assert len(a.indices) == 4 * getattr(lk, "k", 1)
         if a.weights is not None:
             np.testing.assert_array_equal(a.weights.data, b.weights.data)
     with pytest.raises(ValueError, match="unknown lookup kind"):
         route(x, tokens, MinHashParams.init(8, 8, seed=4))
+
+
+def test_routes_are_flat_intp_arrays():
+    # the memory layer reshapes them to (rows, k) without a conversion, and a
+    # 1-D array is what set.update() accepts element by element
+    rng = np.random.default_rng(31)
+    x = Tensor(rng.standard_normal((2, 3, 6)))
+    tokens = np.array([[5, 1, 5], [7, 0, 2]])
+    lookups = [
+        TokenIdLookup(n=8),
+        SoftmaxRouterParams.init(8, 6, k=3, seed=1),
+        HyperplaneLshParams.init(6, 4, 1.0, 8, seed=2),
+        SphericalLshParams.init(8, 6, seed=3),
+    ]
+    results = [route(x, tokens, lk).indices for lk in lookups]
+    results.append(minhash_lookup({1, 5}, MinHashParams.init(8, 4, seed=4)).indices)
+    for idx, rows_k in zip(results, [6, 18, 6, 6, 1]):
+        assert isinstance(idx, np.ndarray)
+        assert idx.dtype == np.intp
+        assert idx.shape == (rows_k,)
 
 
 # -- parameter count formula ----------------------------------------------------------

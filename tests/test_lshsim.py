@@ -105,9 +105,8 @@ def test_full_overlap_collides_everywhere():
 def test_token_id_collision_is_exact_fraction():
     est = estimate_collision("token_id", 0.5, n=64, l=32, d=8, trials=1000, seed=0)
     assert est.p_hat == 0.5
-    sampled = estimate_collision("token_id", 0.5, n=64, l=32, d=8, trials=20000,
-                                 seed=0, sampled_token_id=True)
-    assert abs(sampled.p_hat - 0.5) < 5 * max(sampled.stderr, 1e-9)
+    # round(f*l)/l, not f: 0.3 of 8 ids is 2 shared ids
+    assert estimate_collision("token_id", 0.3, n=64, l=8, d=8, trials=10, seed=0).p_hat == 0.25
 
 
 def test_estimate_reproducible_bitwise():
@@ -127,6 +126,68 @@ def test_estimate_stderr_formula():
 def test_unknown_family_rejected():
     with pytest.raises(ValueError):
         estimate_collision("cuckoo", 0.5, n=8, l=4, d=4, trials=10, seed=0)
+
+
+GOOD_CELL = dict(family="minhash", f=0.5, n=8, l=4, d=4, trials=10)
+
+
+@pytest.mark.parametrize("bad, match", [
+    ({"family": "cuckoo"}, "unknown family"),
+    ({"f": 1.5}, "overlap fraction"),
+    ({"f": -0.25}, "overlap fraction"),
+    ({"f": float("nan")}, "overlap fraction"),
+    ({"n": 0}, "table size"),
+    ({"n": -4}, "table size"),
+    ({"l": 0}, "sentence length"),
+    ({"d": 0}, "embedding dimension"),
+    ({"family": "spherical", "d": 1}, "needs d >= 2"),
+    ({"trials": 0}, "at least one trial"),
+])
+def test_out_of_range_cells_rejected_before_any_draw(bad, match, monkeypatch):
+    def no_draw(*args, **kwargs):
+        raise AssertionError("a cell was estimated before the inputs were checked")
+
+    monkeypatch.setattr(lshsim, "_cell_p_hat", no_draw)
+    c = {**GOOD_CELL, **bad}
+    with pytest.raises(ValueError, match=match):
+        estimate_collision(c["family"], c["f"], c["n"], c["l"], c["d"], c["trials"], seed=0)
+    with pytest.raises(ValueError, match=match):
+        collision_grid([c["family"]], [c["f"]], [c["n"]], c["l"], c["d"], c["trials"], 0)
+    # one bad entry anywhere in a grid rejects the whole grid
+    with pytest.raises(ValueError, match=match):
+        collision_grid(["token_id", c["family"]], [0.5, c["f"]], [8, c["n"]],
+                       c["l"], c["d"], c["trials"], 0)
+
+
+@pytest.mark.parametrize("f, l, d, pairs", [
+    (1.5, 8, 8, 10), (-0.25, 8, 8, 10), (0.5, 0, 8, 10), (0.5, 8, 0, 10), (0.5, 8, 8, 0),
+])
+def test_mixing_dot_rejects_out_of_range_input(f, l, d, pairs):
+    # f outside [0, 1] used to return a number from a mis-sliced sentence pair
+    with pytest.raises(ValueError):
+        estimate_mixing_dot(f, l, d, pairs, seed=0)
+
+
+def test_random_stream_is_pinned():
+    # literals from the samplers as first written: a reordered draw, or a
+    # re-batched hash draw (which interleaves its arrays per batch), changes them
+    rows = collision_grid(list(lshsim.FAMILIES), [0.25, 0.75], [16, 300], 8, 8, 2000, 3)
+    assert [(r["family"], r["f"], r["n"], r["p_hat"]) for r in rows] == [
+        ("token_id", 0.25, 16, 0.25), ("spherical", 0.25, 16, 0.128),
+        ("hyperplane", 0.25, 16, 0.855), ("minhash", 0.25, 16, 0.1415),
+        ("token_id", 0.25, 300, 0.25), ("spherical", 0.25, 300, 0.011),
+        ("hyperplane", 0.25, 300, 0.1575), ("minhash", 0.25, 300, 0.1335),
+        ("token_id", 0.75, 16, 0.75), ("spherical", 0.75, 16, 0.382),
+        ("hyperplane", 0.75, 16, 0.9175), ("minhash", 0.75, 16, 0.5855),
+        ("token_id", 0.75, 300, 0.75), ("spherical", 0.75, 300, 0.132),
+        ("hyperplane", 0.75, 300, 0.327), ("minhash", 0.75, 300, 0.5815),
+    ]
+    # more pairs than one batch of sentence draws
+    assert estimate_mixing_dot(0.5, 8, 8, 3000, 3) == (0.49248016465428973,
+                                                       0.0067010269233291194)
+    p_hats = [estimate_collision(fam, 0.5, 16, 8, 8, 5000, 4, width=2.0).p_hat
+              for fam in ("spherical", "hyperplane", "minhash")]
+    assert p_hats == [0.2178, 0.068, 0.3356]
 
 
 # -- dual-route consistency: span samplers vs literal lookup ops --------------------
@@ -179,8 +240,8 @@ def test_minhash_estimate_matches_literal_op_loop():
     hits = 0
     for i in range(trials):
         params = MinHashParams.init(universe, n, seed=50_000 + i)
-        hits += minhash_lookup(set(ids1), params).indices == \
-            minhash_lookup(set(ids2), params).indices
+        hits += (minhash_lookup(set(ids1), params).indices.tolist()
+                 == minhash_lookup(set(ids2), params).indices.tolist())
     direct = hits / trials
     fast = estimate_collision("minhash", f, n=n, l=l, d=4, trials=30000, seed=12)
     pooled = math.sqrt(direct * (1 - direct) / trials + fast.stderr ** 2)
@@ -268,7 +329,8 @@ def test_minhash_collision_tracks_jaccard_over_random_pairs():
         hits = 0
         for i in range(perms):
             params = MinHashParams.init(universe, universe, seed=1000 * trial + i)
-            hits += minhash_lookup(a, params).indices == minhash_lookup(b, params).indices
+            hits += (minhash_lookup(a, params).indices.tolist()
+                     == minhash_lookup(b, params).indices.tolist())
         se = math.sqrt(max(j * (1 - j), 1e-6) / perms)
         assert abs(hits / perms - j) < 5 * se
 

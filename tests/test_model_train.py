@@ -183,6 +183,27 @@ def test_divergence_aborts_with_diagnostic():
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_non_finite_gradient_stops_the_step_before_the_optimizer():
+    # at lr 1e30 the second step's loss is still finite but its backward
+    # overflows; nothing of that step may reach the parameters or Adam
+    cfg = ExperimentConfig()
+    cfg.training.learning_rate = 1e30
+    trainer = Trainer(cfg.validate())
+    assert np.isfinite(trainer.step())
+    before = {k: p.data.copy() for k, p in trainer.params.items()}
+    m_before = {k: m.copy() for k, m in trainer.opt.m.items()}
+    v_before = {k: v.copy() for k, v in trainer.opt.v.items()}
+    with pytest.raises(DivergenceError, match=r"training diverged at step 1: the gradient "
+                       r"of embed0\b.* holds a non-finite value \(NaN or Inf\)"):
+        trainer.step()
+    for k, p in trainer.params.items():
+        assert p.data.tobytes() == before[k].tobytes(), k
+        assert trainer.opt.m[k].tobytes() == m_before[k].tobytes(), k
+        assert trainer.opt.v[k].tobytes() == v_before[k].tobytes(), k
+    assert trainer.opt.t == 1 and trainer.step_count == 1
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_eval_divergence_names_the_step():
     trainer = Trainer(tiny(d=8, layers=1, heads=1, vocab=16, seq=4, batch=2))
     trainer.step()
@@ -223,10 +244,8 @@ def test_jitter_only_affects_train_mode():
     a = trainer.model.forward(tokens[:-1]).data
     b = trainer.model.forward(tokens[:-1]).data
     np.testing.assert_array_equal(a, b)
-    r1 = trainer.model.forward(tokens[:-1], train_mode=True,
-                               rng=np.random.default_rng(0)).data
-    r2 = trainer.model.forward(tokens[:-1], train_mode=True,
-                               rng=np.random.default_rng(1)).data
+    r1 = trainer.model.forward(tokens[:-1], rng=np.random.default_rng(0)).data
+    r2 = trainer.model.forward(tokens[:-1], rng=np.random.default_rng(1)).data
     assert np.abs(r1 - r2).max() > 0
 
 
