@@ -16,7 +16,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .autodiff import Tensor, concat
+from .autodiff import Tensor, at_layer, at_stage, concat
 from .nn import as_seedseq
 
 
@@ -159,9 +159,12 @@ def pcc_forward_full(x_old: WideRepresentation, params: PccFullParams,
         raise ValueError("predictor/gain shapes inconsistent with the representation")
     if not (0 <= j_star < K):
         raise ValueError(f"j_star {j_star} outside [0, {K})")
+    at_stage("pcc predict")
     predicted = x_old.to_flat() @ params.P.T
     pred_j = predicted.narrow(predicted.ndim - 1, j_star * d, d)
-    innovation = layer(x_old.block(j_star)) - pred_j
+    computed = layer(x_old.block(j_star))
+    at_stage("pcc correct")
+    innovation = computed - pred_j
     return WideRepresentation(flat=predicted + innovation @ params.G.T, K=K)
 
 
@@ -173,10 +176,12 @@ def pcc_forward_simplified(x_old: WideRepresentation, params: PccSimplifiedParam
         raise ValueError(f"params built for K={params.K}, representation has K={K}")
     if not (0 <= j_star < K):
         raise ValueError(f"j_star {j_star} outside [0, {K})")
+    at_stage("pcc predict")
     predicted = params.p @ x_old.view()  # (..., K, d)
     lead = predicted.shape[:-2]
-    computed = layer(x_old.block(j_star)).reshape(*lead, 1, d)
-    innovation = computed - predicted.narrow(len(lead), j_star, 1)
+    computed = layer(x_old.block(j_star))
+    at_stage("pcc correct")
+    innovation = computed.reshape(*lead, 1, d) - predicted.narrow(len(lead), j_star, 1)
     corrected = predicted + params.g.reshape(K, 1) * innovation
     return WideRepresentation(flat=corrected.reshape(*lead, K * d), K=K)
 
@@ -265,8 +270,10 @@ def altup_stack_forward(x0: WideRepresentation,
         if K != 1:
             raise ValueError("K > 1 requires predictor/gain parameters per layer")
         x = x0.to_flat()
-        for layer in layers:
+        for i, layer in enumerate(layers):
+            at_layer(i)
             x = layer(x)
+        at_layer(None)
         return WideRepresentation(flat=x), [0] * len(layers)
     if len(pcc_params) != len(layers):
         raise ValueError("one predictor/gain parameter set per layer required")
@@ -275,7 +282,9 @@ def altup_stack_forward(x0: WideRepresentation,
     for i, (layer, params) in enumerate(zip(layers, pcc_params)):
         j_star = select_block(i, K, selection)
         trace.append(j_star)
+        at_layer(i)
         x = pcc_forward(x, params, layer, j_star)
+    at_layer(None)
     return x, trace
 
 

@@ -2,9 +2,12 @@
 
 Only the operations the layers in this package need are implemented; there
 are no views and no in-place graph surgery. Matmul follows np.matmul, so a
-whole batch of sequences, or of attention heads, is one node. Values are
-validated to be finite at construction, so a divergence (NaN/Inf) surfaces
-at the op that produced it, named in the error, instead of three layers later.
+whole batch of sequences, or of attention heads, is one node. A tensor built
+by a caller is validated to be finite; op results are not scanned, so a
+training step or an eval pass checks its outputs once. Inside `checked()`
+every op result and every backward contribution is scanned, and the first
+non-finite one raises a `NonFiniteError` that names the op, the pass and the
+layer stage set by `at_layer`/`at_stage`; callers replay a failed step there.
 Inside `no_grad()` ops record no graph, so a forward-only pass frees each
 intermediate as soon as the next op has used it.
 """
@@ -19,14 +22,10 @@ import numpy as np
 
 
 class NonFiniteError(ValueError):
-    """Raised when a tensor would contain NaN or Inf."""
+    """Raised when a tensor would contain NaN or Inf; `pass_` is "forward" or
+    "backward" when checked mode found it in an op."""
 
-
-def _as_array(data) -> np.ndarray:
-    arr = np.asarray(data, dtype=np.float64)
-    if not np.all(np.isfinite(arr)):
-        raise NonFiniteError("tensor values must be finite (got NaN or Inf)")
-    return arr
+    pass_: str | None = None
 
 
 def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
@@ -42,34 +41,88 @@ def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     return grad
 
 
-class _GradMode(threading.local):
+class _Mode(threading.local):
     # per thread, so a forward-only pass in one worker thread never switches
     # off the graph another thread is building
-    enabled = True
+    grad = True
+    checked = False
+    # checked mode only: the layer and stage of the ops being built, and the
+    # label each op result was built under, by id
+    layer: int | None = None
+    stage = ""
+    labels: dict[int, str] = {}
 
 
-_grad_mode = _GradMode()
+_mode = _Mode()
 
 
 @contextmanager
 def no_grad() -> Iterator[None]:
     """Ops run inside record no parents or backward closure, in this thread."""
-    prev = _grad_mode.enabled
-    _grad_mode.enabled = False
+    prev = _mode.grad
+    _mode.grad = False
     try:
         yield
     finally:
-        _grad_mode.enabled = prev
+        _mode.grad = prev
+
+
+@contextmanager
+def checked() -> Iterator[None]:
+    """Ops run inside scan their results, and backward sweeps every
+    contribution, in this thread; the first non-finite value raises."""
+    prev = _mode.checked, _mode.layer, _mode.stage, _mode.labels
+    _mode.checked, _mode.layer, _mode.stage, _mode.labels = True, None, "", {}
+    try:
+        yield
+    finally:
+        _mode.checked, _mode.layer, _mode.stage, _mode.labels = prev
+
+
+def at_layer(index: int | None) -> None:
+    """Name the layer of the ops that follow (None: outside the stack), for
+    the diagnostics of checked mode; a no-op outside it."""
+    if _mode.checked:
+        _mode.layer = index
+
+
+def at_stage(name: str) -> None:
+    """Name the stage of the ops that follow, as at_layer."""
+    if _mode.checked:
+        _mode.stage = name
+
+
+def _label() -> str:
+    if _mode.layer is None or not _mode.stage:
+        return _mode.stage
+    return f"layer {_mode.layer} {_mode.stage}"
+
+
+def _op_name(backward: Callable) -> str:
+    return backward.__qualname__.split(".<locals>")[0].rsplit(".", 1)[-1]
+
+
+def _non_finite(what: str, pass_: str, label: str) -> NonFiniteError:
+    err = NonFiniteError(f"{what} produced a non-finite value (NaN or Inf) in the {pass_} "
+                         f"pass" + (f" at {label}" if label else ""))
+    err.pass_ = pass_
+    return err
 
 
 class Tensor:
     """A node in the computation graph holding a float64 array."""
 
-    __slots__ = ("data", "grad", "grad_rows", "requires_grad", "_parents", "_backward")
+    __slots__ = ("data", "grad", "grad_rows", "requires_grad", "_parents", "_backward",
+                 "_grad_out")
 
-    def __init__(self, data, requires_grad: bool = False):
-        self.data = _as_array(data)
+    def __init__(self, data, requires_grad: bool = False, *, _check: bool = True):
+        self.data = np.asarray(data, dtype=np.float64)
+        if _check and not np.isfinite(self.data).all():
+            raise NonFiniteError("tensor values must be finite (got NaN or Inf)")
         self.grad: np.ndarray | None = None
+        # where the first gradient contribution is written (a view into a
+        # flat gradient vector, see train.FlatParameters), or None for a copy
+        self._grad_out: np.ndarray | None = None
         # axis-0 rows that received gradient while every contribution came
         # through take(); None once any other op contributed
         self.grad_rows: np.ndarray | None = None
@@ -82,12 +135,12 @@ class Tensor:
     @staticmethod
     def _op(data: np.ndarray, parents: Sequence["Tensor"],
             backward: Callable[[np.ndarray], None]) -> "Tensor":
-        try:
-            out = Tensor(data)
-        except NonFiniteError:
-            op = backward.__qualname__.split(".<locals>")[0].rsplit(".", 1)[-1]
-            raise NonFiniteError(f"{op} produced a non-finite value (NaN or Inf)") from None
-        if _grad_mode.enabled and any(p.requires_grad for p in parents):
+        out = Tensor(data, _check=False)
+        if _mode.checked:
+            label = _mode.labels[id(out)] = _label()
+            if not np.isfinite(out.data).all():
+                raise _non_finite(_op_name(backward), "forward", label)
+        if _mode.grad and any(p.requires_grad for p in parents):
             out.requires_grad = True
             out._parents = tuple(parents)
             out._backward = backward
@@ -123,7 +176,10 @@ class Tensor:
             # a fresh C-ordered copy (keeping grad's layout, say a transposed
             # view, would change later GEMMs' sums); + 0.0 maps -0.0 to 0.0
             # as a sum into zeros does
-            self.grad = np.add(grad, 0.0, order="C")
+            if self._grad_out is None:
+                self.grad = np.add(grad, 0.0, order="C")
+            else:
+                self.grad = np.add(grad, 0.0, out=self._grad_out)
             if rows is not None:
                 self.grad_rows = np.zeros(self.data.shape[0], dtype=bool)
         else:
@@ -134,7 +190,8 @@ class Tensor:
             self.grad_rows[rows] = True
 
     def backward(self) -> None:
-        """Reverse-mode sweep from a scalar node."""
+        """Reverse-mode sweep from a scalar node; in checked mode, the first
+        contribution that leaves a gradient non-finite raises, naming its op."""
         if self.data.size != 1:
             raise ValueError("backward() requires a scalar tensor")
         if not self.requires_grad:
@@ -156,9 +213,14 @@ class Tensor:
                 if p.requires_grad and id(p) not in seen:
                     stack.append((p, False))
         self._accumulate(np.ones_like(self.data))
+        check = _mode.checked
         for node in reversed(topo):
             if node._backward is not None and node.grad is not None:
                 node._backward(node.grad)
+                if check and not all(p.grad is None or np.isfinite(p.grad).all()
+                                     for p in node._parents):
+                    raise _non_finite(f"backward of {_op_name(node._backward)}", "backward",
+                                      _mode.labels.get(id(node), ""))
 
     # -- arithmetic ---------------------------------------------------------
 

@@ -18,7 +18,7 @@ import numpy as np
 
 from .autodiff import Tensor, no_grad
 from .reporting import write_csv
-from .train import AdamState
+from .train import AdamState, checked_step
 
 ARCHITECTURES = ("input_only", "per_layer")
 
@@ -168,16 +168,11 @@ def train_separation(config: SeparationConfig) -> dict:
     u_te, q_te, y_te = make_dataset(truth, config.test_size, config.d,
                                     config.u_count, s_test)
     net = SeparationNet.build(config)
-    params = net.parameters()
-    opt = AdamState(params, config.learning_rate)
+    opt = AdamState(net.parameters(), config.learning_rate)
     rng = np.random.default_rng(s_batch)
-    for _ in range(config.steps):
+    for step in range(config.steps):
         idx = rng.integers(0, config.train_size, size=config.batch)
-        for p in params.values():
-            p.zero_grad()
-        loss = net.mse(u_tr[idx], q_tr[idx], y_tr[idx])
-        loss.backward()
-        opt.step(params)
+        checked_step(opt, lambda: net.mse(u_tr[idx], q_tr[idx], y_tr[idx]), step)
     with no_grad():
         train_mse = float(net.mse(u_tr, q_tr, y_tr).data)
         test_mse = float(net.mse(u_te, q_te, y_te).data)

@@ -16,7 +16,7 @@ from typing import Callable, Iterable
 
 import numpy as np
 
-from .autodiff import Tensor
+from .autodiff import Tensor, at_stage
 from .nn import MemoryTable, apply_expert
 
 
@@ -100,9 +100,23 @@ def softmax_route(x: Tensor, params: SoftmaxRouterParams,
     routed_x = x if jitter is None else x * jitter
     probs = (routed_x @ params.W.T).softmax(axis=-1)
     n = params.n
-    top = np.argsort(-probs.data.reshape(-1, n), axis=1, kind="stable")[:, : params.k]
+    top = top_k_rows(probs.data.reshape(-1, n), params.k)
     flat = (np.arange(top.shape[0])[:, None] * n + top).reshape(-1)
     return RouteResult(indices=top.reshape(-1), weights=probs.reshape(probs.size).take(flat))
+
+
+def top_k_rows(scores: np.ndarray, k: int) -> np.ndarray:
+    """(rows, k) column indices of each row's k largest entries, largest
+    first, ties toward the lower index: the first k of a stable argsort of
+    -scores, for finite scores, by k argmax passes instead of a full sort."""
+    rows = np.arange(scores.shape[0])
+    top = np.empty((scores.shape[0], k), dtype=np.intp)
+    work = scores.copy() if k > 1 else scores
+    for j in range(k):
+        top[:, j] = pick = np.argmax(work, axis=1)
+        if j + 1 < k:
+            work[rows, pick] = -np.inf
+    return top
 
 
 # seed of the cell-to-bucket hash, shared by the hyperplane lookup and lshsim
@@ -302,7 +316,9 @@ def memory_augmented_forward(layer: Callable[[Tensor], Tensor], x: Tensor, token
     # GEMM per sequence. One GEMM over all B*seq rows crosses OpenBLAS's
     # threading threshold in an eval pass, and the worker thread it wakes
     # spins after the call, slowing whatever the process runs next.
+    at_stage("memory route")
     result = route(x, tokens, lookup, jitter=jitter)
+    at_stage("memory experts")
     rows = x.reshape(-1, x.shape[-1])
     idx = result.indices.reshape(rows.shape[0], -1)
     if idx.max() >= table.n:
@@ -310,7 +326,9 @@ def memory_augmented_forward(layer: Callable[[Tensor], Tensor], x: Tensor, token
     experts = apply_expert(rows, table, idx)
     if result.weights is not None:
         experts = experts * result.weights.reshape(*idx.shape, 1)
-    return layer(x) + experts.sum(axis=1).reshape(*x.shape)
+    out = layer(x)
+    at_stage("memory add")
+    return out + experts.sum(axis=1).reshape(*x.shape)
 
 
 def partial_expert_param_count(rank: int, buckets: int, d_in: int) -> tuple[int, int]:

@@ -23,7 +23,7 @@ from .altup import (
     altup_stack_forward,
     divide_and_project,
 )
-from .autodiff import Tensor
+from .autodiff import Tensor, at_stage
 from .config import ExperimentConfig
 from .lookup import (
     HyperplaneLshParams,
@@ -246,12 +246,14 @@ class LanguageModel:
         tokens = np.asarray(tokens, dtype=np.int64)
         if tokens.ndim not in (1, 2):
             raise ValueError("forward expects a (seq,) sequence or a (B, seq) batch of tokens")
+        at_stage("embed")
         x0 = self.initial_representation(tokens)
         jitter = self._router_jitter(tokens, rng)
         fns = [self._layer_fn(i, tokens, None if jitter is None else jitter[..., i, :, :])
                for i in range(len(self.blocks))]
         final, _ = altup_stack_forward(
             x0, fns, self.selection, self.pcc if self.wide else None)
+        at_stage("head")
         head = self.config.altup.head if self.wide else "block0"
         if head == "proj":
             read = final.to_flat()
@@ -267,6 +269,7 @@ class LanguageModel:
         or over every token of a (B, seq+1) batch of windows; `rng` as in forward."""
         window = np.asarray(window, dtype=np.int64)
         logits = self.forward(window[..., :-1], rng=rng)
+        at_stage("loss")
         targets = window[..., 1:].reshape(-1)
         flat = np.arange(targets.size) * logits.shape[-1] + targets
         return -logits.log_softmax(axis=-1).reshape(-1).take(flat).mean()

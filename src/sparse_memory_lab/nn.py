@@ -13,7 +13,7 @@ from typing import Callable, Mapping
 
 import numpy as np
 
-from .autodiff import Tensor, no_grad
+from .autodiff import Tensor, at_stage, no_grad
 
 
 def as_seedseq(seed) -> np.random.SeedSequence:
@@ -195,6 +195,7 @@ def transformer_block_forward(x: Tensor, params: TransformerBlockParams,
     def heads(t: Tensor) -> Tensor:
         return t.reshape(*lead, seq, h, dh).swapaxes(-3, -2)
 
+    at_stage("attention")
     ln1 = x.normalize() * params.ln1_scale + params.ln1_bias
     q = heads(ln1 @ params.wq)
     k = heads(ln1 @ params.wk)
@@ -206,6 +207,7 @@ def transformer_block_forward(x: Tensor, params: TransformerBlockParams,
     attended = (scores.softmax(axis=-1) @ v).swapaxes(-3, -2).reshape(*lead, seq, d)
     x = x + attended @ params.wo
 
+    at_stage("ffn")
     ln2 = x.normalize() * params.ln2_scale + params.ln2_bias
     ffn = (ln2 @ params.w1).relu() @ params.w2
     return x + ffn

@@ -13,11 +13,11 @@ import math
 import time
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable
+from typing import Callable, Iterable
 
 import numpy as np
 
-from .autodiff import NonFiniteError, Tensor, no_grad
+from .autodiff import NonFiniteError, Tensor, checked, no_grad
 from .checkpoint import save_checkpoint
 from .config import ExperimentConfig, format_config
 from .lookup import partial_expert_param_count
@@ -45,41 +45,166 @@ METRICS_COLUMNS = ("step", "train_loss", "eval_loss", "eval_accuracy",
                    "embedding_params", "non_embedding_params")
 
 
+class FlatParameters:
+    """Every parameter laid out as a view into one float64 vector, `data`, in
+    the mapping's order (the checkpoint's payload order), and each tensor's
+    gradient written into the matching view of a second vector, `grad`.
+
+    A parameter that gets no gradient in a step keeps its last one in `grad`;
+    `update_mask` leaves such entries out.
+    """
+
+    def __init__(self, params: dict[str, Tensor]):
+        self.names = list(params)
+        self.tensors = list(params.values())
+        if len({id(t) for t in self.tensors}) != len(self.tensors):
+            raise ValueError("a parameter appears under two names")
+        bounds = np.cumsum([0] + [t.size for t in self.tensors]).tolist()
+        self.slices = [slice(a, b) for a, b in zip(bounds[:-1], bounds[1:])]
+        self.data = np.empty(bounds[-1])
+        self.grad = np.zeros(bounds[-1])
+        for t, sl in zip(self.tensors, self.slices):
+            view = self.data[sl].reshape(t.shape)
+            view[...] = t.data
+            t.data = view
+            t._grad_out = self.grad[sl].reshape(t.shape)
+        self._mask = np.ones(bounds[-1], dtype=bool)
+
+    def views(self, vector: np.ndarray) -> dict[str, np.ndarray]:
+        """name -> that parameter's entries of a vector laid out like `data`."""
+        return {name: vector[sl].reshape(t.shape)
+                for name, t, sl in zip(self.names, self.tensors, self.slices)}
+
+    def zero_grad(self) -> None:
+        for t in self.tensors:
+            t.zero_grad()
+
+    def update_mask(self, rowwise: frozenset[str] = frozenset()) -> np.ndarray | bool:
+        """The entries an optimizer step writes: those of each parameter that
+        got a gradient, but of a `rowwise` one only the axis-0 rows that got
+        one (see Tensor.grad_rows); True when that is every entry."""
+        mask, full = self._mask, True
+        for name, t, sl in zip(self.names, self.tensors, self.slices):
+            if t.grad is None:
+                mask[sl] = False
+            elif name in rowwise and t.grad_rows is not None:
+                mask[sl].reshape(t.grad_rows.size, -1)[...] = t.grad_rows[:, None]
+            else:
+                mask[sl] = True
+                continue
+            full = False
+        return True if full else mask
+
+
 class AdamState:
-    """Adam that skips a parameter with no gradient, and skips the rows of a
-    `rowwise` parameter (a stack of independent experts) that received none."""
+    """Adam over the flat vector of every parameter. It leaves an entry, and
+    its moments, alone when its parameter got no gradient, or when it lies in
+    a row of a `rowwise` parameter (a stack of independent experts) that got
+    none. `m` and `v` map each name to its view of the flat moments."""
 
     def __init__(self, params: dict[str, Tensor], lr: float,
                  beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8,
                  rowwise: Iterable[str] = ()):
         self.lr, self.beta1, self.beta2, self.eps = lr, beta1, beta2, eps
         self.t = 0
-        self.m = {k: np.zeros_like(p.data) for k, p in params.items()}
-        self.v = {k: np.zeros_like(p.data) for k, p in params.items()}
+        self.flat = FlatParameters(params)
+        size = self.flat.data.size
+        self._m, self._v = np.zeros(size), np.zeros(size)
+        self.m, self.v = self.flat.views(self._m), self.flat.views(self._v)
         self.rowwise = frozenset(rowwise)
+        self._a, self._b = np.empty(size), np.empty(size)
 
-    def step(self, params: dict[str, Tensor]) -> None:
+    def step(self, params: dict[str, Tensor] | None = None) -> None:
+        """Update the parameters given at construction from their gradients;
+        `params`, when given, must be those same tensors."""
+        _check_same(self.flat, params)
         self.t += 1
         b1, b2 = self.beta1, self.beta2
         scale = self.lr * math.sqrt(1 - b2 ** self.t) / (1 - b1 ** self.t)
-        for k, p in params.items():
-            if p.grad is None:
-                continue
-            rows = p.grad_rows if k in self.rowwise and p.grad_rows is not None else slice(None)
-            g, m, v = p.grad[rows], self.m[k], self.v[k]
-            m[rows] = b1 * m[rows] + (1 - b1) * g
-            v[rows] = b2 * v[rows] + (1 - b2) * g * g
-            p.data[rows] -= scale * m[rows] / (np.sqrt(v[rows]) + self.eps)
+        keep = self.flat.update_mask(self.rowwise)
+        p, g, m, v, a, b = self.flat.data, self.flat.grad, self._m, self._v, self._a, self._b
+        # per entry, the IEEE ops of b1*m + (1-b1)*g, b2*v + ((1-b2)*g)*g and
+        # p - (scale*m)/(sqrt(v)+eps); entries outside `keep` are computed
+        # into the scratch vectors but never written back
+        np.multiply(m, b1, out=a)
+        np.multiply(g, 1 - b1, out=b)
+        np.add(a, b, out=m, where=keep)
+        np.multiply(g, 1 - b2, out=a)
+        np.multiply(a, g, out=a)
+        np.multiply(v, b2, out=b)
+        np.add(b, a, out=v, where=keep)
+        np.sqrt(v, out=b)
+        np.add(b, self.eps, out=b)
+        np.multiply(m, scale, out=a)
+        np.divide(a, b, out=a)
+        np.subtract(p, a, out=p, where=keep)
 
 
 class SgdState:
     def __init__(self, params: dict[str, Tensor], lr: float):
         self.lr = lr
+        self.flat = FlatParameters(params)
+        self._a = np.empty(self.flat.data.size)
 
-    def step(self, params: dict[str, Tensor]) -> None:
-        for p in params.values():
-            if p.grad is not None:
-                p.data -= self.lr * p.grad
+    def step(self, params: dict[str, Tensor] | None = None) -> None:
+        """As AdamState.step: p - lr*g for each parameter that got a gradient."""
+        _check_same(self.flat, params)
+        np.multiply(self.flat.grad, self.lr, out=self._a)
+        np.subtract(self.flat.data, self._a, out=self.flat.data, where=self.flat.update_mask())
+
+
+def _check_same(flat: FlatParameters, params: dict[str, Tensor] | None) -> None:
+    if params is not None and [id(t) for t in params.values()] != list(map(id, flat.tensors)):
+        raise ValueError("an optimizer steps the parameters it was built over")
+
+
+def checked_step(opt: AdamState | SgdState, loss_fn: Callable[[], Tensor], step: int) -> float:
+    """One optimizer step on the graph of `loss_fn()`; returns the loss.
+
+    The loss and the flat gradient are checked for finiteness once, before
+    the optimizer writes. On a failed check `loss_fn` is replayed in checked
+    mode, so it must rebuild the same graph from the same values, and a
+    DivergenceError names the step, the first non-finite op and its pass;
+    the parameters and the optimizer state are left as they were.
+    """
+    flat = opt.flat
+    flat.zero_grad()
+    prefix = f"training diverged at step {step}"
+    try:
+        loss = loss_fn()
+        finite = bool(np.isfinite(loss.data).all())
+        if finite:
+            loss.backward()
+            finite = bool(np.isfinite(flat.grad).all())
+    except NonFiniteError as exc:  # a non-finite constant the loss wrapped
+        raise DivergenceError(f"{prefix}: {exc}") from exc
+    if not finite:
+        raise _replay(flat, loss_fn, prefix)
+    opt.step()
+    return float(loss.data)
+
+
+def _replay(flat: FlatParameters, loss_fn: Callable[[], Tensor], prefix: str) -> DivergenceError:
+    """The DivergenceError for a step whose check failed, from a checked replay."""
+    bad = [name for name, t in zip(flat.names, flat.tensors)
+           if t.grad is not None and not np.isfinite(t.grad).all()]
+    flat.zero_grad()
+    try:
+        with checked():
+            loss = loss_fn()
+            if np.isfinite(loss.data).all():
+                loss.backward()
+        cause = None
+    except NonFiniteError as exc:
+        cause = exc
+    flat.grad.fill(0.0)  # so no stale non-finite entry fails a later check
+    if bad and cause is not None and cause.pass_ == "backward":
+        return DivergenceError(f"{prefix}: the gradient of {', '.join(bad)} holds a "
+                               f"non-finite value (NaN or Inf); {cause}")
+    if cause is not None:
+        return DivergenceError(f"{prefix}: {cause}")
+    what = f"the gradient of {', '.join(bad)}" if bad else "the loss"
+    return DivergenceError(f"{prefix}: {what} holds a non-finite value (NaN or Inf)")
 
 
 def load_token_file(path: str | Path, vocab: int) -> np.ndarray:
@@ -146,25 +271,16 @@ class Trainer:
         """One optimizer step; returns the training loss in nats/token."""
         if batch is None:
             batch = self.sample_batch()
-        for p in self.params.values():
-            p.zero_grad()
-        try:
-            loss = self.batch_loss(batch, self.jitter_rng)
-            loss.backward()
-        except NonFiniteError as exc:
-            raise DivergenceError(
-                f"training diverged at step {self.step_count}: {exc}") from exc
-        # backward values are not checked per op, so check them here, before
-        # the optimizer can write them into the parameters and its state
-        bad = [name for name, p in self.params.items()
-               if p.grad is not None and not np.isfinite(p.grad).all()]
-        if bad:
-            raise DivergenceError(
-                f"training diverged at step {self.step_count}: the gradient of "
-                f"{', '.join(bad)} holds a non-finite value (NaN or Inf)")
-        self.opt.step(self.params)
+        rng = self.jitter_rng
+        state = rng.bit_generator.state
+
+        def loss_fn() -> Tensor:
+            rng.bit_generator.state = state  # a replay draws the same jitter
+            return self.batch_loss(batch, rng)
+
+        loss = checked_step(self.opt, loss_fn, self.step_count)
         self.step_count += 1
-        return float(loss.data)
+        return loss
 
     def evaluate(self) -> tuple[float, float, float]:
         """(loss, accuracy, loss stderr) on fixed held-out windows, jitter-free;
@@ -173,13 +289,17 @@ class Trainer:
         count = len(self.eval_tokens) // window
         windows = self.eval_tokens[: count * window].reshape(count, window)
         targets = windows[:, 1:]
-        try:
-            with no_grad():
-                logits = self.model.forward(windows[:, :-1])
-                logprobs = logits.log_softmax(axis=-1).data
-        except NonFiniteError as exc:
-            raise DivergenceError(
-                f"training diverged: eval after step {self.step_count}: {exc}") from exc
+        prefix = f"training diverged: eval after step {self.step_count}"
+        with no_grad():
+            logits = self.model.forward(windows[:, :-1])
+            logprobs = logits.log_softmax(axis=-1).data
+            if not np.isfinite(logprobs).all():
+                try:
+                    with checked():
+                        self.model.forward(windows[:, :-1]).log_softmax(axis=-1)
+                except NonFiniteError as exc:
+                    raise DivergenceError(f"{prefix}: {exc}") from exc
+                raise DivergenceError(f"{prefix}: the log-probs hold a non-finite value")
         losses = -np.take_along_axis(logprobs, targets[..., None], axis=-1).reshape(-1)
         correct = int(np.sum(np.argmax(logits.data, axis=-1) == targets))
         stderr = float(losses.std(ddof=1) / math.sqrt(losses.size)) if losses.size > 1 else 0.0

@@ -5,7 +5,15 @@ import threading
 import numpy as np
 import pytest
 
-from sparse_memory_lab.autodiff import NonFiniteError, Tensor, concat, no_grad
+from sparse_memory_lab.autodiff import (
+    NonFiniteError,
+    Tensor,
+    at_layer,
+    at_stage,
+    checked,
+    concat,
+    no_grad,
+)
 
 
 def numeric_grad(fn, arrays, index, eps=1e-6):
@@ -157,10 +165,43 @@ def test_nonfinite_rejected_at_construction():
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_nonfinite_op_result_names_the_op():
     big = Tensor(np.array([1000.0]), requires_grad=True)
-    with pytest.raises(NonFiniteError, match="^exp produced a non-finite value"):
+    with checked(), pytest.raises(NonFiniteError, match="^exp produced a non-finite value"):
         big.exp()
-    with pytest.raises(NonFiniteError, match="^__matmul__ produced"):
+    with checked(), pytest.raises(NonFiniteError, match="^__matmul__ produced"):
         Tensor(np.full((2, 2), 1e200)) @ Tensor(np.full((2, 2), 1e200))
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_nonfinite_op_result_outside_checked_mode_is_returned():
+    big = Tensor(np.array([1000.0]), requires_grad=True)
+    out = big.exp()
+    assert np.isinf(out.data).all() and out.requires_grad
+    prod = Tensor(np.full((2, 2), 1e200)) @ Tensor(np.full((2, 2), 1e200))
+    assert np.isinf(prod.data).all()
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_checked_mode_names_the_pass_and_the_stage():
+    x = Tensor(np.array([400.0, 1.0]), requires_grad=True)
+    with checked():
+        at_layer(2)
+        at_stage("ffn")
+        with pytest.raises(NonFiniteError, match=r"^exp produced a non-finite value "
+                           r"\(NaN or Inf\) in the forward pass at layer 2 ffn$") as info:
+            (x * 2.0).exp()
+    assert info.value.pass_ == "forward"
+    # log of a subnormal is finite, but its gradient 1/x overflows
+    tiny = Tensor(np.array([1e-320, 1.0]), requires_grad=True)
+    with checked():
+        at_stage("loss")
+        loss = (tiny.log() * 2.0).sum()
+        with pytest.raises(NonFiniteError, match=r"^backward of log produced a "
+                           r"non-finite value \(NaN or Inf\) in the backward pass at loss$"):
+            loss.backward()
+    # outside checked mode the same sweep finishes and leaves the Inf in place
+    tiny.zero_grad()
+    (tiny.log() * 2.0).sum().backward()
+    assert np.isinf(tiny.grad[0]) and tiny.grad[1] == 2.0
 
 
 def test_backward_requires_scalar():

@@ -11,6 +11,8 @@ from sparse_memory_lab.embedding_depth import (
     run_separation_experiment,
     train_separation,
 )
+from sparse_memory_lab import embedding_depth
+from sparse_memory_lab.train import DivergenceError
 
 
 def test_per_layer_oracle_weights_reach_zero_mse():
@@ -68,3 +70,27 @@ def test_config_validation():
         SeparationConfig(architecture="middle_only")
     with pytest.raises(ValueError):
         SeparationConfig(d=0)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_divergent_step_raises_before_the_optimizer_writes(monkeypatch):
+    # every step's state is kept as it was before the step; the failing step
+    # must leave its snapshot untouched
+    snapshots = []
+    real_step = embedding_depth.checked_step
+
+    def snapshot_step(opt, loss_fn, step):
+        snapshots.append((opt.flat.data.copy(), opt._m.copy(), opt._v.copy(), opt))
+        return real_step(opt, loss_fn, step)
+
+    monkeypatch.setattr(embedding_depth, "checked_step", snapshot_step)
+    cfg = SeparationConfig(steps=20, learning_rate=1e100, train_size=256, test_size=64)
+    with pytest.raises(DivergenceError, match=r"^training diverged at step 1: \w+ produced a "
+                       r"non-finite value \(NaN or Inf\) in the forward pass"):
+        train_separation(cfg)
+    assert len(snapshots) == 2
+    data, m, v, opt = snapshots[-1]
+    assert np.isfinite(opt.flat.data).all()
+    assert opt.flat.data.tobytes() == data.tobytes()
+    assert opt._m.tobytes() == m.tobytes() and opt._v.tobytes() == v.tobytes()
+    assert opt.t == 1

@@ -20,6 +20,7 @@ from sparse_memory_lab.lookup import (
     softmax_route,
     spherical_lsh_lookup,
     token_id_lookup,
+    top_k_rows,
 )
 
 
@@ -83,6 +84,24 @@ def test_softmax_matches_full_sort_oracle():
     assert r.indices.tolist() == expected_idx
     np.testing.assert_allclose(r.weights.data, expected_w, rtol=1e-12)
     assert np.all((r.weights.data > 0) & (r.weights.data <= 1))
+
+
+@pytest.mark.parametrize("k", [1, 2, 4, 16])
+def test_top_k_rows_equals_stable_argsort(k):
+    rng = np.random.default_rng(k)
+    probs = rng.random((200, 16))
+    # forced ties: repeated columns, rows of one value, and zeros
+    probs[:, 9] = probs[:, 3]
+    probs[:, 12] = probs[:, 3]
+    probs[::7] = 0.25
+    probs[5::11, :8] = 0.0
+    probs[3::13] = np.round(probs[3::13], 1)
+    expected = np.argsort(-probs, axis=1, kind="stable")[:, :k]
+    before = probs.copy()
+    top = top_k_rows(probs, k)
+    assert top.dtype == np.intp and top.shape == (200, k)
+    np.testing.assert_array_equal(top, expected)
+    assert probs.tobytes() == before.tobytes()
 
 
 def test_softmax_jitter_routes_the_premultiplied_input():

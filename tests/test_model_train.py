@@ -204,6 +204,45 @@ def test_non_finite_gradient_stops_the_step_before_the_optimizer():
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_divergence_replay_names_the_backward_op_and_layer():
+    cfg = ExperimentConfig()
+    cfg.training.learning_rate = 1e30
+    trainer = Trainer(cfg.validate())
+    trainer.step()
+    before = trainer.opt.flat.data.copy()
+    m_before, v_before = trainer.opt._m.copy(), trainer.opt._v.copy()
+    with pytest.raises(DivergenceError, match=r"^training diverged at step 1: the gradient of "
+                       r"embed0\b.*; backward of \w+ produced a non-finite value \(NaN or Inf\) "
+                       r"in the backward pass at layer \d (attention|ffn)$"):
+        trainer.step()
+    assert trainer.opt.flat.data.tobytes() == before.tobytes()
+    assert trainer.opt._m.tobytes() == m_before.tobytes()
+    assert trainer.opt._v.tobytes() == v_before.tobytes()
+    assert trainer.opt.t == 1 and trainer.step_count == 1
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_replay_draws_the_same_jitter(monkeypatch):
+    cfg = tiny(memory=MemoryConfig(lookup="softmax", rank=2, buckets=8, k=2))
+    trainer = Trainer(cfg)
+    trainer.step()
+    drawn = []
+    real = LanguageModel._router_jitter
+
+    def spy(self, tokens, rng):
+        drawn.append(real(self, tokens, rng))
+        return drawn[-1]
+
+    monkeypatch.setattr(LanguageModel, "_router_jitter", spy)
+    trainer.model.out_table.data[:] = 1e308
+    with pytest.raises(DivergenceError, match=r"^training diverged at step 1: __matmul__ "
+                       r"produced a non-finite value \(NaN or Inf\) in the forward pass at head$"):
+        trainer.step()
+    assert len(drawn) == 2 and drawn[0] is not None
+    assert drawn[0].tobytes() == drawn[1].tobytes()
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_eval_divergence_names_the_step():
     trainer = Trainer(tiny(d=8, layers=1, heads=1, vocab=16, seq=4, batch=2))
     trainer.step()
