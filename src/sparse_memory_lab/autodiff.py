@@ -337,7 +337,8 @@ class Tensor:
             full = np.bincount(flat, weights=g.reshape(-1), minlength=self.data.size)
             self._accumulate(full.reshape(self.data.shape), rows=idx)
 
-        return Tensor._op(self.data[idx].copy(), (self,), backward)
+        # one copy (indexing plus .copy() made two), and never a view of the table
+        return Tensor._op(np.take(self.data, idx, axis=0), (self,), backward)
 
     # -- nonlinearities -------------------------------------------------------
 
@@ -369,11 +370,9 @@ class Tensor:
         out_data = self.data.sum(axis=axis, keepdims=keepdims)
 
         def backward(g: np.ndarray) -> None:
-            if axis is None:
-                self._accumulate(np.broadcast_to(g, self.data.shape).copy())
-            else:
-                gg = g if keepdims else np.expand_dims(g, axis)
-                self._accumulate(np.broadcast_to(gg, self.data.shape).copy())
+            # _accumulate makes the one C-ordered copy of the broadcast view
+            gg = g if axis is None or keepdims else np.expand_dims(g, axis)
+            self._accumulate(np.broadcast_to(gg, self.data.shape))
 
         return Tensor._op(out_data, (self,), backward)
 

@@ -109,9 +109,12 @@ def apply_expert(x: Tensor, table: MemoryTable, indices) -> Tensor:
                          f"got {x.shape} and {idx.shape}")
     if table.b is not None:
         return table.b.take(idx)
+    # two batched matmuls over the gathered (seq, k, d_in, rank) stacks:
+    # (1, d_in) @ U_j, then V_j @ (rank, 1), one small GEMM per (t, j)
     seq, d = x.shape
-    hidden = (table.U.take(idx) * x.reshape(seq, 1, d, 1)).sum(axis=2).relu()
-    return (table.V.take(idx) * hidden.reshape(*idx.shape, 1, table.rank)).sum(axis=3)
+    k, r = idx.shape[1], table.rank
+    hidden = (x.reshape(seq, 1, 1, d) @ table.U.take(idx)).relu()
+    return (table.V.take(idx) @ hidden.reshape(seq, k, r, 1)).reshape(seq, k, d)
 
 
 @dataclass

@@ -9,6 +9,7 @@ contract does not cover.
 from __future__ import annotations
 
 import copy
+import ctypes
 import math
 import time
 from dataclasses import dataclass
@@ -217,11 +218,29 @@ def load_token_file(path: str | Path, vocab: int) -> np.ndarray:
     return tokens
 
 
+def _keep_heap() -> None:
+    """Have glibc malloc keep freed memory for reuse, process-wide.
+
+    Each step and eval pass frees its activations; by default glibc hands the
+    top of the heap (and every large block, which it mmaps) back to the
+    kernel, and the next pass faults the pages in again. These are the
+    ceilings glibc's own dynamic thresholds reach on 64-bit. Without glibc's
+    `mallopt` this does nothing.
+    """
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError, TypeError):
+        return
+    mallopt(-3, 32 << 20)  # M_MMAP_THRESHOLD
+    mallopt(-1, 64 << 20)  # M_TRIM_THRESHOLD
+
+
 class Trainer:
     """Owns one model, its corpus, and the optimizer; drives seeded steps."""
 
     def __init__(self, config: ExperimentConfig):
         config.validate()
+        _keep_heap()
         self.config = config
         tr = config.training
         seed = tr.seed

@@ -4,6 +4,8 @@ import threading
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sparse_memory_lab.autodiff import (
     NonFiniteError,
@@ -78,6 +80,22 @@ def test_matmul_grad_all_arities():
     check_op(square, [(4,), (2, 4, 5)])
 
 
+expert_dims = st.fixed_dictionaries({
+    "rows": st.integers(1, 3), "k": st.integers(1, 3), "d": st.integers(1, 4),
+    "r": st.integers(1, 3), "seed": st.integers(0, 2 ** 32 - 1)})
+
+
+@settings(max_examples=30, deadline=None)
+@given(expert_dims)
+def test_matmul_grad_on_the_expert_broadcast_shapes(dims):
+    # the two stacked products of nn.apply_expert: (rows, 1, 1, d) @ (rows, k, d, r)
+    # broadcasts over k; (rows, k, d, r) @ (rows, k, r, 1) does not broadcast
+    rows, k, d, r = dims["rows"], dims["k"], dims["d"], dims["r"]
+    square = lambda ts: ((ts[0] @ ts[1]) * (ts[0] @ ts[1])).sum()  # noqa: E731
+    check_op(square, [(rows, 1, 1, d), (rows, k, d, r)], seed=dims["seed"])
+    check_op(square, [(rows, k, d, r), (rows, k, r, 1)], seed=dims["seed"])
+
+
 def test_transpose_reshape_grad():
     check_op(lambda ts: (ts[0].T @ ts[0]).sum(), [(3, 4)])
     check_op(lambda ts: (ts[0].reshape(6) * ts[0].reshape(6)).sum(), [(2, 3)])
@@ -97,6 +115,22 @@ def test_narrow_grad():
 def test_take_grad_with_duplicates():
     idx = [0, 2, 2, 1]
     check_op(lambda ts: (ts[0].take(idx) * ts[0].take(idx)).sum(), [(3, 4)])
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(1, 4), st.integers(1, 3),
+       st.lists(st.integers(0, 3), min_size=1, max_size=6), st.integers(0, 2 ** 32 - 1))
+def test_take_grad_with_duplicate_indices_property(n, width, picks, seed):
+    idx = [p % n for p in picks] + [picks[0] % n]  # at least one duplicate
+    check_op(lambda ts: (ts[0].take(idx) * ts[0].take(idx) * ts[1]).sum(),
+             [(n, width), (len(idx), width)], seed=seed)
+
+
+def test_take_of_a_0d_index_is_a_copy():
+    table = np.arange(6.0).reshape(3, 2)
+    out = Tensor(table).take(np.intp(1))
+    np.testing.assert_array_equal(out.data, [2.0, 3.0])
+    assert not np.shares_memory(out.data, table)
 
 
 def test_take_records_gradient_rows_until_a_dense_contribution():
@@ -119,6 +153,18 @@ def test_sum_mean_axis_grad():
     check_op(lambda ts: (ts[0].sum(axis=0) * ts[0].sum(axis=0)).sum(), [(3, 4)])
     check_op(lambda ts: (ts[0].sum(axis=1, keepdims=True) * ts[0]).sum(), [(3, 4)])
     check_op(lambda ts: (ts[0].mean(axis=1) * ts[0].mean(axis=1)).sum(), [(3, 4)])
+
+
+@pytest.mark.parametrize("axis, keepdims", [(None, False), (None, True), (0, False),
+                                           (1, True)])
+def test_sum_gradient_is_a_c_contiguous_copy(axis, keepdims):
+    x = Tensor(np.random.default_rng(2).standard_normal((3, 4)), requires_grad=True)
+    y = x.sum(axis=axis, keepdims=keepdims)
+    (y * y).sum().backward()
+    assert x.grad.flags.c_contiguous and x.grad.flags.writeable
+    assert not np.shares_memory(x.grad, y.grad)
+    expected = np.broadcast_to(2.0 * x.data.sum(axis=axis, keepdims=True), x.shape)
+    np.testing.assert_array_equal(x.grad, expected)
 
 
 def test_softmax_matches_manual_and_grad():

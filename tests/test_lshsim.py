@@ -295,6 +295,58 @@ def test_calibrated_width_hits_target_collision_rate():
     assert abs(est.p_hat - 0.5) < 0.03
 
 
+def hyperplane_hit_oracle(cosines: np.ndarray, n: int, k: int, width: float) -> np.ndarray:
+    """P(same bucket | t) per realized cosine t, in closed form.
+
+    Each projection difference is N(0, 2 - 2t) and the offset is uniform on
+    [0, width), so one projection puts both rows in one cell with probability
+    q = (2 Phi(a) - 1) - (2 / a) (phi(0) - phi(a)), a = width / sqrt(2 - 2t).
+    All k cells match with probability q^k; otherwise the mixed cells still
+    meet mod n about 1/n of the time.
+    """
+    a = width / np.sqrt(2.0 - 2.0 * cosines)
+    erf = np.frompyfunc(math.erf, 1, 1)(a / math.sqrt(2.0)).astype(np.float64)
+    phi0 = 1.0 / math.sqrt(2.0 * math.pi)
+    q = erf - (2.0 / a) * (phi0 - phi0 * np.exp(-0.5 * a * a))
+    qk = q ** k
+    return qk + (1.0 - qk) / n
+
+
+@pytest.mark.parametrize("f", [0.5, 0.9])
+def test_hyperplane_collisions_match_closed_form(f):
+    width = hyperplane_collision_width(64, 32)
+    cosines = lshsim._pair_cosines(f, 32, 64, 10_000, np.random.default_rng(61))
+    for n in (256, 1024):
+        k = default_num_projections(n)
+        hits = lshsim._hyperplane_collisions(cosines, n, k, width,
+                                             np.random.default_rng(62 + n))
+        p = hyperplane_hit_oracle(cosines, n, k, width)
+        stderr = math.sqrt((p * (1.0 - p)).mean() / cosines.size)
+        assert abs(hits.mean() - p.mean()) < 4 * stderr, (f, n, hits.mean(), p.mean())
+
+
+def test_pinned_width_is_a_root_of_the_closed_form():
+    # the calibration's own cosines, so only its hash draws are Monte Carlo
+    s_pairs, _ = np.random.SeedSequence(lshsim._CALIBRATION_SEED).spawn(2)
+    cosines = lshsim._pair_cosines(lshsim._CALIBRATION_F, 32, 64, lshsim._CALIBRATION_TRIALS,
+                                   np.random.default_rng(s_pairs))
+    n, target = lshsim._CALIBRATION_N, lshsim._CALIBRATION_TARGET
+    k = default_num_projections(n)
+
+    def rate(width):
+        return hyperplane_hit_oracle(cosines, n, k, width).mean()
+
+    lo, hi = 0.5, 2000.0
+    for _ in range(40):
+        mid = 0.5 * (lo + hi)
+        lo, hi = (mid, hi) if rate(mid) < target else (lo, mid)
+    root = 0.5 * (lo + hi)
+    p = hyperplane_hit_oracle(cosines, n, k, root)
+    stderr = math.sqrt((p * (1.0 - p)).mean() / cosines.size)
+    slope = rate(root + 0.5) - rate(root - 0.5)  # per unit of width
+    assert abs(hyperplane_collision_width(64, 32) - root) < 4 * stderr / slope
+
+
 @pytest.mark.slow
 def test_spherical_rho_below_hyperplane_rho():
     f, n, trials = 0.5, 1024, 50000

@@ -1,8 +1,15 @@
 """Model assembly, parameter accounting, and the training loop contracts."""
 
+import os
+import platform
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import sparse_memory_lab
 from sparse_memory_lab.checkpoint import checkpoint_scalar_count
 from sparse_memory_lab.config import (
     AltUpConfig,
@@ -391,3 +398,32 @@ def test_wide_stack_keeps_most_of_baseline_speed(tmp_path):
     base = speed("none", 1, "base")
     wide = speed("altup", 2, "wide")
     assert wide >= 0.6 * base, (base, wide)
+
+
+FAULT_COUNT = """
+import resource
+from sparse_memory_lab.config import ExperimentConfig
+from sparse_memory_lab.train import Trainer
+trainer = Trainer(ExperimentConfig())
+for _ in range(3):
+    trainer.step()
+trainer.evaluate()
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+for _ in range(5):
+    trainer.step()
+for _ in range(2):
+    trainer.evaluate()
+print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+"""
+
+
+@pytest.mark.skipif(platform.system() != "Linux" or platform.libc_ver()[0] != "glibc",
+                    reason="the malloc thresholds are glibc's")
+def test_trainer_keeps_its_heap_between_steps():
+    # a fresh process, so that no earlier test has grown glibc's thresholds
+    src = str(Path(sparse_memory_lab.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    proc = subprocess.run([sys.executable, "-c", FAULT_COUNT], capture_output=True,
+                          text=True, env=env, timeout=120, check=True)
+    assert int(proc.stdout) < 100

@@ -58,6 +58,40 @@ def test_expert_matches_hand_rolled_matrix_multiply():
     np.testing.assert_allclose(out, expected, rtol=1e-12)
 
 
+def broadcast_expert(x: Tensor, table: MemoryTable, idx) -> Tensor:
+    """The expert as a broadcast product summed over the contracted axis."""
+    seq, d = x.shape
+    hidden = (table.U.take(idx) * x.reshape(seq, 1, d, 1)).sum(axis=2).relu()
+    return (table.V.take(idx) * hidden.reshape(*idx.shape, 1, table.rank)).sum(axis=3)
+
+
+@pytest.mark.parametrize("k", [1, 2, 4])
+def test_expert_matches_broadcast_sum_with_gradients(k):
+    rng = np.random.default_rng(20 + k)
+    n, d, rank, seq = 5, 6, 3, 7
+    u = rng.standard_normal((n, d, rank))
+    v = rng.standard_normal((n, d, rank))
+    x = rng.standard_normal((seq, d))
+    idx = rng.integers(1, n, (seq, k))
+    idx[1] = 2  # row 1 routes to expert 2 k times
+    # row 0 meets only expert 0, whose pre-activations on it are all negative
+    idx[0] = 0
+    x[0] = np.abs(x[0])
+    u[0] = -np.abs(u[0])
+    w = rng.standard_normal((seq, k, d))
+    results = []
+    for expert in (apply_expert, broadcast_expert):
+        xt = Tensor(x, requires_grad=True)
+        table = MemoryTable(U=Tensor(u, requires_grad=True), V=Tensor(v, requires_grad=True))
+        out = expert(xt, table, idx)
+        (out * w).sum().backward()
+        results.append((out.data, xt.grad, table.U.grad, table.V.grad))
+    assert results[0][0].shape == (seq, k, d)
+    assert not results[0][0][0].any()  # no expert output on the all-negative row
+    for got, want in zip(*results):
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+
+
 def test_expert_dimension_mismatch_raises():
     table = MemoryTable.init(3, 4, 2, seed=0)
     with pytest.raises(ValueError):
