@@ -17,7 +17,6 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .autodiff import Tensor, at_layer, at_stage, concat
-from .nn import as_seedseq
 
 
 class WideRepresentation:
@@ -59,10 +58,6 @@ class WideRepresentation:
         if self.K == 1:
             return self._flat
         return self._flat.narrow(self._flat.ndim - 1, j * self.d, self.d)
-
-    @property
-    def blocks(self) -> list[Tensor]:
-        return [self.block(j) for j in range(self.K)]
 
 
 @dataclass
@@ -126,31 +121,6 @@ class PccSimplifiedParams:
         return PccFullParams(P=Tensor(p_full), G=Tensor(g_full))
 
 
-@dataclass(frozen=True)
-class BlockSelection:
-    """Which block each layer computes: the same one, or cycling i mod K."""
-
-    mode: str = "alternating"
-    fixed_index: int = 0
-
-    def __post_init__(self) -> None:
-        if self.mode not in ("same", "alternating"):
-            raise ValueError(f"unknown selection mode {self.mode!r}")
-        if self.fixed_index < 0:
-            raise ValueError("fixed_index must be nonnegative")
-
-
-def select_block(layer_index: int, K: int, selection: BlockSelection) -> int:
-    """Zero-based block index the given layer computes."""
-    if K < 1:
-        raise ValueError("K must be at least 1")
-    if selection.mode == "same":
-        if selection.fixed_index >= K:
-            raise ValueError(f"fixed_index {selection.fixed_index} outside [0, {K})")
-        return selection.fixed_index
-    return layer_index % K
-
-
 def pcc_forward_full(x_old: WideRepresentation, params: PccFullParams,
                      layer: Callable[[Tensor], Tensor], j_star: int) -> WideRepresentation:
     """Predict with P, compute block j* with the layer, correct with G."""
@@ -186,63 +156,19 @@ def pcc_forward_simplified(x_old: WideRepresentation, params: PccSimplifiedParam
     return WideRepresentation(flat=corrected.reshape(*lead, K * d), K=K)
 
 
-@dataclass
-class DivideProjectParams:
-    """Split an e-wide augmentation into K-1 chunks and project each to width d."""
-
-    e: int
-    projections: list[Tensor]  # K-1 matrices, each (e/(K-1)) x d
-
-    def __post_init__(self) -> None:
-        k_minus_1 = len(self.projections)
-        if self.e < 0:
-            raise ValueError("augmentation width must be nonnegative")
-        if self.e == 0:
-            if k_minus_1 != 0:
-                raise ValueError("e=0 admits no projections")
-            return
-        if k_minus_1 == 0 or self.e % k_minus_1 != 0:
-            raise ValueError(f"K-1={k_minus_1} must divide e={self.e}")
-        chunk = self.e // k_minus_1
-        for m in self.projections:
-            if m.ndim != 2 or m.shape[0] != chunk:
-                raise ValueError(f"projection must be {chunk} x d, got {m.shape}")
-
-    @property
-    def k_minus_1(self) -> int:
-        return len(self.projections)
-
-    @classmethod
-    def init(cls, e: int, k_minus_1: int, d: int, seed) -> "DivideProjectParams":
-        if e == 0:
-            return cls(e=0, projections=[])
-        if k_minus_1 <= 0 or e % k_minus_1 != 0:
-            raise ValueError(f"K-1={k_minus_1} must divide e={e}")
-        chunk = e // k_minus_1
-        seeds = as_seedseq(seed).spawn(k_minus_1)
-        rngs = [np.random.default_rng(s) for s in seeds]
-        mats = [
-            Tensor(r.standard_normal((chunk, d)) / np.sqrt(chunk), requires_grad=True)
-            for r in rngs
-        ]
-        return cls(e=e, projections=mats)
-
-    def parameters(self) -> dict[str, Tensor]:
-        return {f"proj{i}": m for i, m in enumerate(self.projections)}
-
-
-def divide_and_project(aug: Tensor, params: DivideProjectParams) -> list[Tensor]:
-    """Per-chunk projections of the augmentation; empty when e = 0."""
-    if params.e == 0:
-        return []
-    if aug.shape[-1] != params.e:
-        raise ValueError(f"expected augmentation width {params.e}, got {aug.shape[-1]}")
-    chunk = params.e // params.k_minus_1
-    axis = aug.ndim - 1
-    return [
-        aug.narrow(axis, i * chunk, chunk) @ params.projections[i]
-        for i in range(params.k_minus_1)
-    ]
+def divide_and_project(aug: Tensor, proj: Tensor) -> Tensor:
+    """Split a (..., seq, e) augmentation into K-1 chunks and project chunk i
+    by proj[i], with proj (K-1, e/(K-1), d); returns the projections side by
+    side, (..., seq, (K-1)*d). The chunk axis goes ahead of the sequence axis,
+    so the one matmul runs the same (seq, chunk) @ (chunk, d) products, in
+    values and gradients, as one matmul per chunk."""
+    km1, chunk, d = proj.shape
+    if aug.shape[-1] != km1 * chunk:
+        raise ValueError(f"expected augmentation width {km1 * chunk}, got {aug.shape[-1]}")
+    *lead, seq, _ = aug.shape
+    chunks = aug.reshape(*lead, seq, km1, chunk).swapaxes(-3, -2)
+    projected = (chunks @ proj).swapaxes(-3, -2)  # (..., seq, K-1, d)
+    return projected.reshape(*lead, seq, km1 * d)
 
 
 PccParams = PccFullParams | PccSimplifiedParams
@@ -257,10 +183,11 @@ def pcc_forward(x_old: WideRepresentation, params: PccParams,
 
 def altup_stack_forward(x0: WideRepresentation,
                         layers: Sequence[Callable[[Tensor], Tensor]],
-                        selection: BlockSelection,
+                        selection: str,
                         pcc_params: Sequence[PccParams] | None) -> tuple[WideRepresentation, list[int]]:
     """Run the layer stack over a wide representation; returns the final
-    representation and the per-layer computed-block trace.
+    representation and the per-layer computed-block trace. Layer i computes
+    block 0 when `selection` is "same" and block i mod K when "alternating".
 
     With K = 1 (pcc_params None) the stack collapses to plain layer
     composition, bit-for-bit equal to running the layers directly.
@@ -280,7 +207,7 @@ def altup_stack_forward(x0: WideRepresentation,
     x = x0
     trace = []
     for i, (layer, params) in enumerate(zip(layers, pcc_params)):
-        j_star = select_block(i, K, selection)
+        j_star = 0 if selection == "same" else i % K
         trace.append(j_star)
         at_layer(i)
         x = pcc_forward(x, params, layer, j_star)

@@ -112,6 +112,8 @@ class ExperimentConfig:
             raise ValueError("memory.share_table = true needs memory.lookup = token_id")
         if mem.k != 1 and mem.lookup in ("token_id", "hyperplane", "spherical"):
             raise ValueError("memory.k != 1 needs memory.lookup = softmax")
+        if mem.width != 1.0 and mem.lookup in ("token_id", "softmax", "spherical"):
+            raise ValueError("memory.width != 1.0 needs memory.lookup = hyperplane")
         if mem.lookup == "token_id" and mem.buckets not in (1, m.vocab):
             raise ValueError(
                 "token_id lookup requires memory.buckets equal to the vocabulary "

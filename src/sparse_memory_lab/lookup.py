@@ -5,8 +5,9 @@ Every routine except min-hash routes all rows of a (..., d) block at once,
 such as a (seq, d) sequence or a (B, seq, d) batch of them, and returns the
 selected table indices as one flat integer array that the memory layer
 reshapes to (rows, k) without a conversion.
-Lookup parameters are immutable after construction and safe to share across
-threads; the softmax router's jitter is drawn by the caller and passed in.
+Routing never writes its parameters. Of them only the softmax router's `W`
+trains, through the optimizer; the LSH directions, offsets and anchors stay
+as drawn. The softmax router's jitter is drawn by the caller and passed in.
 """
 
 from __future__ import annotations

@@ -40,6 +40,10 @@ _CALIBRATION_TRIALS = 20000
 _CALIBRATION_SEED = 20240917
 
 _PAIR_BATCH = 2048
+# min-hash keys (doubles) drawn per block: 128 KiB, under glibc's default
+# mmap threshold, so each block reuses heap memory instead of mapping and
+# faulting in fresh pages, and stays in cache
+_KEY_BLOCK = 1 << 14
 # hyperplane_collision_width(64, 32), pinned so that a process using the
 # defaults skips the bisection; a slow test re-derives it.
 _width_cache: dict[tuple[int, int], float] = {
@@ -161,7 +165,10 @@ def estimate_mixing_dot(f: float, l: int, d: int, pairs: int, seed) -> tuple[flo
 
 def _batched(total: int, batch: int, draw: Callable[[int, int], np.ndarray]) -> np.ndarray:
     """draw(start, stop) for consecutive runs of at most `batch` of `total`
-    trials, in order, concatenated; the batch size sets the random stream."""
+    trials, in order, concatenated. A sampler that draws one array per run
+    gets the same stream at any batch size, since the generator fills it row
+    by row; for one that draws several arrays per run, the batch size sets
+    the random stream."""
     return np.concatenate([draw(start, min(start + batch, total))
                            for start in range(0, total, batch)])
 
@@ -250,16 +257,15 @@ def _minhash_collisions(f: float, l: int, n: int, trials: int,
     s = round(f * l)
     own = l - s
     universe = s + 2 * own
-    cols_a = np.arange(s + own)
     cols_b = np.concatenate([np.arange(s), np.arange(s + own, universe)])
 
     def draw(start: int, stop: int) -> np.ndarray:
         keys = rng.random((stop - start, universe))
-        elem_a = cols_a[np.argmin(keys[:, cols_a], axis=1)]
+        elem_a = np.argmin(keys[:, :s + own], axis=1)  # sentence A is the prefix
         elem_b = cols_b[np.argmin(keys[:, cols_b], axis=1)]
         return (elem_a % n) == (elem_b % n)
 
-    return _batched(trials, max(1, int(2e7 / universe)), draw)
+    return _batched(trials, max(1, _KEY_BLOCK // universe), draw)
 
 
 def hyperplane_collision_width(d: int = DEFAULT_EMBED_DIM,

@@ -14,8 +14,6 @@ from typing import Callable
 import numpy as np
 
 from .altup import (
-    BlockSelection,
-    DivideProjectParams,
     PccFullParams,
     PccParams,
     PccSimplifiedParams,
@@ -23,7 +21,7 @@ from .altup import (
     altup_stack_forward,
     divide_and_project,
 )
-from .autodiff import Tensor, at_stage
+from .autodiff import Tensor, at_stage, concat
 from .config import ExperimentConfig
 from .lookup import (
     HyperplaneLshParams,
@@ -44,16 +42,16 @@ def _seed(master: int, *key: int) -> np.random.SeedSequence:
 @dataclass
 class LanguageModel:
     config: ExperimentConfig
-    embed_tables: list[Tensor]
-    aug_table: Tensor | None
+    embed0: Tensor               # (V, K*d) when K > 1 and e = 0, else (V, d)
+    aug_table: Tensor | None     # (V, e)
+    dp_proj: Tensor | None       # (K-1, e/(K-1), d)
     sum_table: Tensor | None
     out_table: Tensor
     blocks: list[TransformerBlockParams]
-    pcc: list[PccParams] | None
-    dp: DivideProjectParams | None
+    pcc: list[PccParams] | None  # None exactly when K = 1
     lookups: list[LookupParams] | None
     tables: list[MemoryTable] | None
-    selection: BlockSelection
+    selection: str               # "same" or "alternating"
 
     @property
     def K(self) -> int:
@@ -76,17 +74,18 @@ class LanguageModel:
         K = alt.K
         wide = K > 1
 
-        embed_tables = [lecun_normal_init((V, d), _seed(master, 0, 0), fan_in=d)]
-        aug_table = None
-        dp = None
-        if wide:
-            if alt.e > 0:
-                aug_table = lecun_normal_init((V, alt.e), _seed(master, 0, 1), fan_in=alt.e)
-                dp = DivideProjectParams.init(alt.e, K - 1, d, _seed(master, 6))
-            else:
-                for k in range(1, K):
-                    embed_tables.append(
-                        lecun_normal_init((V, d), _seed(master, 0, k), fan_in=d))
+        # at e = 0 block k of the wide table is the (V, d) draw of seed (0, k)
+        n_tables = K if alt.e == 0 else 1
+        draws = [lecun_normal_init((V, d), _seed(master, 0, k), fan_in=d).data
+                 for k in range(n_tables)]
+        embed0 = Tensor(np.concatenate(draws, axis=1), requires_grad=True)
+        aug_table = dp_proj = None
+        if alt.e > 0:  # validate() allows it with K > 1 only
+            aug_table = lecun_normal_init((V, alt.e), _seed(master, 0, 1), fan_in=alt.e)
+            chunk = alt.e // (K - 1)
+            dp_proj = Tensor(np.stack([
+                np.random.default_rng(s).standard_normal((chunk, d)) / np.sqrt(chunk)
+                for s in _seed(master, 6).spawn(K - 1)]), requires_grad=True)
 
         sum_table = None
         if mem.consumption == "sum":
@@ -133,20 +132,16 @@ class LanguageModel:
                 else:
                     tables.append(MemoryTable.init(n, d, mem.rank, _seed(master, 4, i)))
 
-        selection = BlockSelection(mode="same", fixed_index=0) \
-            if mem.consumption == "sameup" else BlockSelection(mode=alt.selection)
+        selection = "same" if mem.consumption == "sameup" else alt.selection
 
-        return cls(config=config, embed_tables=embed_tables, aug_table=aug_table,
+        return cls(config=config, embed0=embed0, aug_table=aug_table, dp_proj=dp_proj,
                    sum_table=sum_table, out_table=out_table, blocks=blocks,
-                   pcc=pcc, dp=dp, lookups=lookups, tables=tables,
-                   selection=selection)
+                   pcc=pcc, lookups=lookups, tables=tables, selection=selection)
 
     # -- parameters -----------------------------------------------------------
 
     def embedding_parameters(self) -> dict[str, Tensor]:
-        out: dict[str, Tensor] = {}
-        for k, t in enumerate(self.embed_tables):
-            out[f"embed{k}"] = t
+        out: dict[str, Tensor] = {"embed0": self.embed0}
         if self.aug_table is not None:
             out["embed_aug"] = self.aug_table
         if self.sum_table is not None:
@@ -163,9 +158,8 @@ class LanguageModel:
             for i, p in enumerate(self.pcc):
                 for name, t in p.parameters().items():
                     out[f"pcc{i}_{name}"] = t
-        if self.dp is not None:
-            for name, t in self.dp.parameters().items():
-                out[f"dp_{name}"] = t
+        if self.dp_proj is not None:
+            out["dp_proj"] = self.dp_proj
         out.update(self.memory_parameters())
         if self.lookups is not None:
             for i, lk in enumerate(self.lookups):
@@ -229,16 +223,13 @@ class LanguageModel:
                            size=(*lead, len(self.blocks), seq, self.config.model.d))
 
     def initial_representation(self, tokens: np.ndarray) -> WideRepresentation:
-        primary = self.embed_tables[0].take(tokens)
+        flat = self.embed0.take(tokens)
         if self.sum_table is not None:
-            primary = primary + self.sum_table.take(tokens)
-        blocks = [primary]
-        if self.wide:
-            if self.aug_table is not None:
-                blocks.extend(divide_and_project(self.aug_table.take(tokens), self.dp))
-            else:
-                blocks.extend(t.take(tokens) for t in self.embed_tables[1:])
-        return WideRepresentation(blocks=blocks)
+            flat = flat + self.sum_table.take(tokens)
+        if self.aug_table is not None:
+            projected = divide_and_project(self.aug_table.take(tokens), self.dp_proj)
+            flat = concat([flat, projected], axis=-1)
+        return WideRepresentation(flat=flat, K=self.K)
 
     def forward(self, tokens: np.ndarray, rng: np.random.Generator | None = None) -> Tensor:
         """Logits (..., seq, vocab) for a (seq,) token sequence or a (B, seq) batch;
@@ -251,8 +242,7 @@ class LanguageModel:
         jitter = self._router_jitter(tokens, rng)
         fns = [self._layer_fn(i, tokens, None if jitter is None else jitter[..., i, :, :])
                for i in range(len(self.blocks))]
-        final, _ = altup_stack_forward(
-            x0, fns, self.selection, self.pcc if self.wide else None)
+        final, _ = altup_stack_forward(x0, fns, self.selection, self.pcc)
         at_stage("head")
         head = self.config.altup.head if self.wide else "block0"
         if head == "proj":

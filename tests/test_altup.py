@@ -4,8 +4,6 @@ import numpy as np
 import pytest
 
 from sparse_memory_lab.altup import (
-    BlockSelection,
-    DivideProjectParams,
     PccFullParams,
     PccSimplifiedParams,
     WideRepresentation,
@@ -14,9 +12,10 @@ from sparse_memory_lab.altup import (
     pcc_forward_full,
     pcc_forward_simplified,
     pcc_simplified_multiplies,
-    select_block,
 )
-from sparse_memory_lab.autodiff import Tensor
+from sparse_memory_lab.autodiff import Tensor, concat
+from sparse_memory_lab.config import parse_config
+from sparse_memory_lab.model import LanguageModel
 from sparse_memory_lab.nn import transformer_block_multiplies
 
 
@@ -44,9 +43,8 @@ def test_wide_representation_round_trip(K):
     bs = [Tensor(rng.standard_normal((3, 4))) for _ in range(K)]
     x = WideRepresentation(blocks=bs)
     assert (x.K, x.d) == (K, 4)
-    assert len(x.blocks) == K
-    for got, b in zip(x.blocks, bs):
-        np.testing.assert_array_equal(got.data, b.data)
+    for j, b in enumerate(bs):
+        np.testing.assert_array_equal(x.block(j).data, b.data)
     np.testing.assert_array_equal(x.to_flat().data, np.concatenate([b.data for b in bs], -1))
     np.testing.assert_array_equal(x.view().data, np.stack([b.data for b in bs], -2))
     if K == 1:
@@ -64,20 +62,19 @@ def test_wide_representation_rejects_bad_blocks():
 
 # -- block selection --------------------------------------------------------
 
+def selection_trace(K, n_layers, selection):
+    pcc = [PccSimplifiedParams.identity_init(K) for _ in range(n_layers)]
+    x = wide([np.zeros(2) for _ in range(K)])
+    return altup_stack_forward(x, [lambda b: b] * n_layers, selection, pcc)[1]
+
+
 def test_select_block_alternating_cycles():
-    sel = BlockSelection(mode="alternating")
-    assert [select_block(i, 2, sel) for i in range(6)] == [0, 1, 0, 1, 0, 1]
-    assert select_block(7, 3, sel) == 1
+    assert selection_trace(2, 6, "alternating") == [0, 1, 0, 1, 0, 1]
+    assert selection_trace(3, 8, "alternating")[7] == 1
 
 
 def test_select_block_same_is_fixed():
-    sel = BlockSelection(mode="same", fixed_index=0)
-    assert all(select_block(i, 3, sel) == 0 for i in range(10))
-
-
-def test_select_block_fixed_index_bound():
-    with pytest.raises(ValueError):
-        select_block(0, 2, BlockSelection(mode="same", fixed_index=2))
+    assert selection_trace(3, 10, "same") == [0] * 10
 
 
 # -- full predict-compute-correct ------------------------------------------------
@@ -98,9 +95,9 @@ def test_full_identity_p_selector_g_replaces_computed_block():
                            G=Tensor(block_selector_gain(K, d, j)))
     m = rng.standard_normal((d, d))
     out = pcc_forward_full(wide(blocks), params, lambda x: Tensor(m) @ x, j)
-    np.testing.assert_allclose(out.blocks[j].data, m @ blocks[j], rtol=1e-12)
-    np.testing.assert_allclose(out.blocks[0].data, blocks[0], rtol=1e-12)
-    np.testing.assert_allclose(out.blocks[2].data, blocks[2], rtol=1e-12)
+    np.testing.assert_allclose(out.block(j).data, m @ blocks[j], rtol=1e-12)
+    np.testing.assert_allclose(out.block(0).data, blocks[0], rtol=1e-12)
+    np.testing.assert_allclose(out.block(2).data, blocks[2], rtol=1e-12)
 
 
 def test_full_identity_layer_identity_p_is_noop():
@@ -142,8 +139,8 @@ def test_simplified_identity_grid_replaces_selected_block():
                                  g=Tensor(np.array([1.0, 0.0])))
     m = rng.standard_normal((d, d))
     out = pcc_forward_simplified(wide(blocks), params, lambda x: Tensor(m) @ x, j)
-    np.testing.assert_allclose(out.blocks[0].data, m @ blocks[0], rtol=1e-12)
-    np.testing.assert_allclose(out.blocks[1].data, blocks[1], rtol=1e-12)
+    np.testing.assert_allclose(out.block(0).data, m @ blocks[0], rtol=1e-12)
+    np.testing.assert_allclose(out.block(1).data, blocks[1], rtol=1e-12)
 
 
 def test_simplified_identity_layer_is_noop():
@@ -153,8 +150,8 @@ def test_simplified_identity_layer_is_noop():
     params = PccSimplifiedParams(p=Tensor(np.eye(K)),
                                  g=Tensor(rng.standard_normal(K)))
     out = pcc_forward_simplified(wide(blocks), params, lambda x: x, 2)
-    for got, exp in zip(out.blocks, blocks):
-        np.testing.assert_allclose(got.data, exp, atol=1e-12)
+    for j, exp in enumerate(blocks):
+        np.testing.assert_allclose(out.block(j).data, exp, atol=1e-12)
 
 
 def test_simplified_equals_full_under_block_structure():
@@ -184,7 +181,7 @@ def test_simplified_zero_gain_gives_pure_prediction():
                                  lambda x: x * 100.0, 1)
     stacked = np.stack(blocks)
     for i in range(K):
-        np.testing.assert_allclose(out.blocks[i].data, p[i] @ stacked, rtol=1e-12)
+        np.testing.assert_allclose(out.block(i).data, p[i] @ stacked, rtol=1e-12)
 
 
 def test_pcc_works_on_sequence_shaped_blocks():
@@ -220,33 +217,56 @@ def test_pcc_graph_size_does_not_grow_with_k(variant):
 # -- divide and project ----------------------------------------------------------------
 
 def test_divide_project_empty_when_no_augmentation():
-    params = DivideProjectParams(e=0, projections=[])
-    assert divide_and_project(Tensor(np.zeros(0)), params) == []
+    model = LanguageModel.build(parse_config(
+        "model.vocab = 12\nmodel.d = 4\nmodel.heads = 1\n"
+        "memory.consumption = altup\naltup.K = 3\n"))
+    assert model.aug_table is None and model.dp_proj is None
+    assert "dp_proj" not in model.parameters()
+    tokens = np.array([[3, 1, 4], [1, 5, 9]])
+    x0 = model.initial_representation(tokens)
+    np.testing.assert_array_equal(x0.to_flat().data, model.embed0.data[tokens])
 
 
 def test_divide_project_shapes():
-    params = DivideProjectParams.init(e=96, k_minus_1=2, d=64, seed=0)
-    out = divide_and_project(Tensor(np.random.default_rng(9).standard_normal(96)), params)
-    assert len(out) == 2
-    assert all(b.shape == (64,) for b in out)
-    assert all(m.shape == (48, 64) for m in params.projections)
+    rng = np.random.default_rng(9)
+    proj = Tensor(rng.standard_normal((2, 48, 64)))
+    for lead in [(5,), (3, 5)]:
+        out = divide_and_project(Tensor(rng.standard_normal((*lead, 96))), proj)
+        assert out.shape == (*lead, 128)
+
+
+def chunkwise(aug, mats):
+    """The reference: one matmul per chunk, concatenated."""
+    chunk = mats[0].shape[0]
+    return concat([aug.narrow(aug.ndim - 1, i * chunk, chunk) @ m
+                   for i, m in enumerate(mats)], axis=aug.ndim - 1)
 
 
 def test_divide_project_matches_chunkwise_matmul():
+    # bit for bit, values and gradients, against one matmul per chunk
     rng = np.random.default_rng(10)
     e, km1, d = 12, 3, 5
-    mats = [rng.standard_normal((4, d)) for _ in range(km1)]
-    params = DivideProjectParams(e=e, projections=[Tensor(m) for m in mats])
-    aug = rng.standard_normal(e)
-    out = divide_and_project(Tensor(aug), params)
-    for i in range(km1):
-        np.testing.assert_allclose(out[i].data, aug[4 * i: 4 * (i + 1)] @ mats[i],
-                                   rtol=1e-12)
+    for lead in [(6,), (3, 6)]:
+        aug = rng.standard_normal((*lead, e))
+        proj = rng.standard_normal((km1, e // km1, d))
+        w = rng.standard_normal((*lead, km1 * d))
+        a, p = Tensor(aug, requires_grad=True), Tensor(proj, requires_grad=True)
+        out = divide_and_project(a, p)
+        (out * w).sum().backward()
+        ra = Tensor(aug, requires_grad=True)
+        mats = [Tensor(m, requires_grad=True) for m in proj]
+        ref = chunkwise(ra, mats)
+        (ref * w).sum().backward()
+        np.testing.assert_array_equal(out.data, ref.data)
+        np.testing.assert_array_equal(a.grad, ra.grad)
+        np.testing.assert_array_equal(p.grad, np.stack([m.grad for m in mats]))
 
 
 def test_divide_project_divisibility_enforced():
-    with pytest.raises(ValueError):
-        DivideProjectParams.init(e=10, k_minus_1=3, d=4, seed=0)
+    with pytest.raises(ValueError, match="must divide altup.e"):
+        parse_config("memory.consumption = altup\naltup.K = 4\naltup.e = 10\n")
+    with pytest.raises(ValueError, match="expected augmentation width 9"):
+        divide_and_project(Tensor(np.zeros((2, 10))), Tensor(np.zeros((3, 3, 4))))
 
 
 # -- stack forward ------------------------------------------------------------------------
@@ -258,11 +278,11 @@ def test_stack_k1_equals_plain_composition():
     layers = [lambda x, m=m: x @ Tensor(m) for m in mats]
     x = rng.standard_normal((seq, d))
     final, trace = altup_stack_forward(wide([x]), layers,
-                                       BlockSelection(mode="alternating"), None)
+                                       "alternating", None)
     expected = x.copy()
     for m in mats:
         expected = expected @ m
-    assert np.abs(final.blocks[0].data - expected).max() <= 1e-12
+    assert np.abs(final.block(0).data - expected).max() <= 1e-12
     assert trace == [0, 0, 0]
 
 
@@ -273,7 +293,7 @@ def test_stack_alternating_trace():
     pcc = [PccSimplifiedParams.identity_init(2) for _ in range(2)]
     blocks = [rng.standard_normal(d) for _ in range(2)]
     _, trace = altup_stack_forward(wide(blocks), layers,
-                                   BlockSelection(mode="alternating"), pcc)
+                                   "alternating", pcc)
     assert trace == [0, 1]
 
 
@@ -287,7 +307,7 @@ def test_stack_matches_scripted_trace():
            for _ in range(n_layers)]
     blocks = [rng.standard_normal((seq, d)) for _ in range(K)]
     final, trace = altup_stack_forward(wide(blocks), layers,
-                                       BlockSelection(mode="alternating"), pcc)
+                                       "alternating", pcc)
     assert trace == [0, 1]
 
     # independent numpy trace of the simplified three-step recursion
@@ -300,14 +320,14 @@ def test_stack_matches_scripted_trace():
         computed = np.maximum(cur[j] @ mats[i], 0.0)
         innovation = computed - predicted[j]
         cur = [predicted[a] + g[a] * innovation for a in range(K)]
-    for got, exp in zip(final.blocks, cur):
-        np.testing.assert_allclose(got.data, exp, rtol=1e-10, atol=1e-12)
+    for j, exp in enumerate(cur):
+        np.testing.assert_allclose(final.block(j).data, exp, rtol=1e-10, atol=1e-12)
 
 
 def test_stack_k_greater_one_requires_params():
     with pytest.raises(ValueError):
         altup_stack_forward(wide([np.zeros(2), np.zeros(2)]), [lambda x: x],
-                            BlockSelection(), None)
+                            "alternating", None)
 
 
 # -- cost accounting --------------------------------------------------------------------------

@@ -108,18 +108,17 @@ def reference_forward(model, tokens, rng):
 
     x0 = model.initial_representation(tokens)
     fns = [layer_fn(i) for i in range(len(model.blocks))]
-    final, _ = altup_stack_forward(x0, fns, model.selection,
-                                   model.pcc if model.wide else None)
+    final, _ = altup_stack_forward(x0, fns, model.selection, model.pcc)
     head = model.config.altup.head if model.wide else "block0"
     if head == "proj":
         read = final.to_flat()
     elif head == "mean":
-        read = final.blocks[0]
-        for b in final.blocks[1:]:
-            read = read + b
+        read = final.block(0)
+        for j in range(1, final.K):
+            read = read + final.block(j)
         read = read * (1.0 / final.K)
     else:
-        read = final.blocks[0]
+        read = final.block(0)
     return read @ model.out_table.T
 
 

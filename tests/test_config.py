@@ -94,8 +94,15 @@ def test_k_only_with_softmax(lookup):
     parse_config("memory.lookup = softmax\nmemory.buckets = 4\nmemory.k = 2\n")
 
 
+@pytest.mark.parametrize("lookup", ["token_id", "softmax", "spherical"])
+def test_width_only_with_hyperplane(lookup):
+    with pytest.raises(ValueError, match=r"memory.width != 1.0 needs"):
+        parse_config(f"memory.lookup = {lookup}\nmemory.buckets = 64\nmemory.width = 5.0\n")
+    parse_config("memory.lookup = hyperplane\nmemory.buckets = 64\nmemory.width = 5.0\n")
+
+
 def test_lookup_none_ignores_memory_settings():
-    parse_config("memory.share_table = true\nmemory.k = 2\n")
+    parse_config("memory.share_table = true\nmemory.k = 2\nmemory.width = 5.0\n")
 
 
 @pytest.mark.parametrize("consumption", ["none", "sum"])

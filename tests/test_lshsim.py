@@ -248,6 +248,23 @@ def test_minhash_estimate_matches_literal_op_loop():
     assert abs(direct - fast.p_hat) < 5 * pooled
 
 
+def test_minhash_key_blocks_keep_the_one_block_stream():
+    # the reference draws all keys as one (trials, universe) array; the
+    # sampler draws them in blocks, which the generator fills row by row
+    l, n, trials = 32, 64, 20000
+    for f in (0.0, 0.25, 0.5, 0.75, 1.0):
+        s = round(f * l)
+        own = l - s
+        universe = s + 2 * own
+        keys = np.random.default_rng(7).random((trials, universe))
+        cols_b = np.concatenate([np.arange(s), np.arange(s + own, universe)])
+        elem_a = np.argmin(keys[:, :s + own], axis=1)
+        elem_b = cols_b[np.argmin(keys[:, cols_b], axis=1)]
+        expected = (elem_a % n) == (elem_b % n)
+        got = lshsim._minhash_collisions(f, l, n, trials, np.random.default_rng(7))
+        np.testing.assert_array_equal(got, expected)
+
+
 # -- rho ---------------------------------------------------------------------------
 
 def test_rho_is_zero_at_full_overlap():

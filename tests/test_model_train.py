@@ -117,6 +117,58 @@ def test_divide_project_param_split():
     assert non == base_non + (K - 1) * chunk * d + 2 * (K * K + K)
 
 
+def graph_ops(root):
+    """(op name, parents) of every op node reachable from `root`."""
+    seen, stack, ops = {id(root)}, [root], []
+    while stack:
+        node = stack.pop()
+        if node._backward is not None:
+            ops.append((node._backward.__qualname__.split(".<locals>")[0], node._parents))
+        for p in node._parents:
+            if id(p) not in seen:
+                seen.add(id(p))
+                stack.append(p)
+    return ops
+
+
+def test_wide_input_is_one_take_and_no_concat():
+    cfg = tiny(memory=MemoryConfig(consumption="altup"), altup=AltUpConfig(K=2))
+    model = LanguageModel.build(cfg)
+    windows = np.arange(2 * 9).reshape(2, 9) % cfg.model.vocab
+    ops = graph_ops(model.sequence_loss(windows))
+    tables = {id(t) for t in model.embedding_parameters().values()}
+    takes = [name for name, parents in ops
+             if name == "Tensor.take" and any(id(p) in tables for p in parents)]
+    assert len(takes) == 1
+    assert "concat" not in {name for name, _ in ops}
+
+
+def test_wide_table_columns_are_the_seeded_block_draws():
+    from sparse_memory_lab.nn import lecun_normal_init
+    K, d, v, seed = 3, 16, 32, 4
+    model = LanguageModel.build(tiny(d=d, vocab=v, seed=seed,
+                                     memory=MemoryConfig(consumption="altup"),
+                                     altup=AltUpConfig(K=K)))
+    assert model.embed0.shape == (v, K * d)
+    for k in range(K):
+        draw = lecun_normal_init((v, d), np.random.SeedSequence(seed, spawn_key=(0, k)),
+                                 fan_in=d)
+        np.testing.assert_array_equal(model.embed0.data[:, k * d:(k + 1) * d], draw.data)
+
+
+def test_stacked_projection_holds_the_seeded_chunk_draws():
+    K, d, e, seed = 3, 16, 10, 4
+    model = LanguageModel.build(tiny(d=d, seed=seed, memory=MemoryConfig(consumption="altup"),
+                                     altup=AltUpConfig(K=K, e=e)))
+    chunk = e // (K - 1)
+    assert model.embed0.shape == (32, d)
+    assert model.dp_proj.shape == (K - 1, chunk, d)
+    seeds = np.random.SeedSequence(seed, spawn_key=(6,)).spawn(K - 1)
+    for i, s in enumerate(seeds):
+        draw = np.random.default_rng(s).standard_normal((chunk, d)) / np.sqrt(chunk)
+        np.testing.assert_array_equal(model.dp_proj.data[i], draw)
+
+
 # -- forward behavior ------------------------------------------------------------
 
 def test_forward_shapes_and_determinism():
