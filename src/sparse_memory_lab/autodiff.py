@@ -1,7 +1,8 @@
 """Minimal reverse-mode autodiff over dense float64 numpy arrays.
 
-Only the operations the layers in this package need are implemented; there
-are no views and no in-place graph surgery. Matmul follows np.matmul, so a
+Only the operations the layers in this package need are implemented, plus
+`exp` and `log` (the tests plant non-finite values with them): no division,
+no constant minus a tensor, no views and no in-place graph surgery. Matmul follows np.matmul, so a
 whole batch of sequences, or of attention heads, is one node. A tensor built
 by a caller is validated to be finite; op results are not scanned, so a
 training step or an eval pass checks its outputs once. Inside `checked()`
@@ -19,6 +20,8 @@ from contextlib import contextmanager
 from typing import Callable, Iterator, Sequence
 
 import numpy as np
+
+_NORM_EPS = 1e-6  # normalize()'s variance floor
 
 
 class NonFiniteError(ValueError):
@@ -160,12 +163,6 @@ class Tensor:
     def size(self) -> int:
         return self.data.size
 
-    def item(self) -> float:
-        return float(self.data)
-
-    def detach(self) -> "Tensor":
-        return Tensor(self.data.copy())
-
     def zero_grad(self) -> None:
         self.grad = None
         self.grad_rows = None
@@ -250,9 +247,6 @@ class Tensor:
     def __sub__(self, other) -> "Tensor":
         return self + (-self._coerce(other))
 
-    def __rsub__(self, other) -> "Tensor":
-        return self._coerce(other) + (-self)
-
     def __mul__(self, other) -> "Tensor":
         other = self._coerce(other)
         out_data = self.data * other.data
@@ -266,9 +260,6 @@ class Tensor:
         return Tensor._op(out_data, (self, other), backward)
 
     __rmul__ = __mul__
-
-    def __truediv__(self, scalar: float) -> "Tensor":
-        return self * (1.0 / float(scalar))
 
     def __matmul__(self, other: "Tensor") -> "Tensor":
         other = self._coerce(other)
@@ -405,12 +396,12 @@ class Tensor:
 
         return Tensor._op(out_data, (self,), backward)
 
-    def normalize(self, eps: float = 1e-6) -> "Tensor":
+    def normalize(self) -> "Tensor":
         """Zero-mean unit-variance rescale along the last axis (layer-norm core)."""
         mu = self.data.mean(axis=-1, keepdims=True)
         xc = self.data - mu
         var = (xc * xc).mean(axis=-1, keepdims=True)
-        inv = 1.0 / np.sqrt(var + eps)
+        inv = 1.0 / np.sqrt(var + _NORM_EPS)
         y = xc * inv
 
         def backward(g: np.ndarray) -> None:
@@ -419,9 +410,6 @@ class Tensor:
             self._accumulate(inv * (g - gm - y * gym))
 
         return Tensor._op(y, (self,), backward)
-
-    def __repr__(self) -> str:
-        return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
 
 
 def concat(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:

@@ -2,12 +2,15 @@
 
 Layout: magic 'SMLB', uint32 version, uint64 manifest length, manifest JSON
 (utf-8), then the concatenated little-endian float64 tensor payloads at the
-offsets the manifest records.
+offsets the manifest records. The manifest's entries must tile the payload:
+each tensor starts where the one before it ends, and the last ends where
+the file does.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import struct
 from pathlib import Path
 
@@ -52,19 +55,36 @@ def load_checkpoint(path: str | Path) -> dict[str, np.ndarray]:
                          f"file holds {len(raw) - 16} after the header")
     manifest = json.loads(raw[16:16 + man_len].decode("utf-8"))
     payload = raw[16 + man_len:]
+    if not isinstance(manifest, dict) or not isinstance(manifest.get("tensors"), list):
+        raise ValueError("checkpoint manifest holds no list of tensors")
     out: dict[str, np.ndarray] = {}
+    end = 0  # payload bytes the entries so far tile
     for entry in manifest["tensors"]:
-        shape = tuple(entry["shape"])
-        count = int(np.prod(shape)) if shape else 1
-        start = entry["offset"]
+        name, shape, start = _entry_fields(entry)
+        count = math.prod(shape)
         if start + 8 * count > len(payload):
-            raise ValueError(f"checkpoint is truncated: tensor {entry['name']!r} needs payload "
+            raise ValueError(f"checkpoint is truncated: tensor {name!r} needs payload "
                              f"bytes up to {start + 8 * count}, file holds {len(payload)}")
+        if name in out:
+            raise ValueError(f"checkpoint manifest names tensor {name!r} twice")
+        if start != end:
+            raise ValueError(f"checkpoint tensor {name!r} starts at byte {start}, not {end}")
         arr = np.frombuffer(payload, dtype="<f8", count=count, offset=start)
-        out[entry["name"]] = arr.reshape(shape).astype(np.float64)
+        out[name] = arr.reshape(shape).astype(np.float64)
+        end = start + 8 * count
+    if end != len(payload):
+        raise ValueError(f"checkpoint payload holds {len(payload)} bytes, its tensors {end}")
     return out
 
 
-def checkpoint_scalar_count(path: str | Path) -> int:
-    """Total number of float64 scalars stored in the checkpoint."""
-    return sum(arr.size for arr in load_checkpoint(path).values())
+def _entry_fields(entry) -> tuple[str, tuple[int, ...], int]:
+    """(name, shape, offset) of a manifest entry, or a ValueError naming the tensor."""
+    name = entry.get("name") if isinstance(entry, dict) else None
+    if not isinstance(name, str):
+        raise ValueError(f"checkpoint manifest entry {entry!r} has no tensor name")
+    shape, start = entry.get("shape"), entry.get("offset")
+    if not (isinstance(shape, list)
+            and all(type(v) is int and v >= 0 for v in [*shape, start])):
+        raise ValueError(f"checkpoint tensor {name!r} needs a 'shape' of non-negative integers "
+                         f"and a non-negative integer 'offset', got {shape!r} and {start!r}")
+    return name, tuple(shape), start

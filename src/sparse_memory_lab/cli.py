@@ -84,8 +84,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _parse_list(raw: str, typ):
-    return [typ(tok) for tok in raw.split(",") if tok.strip()]
+def _parse_list(raw: str, typ, flag: str) -> list:
+    """The comma-separated values of a list flag; at least one is required."""
+    values = [typ(tok) for tok in raw.split(",") if tok.strip()]
+    if not values:
+        raise ValueError(f"{flag} needs at least one value")
+    return values
 
 
 def cli_main(argv: list[str] | None = None) -> int:
@@ -114,8 +118,8 @@ def cli_main(argv: list[str] | None = None) -> int:
 
         if args.command == "lshsim":
             families = list(FAMILIES) if args.family == "all" else [args.family]
-            f_grid = _parse_list(args.f, float)
-            n_grid = _parse_list(args.n, int)
+            f_grid = _parse_list(args.f, float, "--f")
+            n_grid = _parse_list(args.n, int, "--n")
             rows = collision_grid(families, f_grid, n_grid, args.l, args.d,
                                   args.trials, args.seed)
             out = Path(args.out)
@@ -133,8 +137,8 @@ def cli_main(argv: list[str] | None = None) -> int:
                 config.training.seed = args.seed
             out = args.out if args.out is not None else config.io.out_dir
             grid = [(args.lookup, r, b)
-                    for r in _parse_list(args.ranks, int)
-                    for b in _parse_list(args.buckets, int)]
+                    for r in _parse_list(args.ranks, int, "--ranks")
+                    for b in _parse_list(args.buckets, int, "--buckets")]
             rows = run_lookup_benchmark(grid, config, out)
             for r in rows:
                 print(f"{r['lookup']} rank={r['rank']} buckets={r['buckets']} "

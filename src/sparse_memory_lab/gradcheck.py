@@ -22,15 +22,17 @@ GRADCHECK_COLUMNS = ("check", "max_rel_error", "epsilon", "passed")
 
 Scenario = tuple[str, Callable[[], Tensor], dict[str, Tensor]]
 
+_MEMORY_SEED, _WINDOW_SEED = 7, 3  # of the memory scenario and of an LM scenario's window
 
-def memory_softmax_scenario(seed: int = 7) -> Scenario:
+
+def memory_softmax_scenario() -> Scenario:
     """Memory-augmented layer, softmax routing: 3 rows of d=8, n=4 experts of rank 2, k=2."""
     seq, d, n, rank, k = 3, 8, 4, 2, 2
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(_MEMORY_SEED)
     x = Tensor(rng.standard_normal((seq, d)))
     layer_w = Tensor(rng.standard_normal((d, d)) / math.sqrt(d), requires_grad=True)
-    router = SoftmaxRouterParams.init(n, d, k, seed + 1)
-    table = MemoryTable.init(n, d, rank, seed + 2)
+    router = SoftmaxRouterParams.init(n, d, k, _MEMORY_SEED + 1)
+    table = MemoryTable.init(n, d, rank, _MEMORY_SEED + 2)
     params: dict[str, Tensor] = {"layer_w": layer_w, "router_W": router.W}
     params.update(table.parameters())
 
@@ -41,10 +43,10 @@ def memory_softmax_scenario(seed: int = 7) -> Scenario:
     return "memory_augmented_softmax_seq3_d8_n4_rank2", loss_fn, params
 
 
-def _lm_scenario(name: str, config: ExperimentConfig, window_seed: int = 3) -> Scenario:
+def _lm_scenario(name: str, config: ExperimentConfig) -> Scenario:
     config.validate()
     model = LanguageModel.build(config)
-    rng = np.random.default_rng(window_seed)
+    rng = np.random.default_rng(_WINDOW_SEED)
     window = rng.integers(0, config.model.vocab, size=config.model.seq_len + 1)
     params = model.parameters()
 

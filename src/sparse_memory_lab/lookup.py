@@ -7,7 +7,8 @@ selected table indices as one flat integer array that the memory layer
 reshapes to (rows, k) without a conversion.
 Routing never writes its parameters. Of them only the softmax router's `W`
 trains, through the optimizer; the LSH directions, offsets and anchors stay
-as drawn. The softmax router's jitter is drawn by the caller and passed in.
+as drawn. The softmax router's training jitter (JITTER_EPSILON, 1%) is drawn
+by the caller and passed in.
 """
 
 from __future__ import annotations
@@ -30,10 +31,6 @@ class RouteResult:
     indices: np.ndarray
     weights: Tensor | None = None
 
-    def __post_init__(self) -> None:
-        if self.weights is not None and len(self.indices) != self.weights.shape[0]:
-            raise ValueError("indices and weights must have equal length")
-
 
 def _rows(x) -> np.ndarray:
     """The (seq, d) values of a Tensor or array, for the non-learnable lookups."""
@@ -49,21 +46,21 @@ def token_id_lookup(tokens, n: int) -> RouteResult:
     return RouteResult(indices=ids)
 
 
+JITTER_EPSILON = 0.01  # the softmax router's training jitter: x times U[1 - eps, 1 + eps]
+
+
 @dataclass
 class SoftmaxRouterParams:
     """Learnable router: logits h = W x, probabilities softmax(h), top-k selection."""
 
     W: Tensor
     k: int
-    jitter_epsilon: float = 0.01
 
     def __post_init__(self) -> None:
         if self.W.ndim != 2:
             raise ValueError("router weight must be n x d_in")
         if not (1 <= self.k <= self.W.shape[0]):
             raise ValueError(f"k={self.k} outside [1, n={self.W.shape[0]}]")
-        if self.jitter_epsilon < 0:
-            raise ValueError("jitter_epsilon must be nonnegative")
 
     @property
     def n(self) -> int:
@@ -74,14 +71,10 @@ class SoftmaxRouterParams:
         return self.W.shape[1]
 
     @classmethod
-    def init(cls, n: int, d_in: int, k: int, seed, std: float = 2e-2,
-             jitter_epsilon: float = 0.01) -> "SoftmaxRouterParams":
+    def init(cls, n: int, d_in: int, k: int, seed, std: float = 2e-2) -> "SoftmaxRouterParams":
         rng = np.random.default_rng(seed)
         w = Tensor(rng.standard_normal((n, d_in)) * std, requires_grad=True)
-        return cls(W=w, k=k, jitter_epsilon=jitter_epsilon)
-
-    def parameters(self) -> dict[str, Tensor]:
-        return {"W": self.W}
+        return cls(W=w, k=k)
 
 
 def softmax_route(x: Tensor, params: SoftmaxRouterParams,
@@ -90,9 +83,9 @@ def softmax_route(x: Tensor, params: SoftmaxRouterParams,
     the lower index.
 
     A training caller passes `jitter`, an array of x's shape drawn uniformly
-    from [1-eps, 1+eps], and the routing input is x * jitter; None routes x
-    itself, as evaluation does. Weights are the selected probabilities, so
-    gradients reach W through the weighting.
+    from [1 - JITTER_EPSILON, 1 + JITTER_EPSILON], and the routing input is
+    x * jitter; None routes x itself, as evaluation does. Weights are the
+    selected probabilities, so gradients reach W through the weighting.
     """
     if x.shape[-1] != params.d_in:
         raise ValueError(f"router expects (..., {params.d_in}) rows, got {x.shape}")
@@ -156,7 +149,6 @@ class HyperplaneLshParams:
     offsets: np.ndarray     # (num_projections,), uniform in [0, width)
     width: float
     n: int
-    mix_seed: int = MIX_SEED
 
     def __post_init__(self) -> None:
         if self.width <= 0:
@@ -169,10 +161,6 @@ class HyperplaneLshParams:
         self.offsets = np.asarray(self.offsets, dtype=np.float64)
         self.directions.setflags(write=False)
         self.offsets.setflags(write=False)
-
-    @property
-    def num_projections(self) -> int:
-        return self.directions.shape[0]
 
     @property
     def d_in(self) -> int:
@@ -196,7 +184,7 @@ def hyperplane_lsh_lookup(x, params: HyperplaneLshParams) -> RouteResult:
     if rows.shape[-1] != params.d_in:
         raise ValueError(f"expected (..., {params.d_in}) rows, got {rows.shape}")
     cells = np.floor((rows @ params.directions.T + params.offsets) / params.width)
-    buckets = fold_cells(cells.astype(np.int64), params.mix_seed) % np.uint64(params.n)
+    buckets = fold_cells(cells.astype(np.int64), MIX_SEED) % np.uint64(params.n)
     return RouteResult(indices=buckets.reshape(-1).astype(np.intp))
 
 

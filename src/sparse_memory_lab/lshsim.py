@@ -19,8 +19,7 @@ unknown family and an out-of-range f, n, l, d or trial count before any draw.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from functools import cache, partial
+from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -29,9 +28,7 @@ from .lookup import MIX_SEED, fold_cells
 from .nn import as_seedseq
 
 FAMILIES = ("token_id", "spherical", "hyperplane", "minhash")
-
-DEFAULT_SENTENCE_LEN = 32
-DEFAULT_EMBED_DIM = 64
+_COSINE_FAMILIES = ("spherical", "hyperplane")  # the families that read a pair's cosine
 
 _CALIBRATION_N = 256
 _CALIBRATION_F = 0.9
@@ -44,11 +41,9 @@ _PAIR_BATCH = 2048
 # mmap threshold, so each block reuses heap memory instead of mapping and
 # faulting in fresh pages, and stays in cache
 _KEY_BLOCK = 1 << 14
-# hyperplane_collision_width(64, 32), pinned so that a process using the
-# defaults skips the bisection; a slow test re-derives it.
-_width_cache: dict[tuple[int, int], float] = {
-    (DEFAULT_EMBED_DIM, DEFAULT_SENTENCE_LEN): 55.29777863700906,
-}
+# hyperplane_collision_width(64, 32), pinned so that a process at `sml lshsim`'s
+# default d and l skips the bisection; a slow test re-derives it.
+_width_cache: dict[tuple[int, int], float] = {(64, 32): 55.29777863700906}
 
 
 @dataclass(frozen=True)
@@ -71,26 +66,6 @@ class SentencePairSpec:
     @property
     def shared(self) -> int:
         return round(self.f * self.l)
-
-
-@dataclass(frozen=True)
-class LshAnalysisParams:
-    """Near/far thresholds and the collision-probability exponent they induce."""
-
-    r1: float
-    r2: float
-    p1: float
-    p2: float
-    c: float = field(init=False)
-    rho: float = field(init=False)
-
-    def __post_init__(self) -> None:
-        if not (self.r2 > self.r1 > 0):
-            raise ValueError("need r2 > r1 > 0")
-        if not (0.0 < self.p2 <= self.p1 <= 1.0):
-            raise ValueError("need 0 < p2 <= p1 <= 1")
-        object.__setattr__(self, "c", self.r2 / self.r1)
-        object.__setattr__(self, "rho", math.log(1.0 / self.p1) / math.log(1.0 / self.p2))
 
 
 @dataclass(frozen=True)
@@ -207,10 +182,9 @@ def default_num_projections(n: int) -> int:
 
     Grows as n^0.85: with the width pinned by the near-pair calibration,
     logarithmic growth would leave hyperplane collisions above spherical
-    ones at large n, masking the families' different decay rates.
+    ones at large n, masking the families' different decay rates. The
+    callers check n >= 1.
     """
-    if n < 1:
-        raise ValueError("table size must be at least 1")
     return max(1, round(n ** 0.85))
 
 
@@ -268,8 +242,7 @@ def _minhash_collisions(f: float, l: int, n: int, trials: int,
     return _batched(trials, max(1, _KEY_BLOCK // universe), draw)
 
 
-def hyperplane_collision_width(d: int = DEFAULT_EMBED_DIM,
-                               l: int = DEFAULT_SENTENCE_LEN) -> float:
+def hyperplane_collision_width(d: int, l: int) -> float:
     """Bucket width tuned so p_hat(f=0.9) is ~0.5 at n=256; memoized per (d, l)."""
     key = (d, l)
     if key in _width_cache:
@@ -310,12 +283,12 @@ def _check_cells(families: Sequence[str], f_grid: Sequence[float],
 
 
 def _cell_p_hat(family: str, f: float, n: int, l: int, d: int, trials: int, hash_seed,
-                cosines: Callable[[], np.ndarray], *, width: float | None = None) -> float:
+                cosines: np.ndarray | None, *, width: float | None = None) -> float:
     """Same-bucket frequency of one (family, f, n) cell.
 
-    Token-id collisions are exactly the shared fraction. Hash draws come
-    from `hash_seed`; `cosines` supplies the sentence-pair draws, and is
-    called only by the families that need them.
+    Token-id collisions are exactly the shared fraction. Hash draws come from
+    `hash_seed`; `cosines` holds the sentence pairs' cosines (None for the
+    families outside _COSINE_FAMILIES, which do not read them).
     """
     if family == "token_id":
         return round(f * l) / l
@@ -323,10 +296,10 @@ def _cell_p_hat(family: str, f: float, n: int, l: int, d: int, trials: int, hash
     if family == "minhash":
         hits = _minhash_collisions(f, l, n, trials, rng)
     elif family == "spherical":
-        hits = _spherical_collisions(cosines(), n, d, rng)
+        hits = _spherical_collisions(cosines, n, d, rng)
     else:
         w = width if width is not None else hyperplane_collision_width(d, l)
-        hits = _hyperplane_collisions(cosines(), n, default_num_projections(n), w, rng)
+        hits = _hyperplane_collisions(cosines, n, default_num_projections(n), w, rng)
     return float(hits.mean())
 
 
@@ -340,49 +313,12 @@ def estimate_collision(family: str, f: float, n: int, l: int, d: int,
     """
     _check_cells([family], [f], [n], l, d, trials)
     s_pairs, s_hash = as_seedseq(seed).spawn(2)
-    cosines = partial(_pair_cosines, f, l, d, trials, np.random.default_rng(s_pairs))
+    cosines = (_pair_cosines(f, l, d, trials, np.random.default_rng(s_pairs))
+               if family in _COSINE_FAMILIES else None)
     p_hat = _cell_p_hat(family, f, n, l, d, trials, s_hash, cosines, width=width)
     stderr = math.sqrt(p_hat * (1.0 - p_hat) / trials)
     return CollisionEstimate(family=family, n=n, f=f, p_hat=p_hat,
                              stderr=stderr, trials=trials, l=l, d=d)
-
-
-@dataclass(frozen=True)
-class RhoEstimate:
-    """Per-table-size collision exponents and the log-log regression slope."""
-
-    family: str
-    f: float
-    n_grid: tuple[int, ...]
-    p_hats: tuple[float, ...]
-    rho_hats: tuple[float, ...]
-    slope: float
-
-
-def estimate_rho(family: str, f: float, n_grid: Sequence[int], trials: int,
-                 l: int = DEFAULT_SENTENCE_LEN, d: int = DEFAULT_EMBED_DIM,
-                 seed=0) -> RhoEstimate:
-    """rho_hat = -ln(p_hat)/ln(n) per table size, plus the ln p vs ln n slope."""
-    if len(n_grid) < 1:
-        raise ValueError("need at least one table size")
-    p_hats = []
-    for i, n in enumerate(n_grid):
-        est = estimate_collision(family, f, n, l, d, trials,
-                                 np.random.SeedSequence(entropy=seed, spawn_key=(i,)))
-        if est.p_hat <= 0.0:
-            raise ValueError(
-                f"zero collisions for {family} at n={n}; raise trials or lower n")
-        p_hats.append(est.p_hat)
-    rho_hats = tuple(-math.log(p) / math.log(n) if n > 1 else 0.0
-                     for p, n in zip(p_hats, n_grid))
-    logs_n = np.log(np.asarray(n_grid, dtype=np.float64))
-    logs_p = np.log(np.asarray(p_hats))
-    if len(n_grid) > 1 and np.ptp(logs_n) > 0:
-        slope = float(np.polyfit(logs_n, logs_p, 1)[0])
-    else:
-        slope = 0.0
-    return RhoEstimate(family=family, f=f, n_grid=tuple(int(v) for v in n_grid),
-                       p_hats=tuple(p_hats), rho_hats=rho_hats, slope=slope)
 
 
 def jaccard(a: Iterable[int], b: Iterable[int]) -> float:
@@ -403,11 +339,11 @@ def collision_grid(families: Sequence[str], f_grid: Sequence[float],
     cell (a variance-reduction choice); hash draws stay per cell.
     """
     _check_cells(families, f_grid, n_grid, l, d, trials)
+    needs_cosines = any(fam in _COSINE_FAMILIES for fam in families)
     rows = []
     for fi, f in enumerate(f_grid):
-        pair_seed = np.random.SeedSequence(entropy=seed, spawn_key=(fi, 999))
-        pair_rng = np.random.default_rng(pair_seed)
-        cosines = cache(partial(_pair_cosines, f, l, d, trials, pair_rng))
+        pair_rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(fi, 999)))
+        cosines = _pair_cosines(f, l, d, trials, pair_rng) if needs_cosines else None
         for ni, n in enumerate(n_grid):
             for mi, fam in enumerate(families):
                 cell_seed = np.random.SeedSequence(entropy=seed, spawn_key=(fi, ni, mi))

@@ -11,15 +11,16 @@ from bisect import bisect_right
 
 import numpy as np
 
+_CONCENTRATION = 0.5  # of each transition row's Dirichlet law
+_TOL, _MAX_ITERS = 1e-14, 100000  # the stationary law's power iteration
 
-def random_transition_matrix(num_symbols: int, seed, concentration: float = 0.5) -> np.ndarray:
-    """Row-stochastic matrix with Dirichlet(concentration) rows."""
+
+def random_transition_matrix(num_symbols: int, seed) -> np.ndarray:
+    """Row-stochastic matrix with Dirichlet(_CONCENTRATION) rows."""
     if num_symbols < 2:
         raise ValueError("need at least two symbols")
-    if concentration <= 0:
-        raise ValueError("concentration must be positive")
     rng = np.random.default_rng(seed)
-    raw = rng.gamma(concentration, size=(num_symbols, num_symbols))
+    raw = rng.gamma(_CONCENTRATION, size=(num_symbols, num_symbols))
     raw = np.maximum(raw, 1e-300)
     return raw / raw.sum(axis=1, keepdims=True)
 
@@ -36,15 +37,14 @@ def _validate_transitions(matrix: np.ndarray) -> np.ndarray:
     return m
 
 
-def stationary_distribution(matrix: np.ndarray, tol: float = 1e-14,
-                            max_iters: int = 100000) -> np.ndarray:
+def stationary_distribution(matrix: np.ndarray) -> np.ndarray:
     """Fixed point of pi = pi P by power iteration from uniform."""
     m = _validate_transitions(matrix)
     n = m.shape[0]
     pi = np.full(n, 1.0 / n)
-    for _ in range(max_iters):
+    for _ in range(_MAX_ITERS):
         nxt = pi @ m
-        if np.max(np.abs(nxt - pi)) < tol:
+        if np.max(np.abs(nxt - pi)) < _TOL:
             return nxt / nxt.sum()
         pi = nxt
     return pi / pi.sum()
@@ -79,10 +79,3 @@ def sample_markov(matrix: np.ndarray, length: int, seed) -> np.ndarray:
         tokens.append(state)
     return np.array(tokens, dtype=np.int64)
 
-
-def generate_markov_corpus(num_symbols: int, transition_seed, length: int,
-                           corpus_seed) -> tuple[np.ndarray, float]:
-    """Token stream plus the chain's exact entropy rate in nats per token."""
-    matrix = random_transition_matrix(num_symbols, transition_seed)
-    tokens = sample_markov(matrix, length, corpus_seed)
-    return tokens, markov_entropy_rate(matrix)

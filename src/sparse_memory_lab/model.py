@@ -24,6 +24,7 @@ from .altup import (
 from .autodiff import Tensor, at_stage, concat
 from .config import ExperimentConfig
 from .lookup import (
+    JITTER_EPSILON,
     HyperplaneLshParams,
     LookupParams,
     MemoryTable,
@@ -207,19 +208,16 @@ class LanguageModel:
     def _router_jitter(self, tokens: np.ndarray,
                        rng: np.random.Generator | None) -> np.ndarray | None:
         """Softmax-router jitter for every layer, (..., layers, seq, d), drawn
-        from `rng`; None without a generator or a jittering softmax router.
+        from `rng`; None without a generator or a softmax router.
 
         One draw, sequence-major then layer, is the stream that one forward
         per sequence would draw layer by layer, so a batch routes each
         sequence exactly as running it alone would.
         """
-        router = self.lookups[0] if self.lookups else None
-        if rng is None or not (isinstance(router, SoftmaxRouterParams)
-                               and router.jitter_epsilon > 0):
+        if rng is None or not (self.lookups and isinstance(self.lookups[0], SoftmaxRouterParams)):
             return None
-        eps = router.jitter_epsilon
         *lead, seq = tokens.shape
-        return rng.uniform(1.0 - eps, 1.0 + eps,
+        return rng.uniform(1.0 - JITTER_EPSILON, 1.0 + JITTER_EPSILON,
                            size=(*lead, len(self.blocks), seq, self.config.model.d))
 
     def initial_representation(self, tokens: np.ndarray) -> WideRepresentation:

@@ -147,10 +147,6 @@ class TransformerBlockParams:
     def d(self) -> int:
         return self.wq.shape[0]
 
-    @property
-    def d_ff(self) -> int:
-        return self.w1.shape[1]
-
     @classmethod
     def init(cls, d: int, n_heads: int, seed, d_ff: int | None = None) -> "TransformerBlockParams":
         if d_ff is None:
@@ -216,11 +212,9 @@ def transformer_block_forward(x: Tensor, params: TransformerBlockParams,
     return x + ffn
 
 
-def transformer_block_multiplies(d: int, seq_len: int, d_ff: int | None = None) -> int:
-    """Per-token multiply count of one block: projections, scores/mix, FFN."""
-    if d_ff is None:
-        d_ff = 4 * d
-    return 4 * d * d + 2 * seq_len * d + 2 * d * d_ff
+def transformer_block_multiplies(d: int, seq_len: int) -> int:
+    """Per-token multiply count of one block (FFN width 4d): projections, scores/mix, FFN."""
+    return 4 * d * d + 2 * seq_len * d + 2 * d * (4 * d)
 
 
 @dataclass

@@ -10,11 +10,7 @@ from typing import Iterable, Sequence
 def fmt_value(value) -> str:
     if isinstance(value, bool):
         return "true" if value else "false"
-    if isinstance(value, (int,)):
-        return str(value)
-    if isinstance(value, float):
-        return f"{value:.9g}"
-    return str(value)
+    return f"{value:.9g}" if isinstance(value, float) else str(value)
 
 
 def write_csv(path: str | Path, header: Sequence[str], rows: Iterable[dict]) -> None:

@@ -97,16 +97,17 @@ class FlatParameters:
         return True if full else mask
 
 
+_BETA1, _BETA2, _ADAM_EPS = 0.9, 0.999, 1e-8  # Adam's decay rates and denominator floor
+
+
 class AdamState:
     """Adam over the flat vector of every parameter. It leaves an entry, and
     its moments, alone when its parameter got no gradient, or when it lies in
     a row of a `rowwise` parameter (a stack of independent experts) that got
     none. `m` and `v` map each name to its view of the flat moments."""
 
-    def __init__(self, params: dict[str, Tensor], lr: float,
-                 beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8,
-                 rowwise: Iterable[str] = ()):
-        self.lr, self.beta1, self.beta2, self.eps = lr, beta1, beta2, eps
+    def __init__(self, params: dict[str, Tensor], lr: float, rowwise: Iterable[str] = ()):
+        self.lr = lr
         self.t = 0
         self.flat = FlatParameters(params)
         size = self.flat.data.size
@@ -120,7 +121,7 @@ class AdamState:
         `params`, when given, must be those same tensors."""
         _check_same(self.flat, params)
         self.t += 1
-        b1, b2 = self.beta1, self.beta2
+        b1, b2 = _BETA1, _BETA2
         scale = self.lr * math.sqrt(1 - b2 ** self.t) / (1 - b1 ** self.t)
         keep = self.flat.update_mask(self.rowwise)
         p, g, m, v, a, b = self.flat.data, self.flat.grad, self._m, self._v, self._a, self._b
@@ -135,7 +136,7 @@ class AdamState:
         np.multiply(v, b2, out=b)
         np.add(b, a, out=v, where=keep)
         np.sqrt(v, out=b)
-        np.add(b, self.eps, out=b)
+        np.add(b, _ADAM_EPS, out=b)
         np.multiply(m, scale, out=a)
         np.divide(a, b, out=a)
         np.subtract(p, a, out=p, where=keep)

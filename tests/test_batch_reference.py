@@ -20,7 +20,11 @@ from sparse_memory_lab import train as train_mod
 from sparse_memory_lab.altup import altup_stack_forward
 from sparse_memory_lab.autodiff import concat
 from sparse_memory_lab.config import ExperimentConfig, set_config_value
-from sparse_memory_lab.lookup import SoftmaxRouterParams, memory_augmented_forward
+from sparse_memory_lab.lookup import (
+    JITTER_EPSILON,
+    SoftmaxRouterParams,
+    memory_augmented_forward,
+)
 from sparse_memory_lab.nn import _NEG_MASK
 from sparse_memory_lab.train import Trainer
 
@@ -99,7 +103,7 @@ def reference_forward(model, tokens, rng):
         def augmented(x):
             jitter = None
             if rng is not None and isinstance(lookup, SoftmaxRouterParams):
-                eps = lookup.jitter_epsilon
+                eps = JITTER_EPSILON
                 jitter = rng.uniform(1.0 - eps, 1.0 + eps, size=x.shape)
             return memory_augmented_forward(base, x, tokens, lookup, model.tables[i],
                                             jitter=jitter)

@@ -1,13 +1,12 @@
-"""Checkpoint format roundtrips and parameter-count closure."""
+"""Checkpoint format roundtrips, corrupt-file rejection and parameter-count closure."""
+
+import json
+import struct
 
 import numpy as np
 import pytest
 
-from sparse_memory_lab.checkpoint import (
-    checkpoint_scalar_count,
-    load_checkpoint,
-    save_checkpoint,
-)
+from sparse_memory_lab.checkpoint import load_checkpoint, save_checkpoint
 from sparse_memory_lab.config import AltUpConfig, ExperimentConfig, MemoryConfig, ModelConfig
 from sparse_memory_lab.model import LanguageModel, count_params
 
@@ -59,4 +58,74 @@ def test_scalar_count_matches_param_split(tmp_path):
     path = tmp_path / "model.smlb"
     save_checkpoint(path, {k: v.data for k, v in params.items()})
     emb, non_emb = count_params(model)
-    assert checkpoint_scalar_count(path) == emb + non_emb
+    assert sum(a.size for a in load_checkpoint(path).values()) == emb + non_emb
+
+
+def rewrite_manifest(path, edit):
+    """Apply `edit` to the checkpoint's manifest entries and write it back."""
+    raw = path.read_bytes()
+    man_len = struct.unpack("<Q", raw[8:16])[0]
+    manifest = json.loads(raw[16:16 + man_len])
+    edit(manifest["tensors"])
+    new = json.dumps(manifest).encode()
+    path.write_bytes(raw[:8] + struct.pack("<Q", len(new)) + new + raw[16 + man_len:])
+
+
+@pytest.fixture
+def two_tensors(tmp_path):
+    path = tmp_path / "ck.smlb"
+    save_checkpoint(path, {"a": np.arange(6.0).reshape(2, 3), "b": np.ones(4)})
+    return path
+
+
+def test_trailing_bytes_rejected(two_tensors):
+    two_tensors.write_bytes(two_tensors.read_bytes() + b"\x00" * 8)
+    with pytest.raises(ValueError, match="payload holds 88 bytes, its tensors 80"):
+        load_checkpoint(two_tensors)
+
+
+def test_duplicate_name_rejected(two_tensors):
+    def rename(entries):
+        entries[1]["name"] = "a"
+
+    rewrite_manifest(two_tensors, rename)
+    with pytest.raises(ValueError, match="names tensor 'a' twice"):
+        load_checkpoint(two_tensors)
+
+
+@pytest.mark.parametrize("shape", [[-1, 4], [2.0, 3], "6", [True, 6]])
+def test_bad_shape_rejected(two_tensors, shape):
+    def reshape(entries):
+        entries[0]["shape"] = shape
+
+    rewrite_manifest(two_tensors, reshape)
+    with pytest.raises(ValueError, match="tensor 'a' needs a 'shape' of non-negative integers"):
+        load_checkpoint(two_tensors)
+
+
+def test_offset_inside_a_tensor_rejected(two_tensors):
+    def shift(entries):
+        entries[0]["offset"] = 4
+
+    rewrite_manifest(two_tensors, shift)
+    with pytest.raises(ValueError, match="tensor 'a' starts at byte 4, not 0"):
+        load_checkpoint(two_tensors)
+
+
+@pytest.mark.parametrize("key", ["name", "shape", "offset"])
+def test_missing_entry_field_rejected(two_tensors, key):
+    def drop(entries):
+        del entries[1][key]
+
+    rewrite_manifest(two_tensors, drop)
+    match = "has no tensor name" if key == "name" else "tensor 'b' needs a 'shape'"
+    with pytest.raises(ValueError, match=match):
+        load_checkpoint(two_tensors)
+
+
+def test_saved_bytes_unchanged(two_tensors):
+    manifest = (b'{"tensors":[{"name":"a","shape":[2,3],"offset":0},'
+                b'{"name":"b","shape":[4],"offset":48}]}')
+    payload = np.arange(6.0).astype("<f8").tobytes() + np.ones(4).astype("<f8").tobytes()
+    assert two_tensors.read_bytes() == (b"SMLB" + struct.pack("<I", 1)
+                                        + struct.pack("<Q", len(manifest)) + manifest + payload)

@@ -125,3 +125,16 @@ def test_divergence_is_a_clean_error(tmp_path):
     assert proc.stderr.startswith("error: training diverged at step ")
     assert "non-finite value" in proc.stderr
     assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["lshsim", "--f", ""], "--f"),
+    (["lshsim", "--n", " ,"], "--n"),
+    (["route-bench", "--ranks", ""], "--ranks"),
+])
+def test_empty_list_flag_is_a_clean_error(tmp_path, capsys, argv, flag):
+    code = cli_main([*argv, "--out", str(tmp_path)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err == f"error: {flag} needs at least one value\n"
+    assert not any(tmp_path.iterdir())

@@ -10,6 +10,7 @@ from sparse_memory_lab.lookup import (
     MinHashParams,
     SoftmaxRouterParams,
     SphericalLshParams,
+    MIX_SEED,
     TokenIdLookup,
     fold_cells,
     hyperplane_lsh_lookup,
@@ -148,7 +149,7 @@ def test_hyperplane_single_projection_arithmetic():
     x = np.zeros((3, d))
     x[:, 0] = [2.5, -0.5, 7.0]  # cells floor(x0 / 1.0) = 2, -1, 7
     r = hyperplane_lsh_lookup(x, params)
-    expected = [int(fold_cells(np.array([c]), params.mix_seed) % np.uint64(16))
+    expected = [int(fold_cells(np.array([c]), MIX_SEED) % np.uint64(16))
                 for c in (2, -1, 7)]
     assert r.indices.tolist() == expected
 

@@ -16,13 +16,11 @@ from sparse_memory_lab.lookup import (
     spherical_lsh_lookup,
 )
 from sparse_memory_lab.lshsim import (
-    LshAnalysisParams,
     SentencePairSpec,
     collision_grid,
     default_num_projections,
     estimate_collision,
     estimate_mixing_dot,
-    estimate_rho,
     hyperplane_collision_width,
     jaccard,
     make_sentence_pair,
@@ -148,6 +146,7 @@ def test_out_of_range_cells_rejected_before_any_draw(bad, match, monkeypatch):
         raise AssertionError("a cell was estimated before the inputs were checked")
 
     monkeypatch.setattr(lshsim, "_cell_p_hat", no_draw)
+    monkeypatch.setattr(lshsim, "_pair_cosines", no_draw)
     c = {**GOOD_CELL, **bad}
     with pytest.raises(ValueError, match=match):
         estimate_collision(c["family"], c["f"], c["n"], c["l"], c["d"], c["trials"], seed=0)
@@ -268,23 +267,27 @@ def test_minhash_key_blocks_keep_the_one_block_stream():
 # -- rho ---------------------------------------------------------------------------
 
 def test_rho_is_zero_at_full_overlap():
-    est = estimate_rho("token_id", 1.0, n_grid=[256], trials=100, l=8, d=8, seed=0)
-    assert est.rho_hats == (0.0,)
+    (row,) = collision_grid(["token_id"], [1.0], [256], l=8, d=8, trials=100, seed=0)
+    assert row["rho_hat"] == 0.0
 
 
-def test_rho_zero_collisions_rejected():
-    with pytest.raises(ValueError, match="zero collisions"):
-        estimate_rho("token_id", 0.0, n_grid=[256], trials=100, l=8, d=8, seed=0)
+def test_rho_is_nan_without_collisions():
+    (row,) = collision_grid(["token_id"], [0.0], [256], l=8, d=8, trials=100, seed=0)
+    assert row["p_hat"] == 0.0
+    assert math.isnan(row["rho_hat"])
 
 
 def test_minhash_rho_shrinks_like_inverse_log_n():
-    est = estimate_rho("minhash", 0.5, n_grid=[64, 256, 1024], trials=20000,
-                       l=32, d=8, seed=3)
+    rows = collision_grid(["minhash"], [0.5], [64, 256, 1024], l=32, d=8, trials=20000,
+                          seed=3)
+    n_grid = [r["n"] for r in rows]
+    rho_hats = [r["rho_hat"] for r in rows]
     # p_hat independent of n  =>  rho * ln(n) constant
-    products = [r * math.log(n) for r, n in zip(est.rho_hats, est.n_grid)]
+    products = [r * math.log(n) for r, n in zip(rho_hats, n_grid)]
     assert max(products) - min(products) < 0.15
-    assert est.rho_hats[0] > est.rho_hats[1] > est.rho_hats[2]
-    assert abs(est.slope) < 0.05  # ln p flat in ln n
+    assert rho_hats[0] > rho_hats[1] > rho_hats[2]
+    slope = np.polyfit(np.log(n_grid), np.log([r["p_hat"] for r in rows]), 1)[0]
+    assert abs(slope) < 0.05  # ln p flat in ln n
 
 
 @pytest.mark.slow
@@ -367,12 +370,12 @@ def test_pinned_width_is_a_root_of_the_closed_form():
 @pytest.mark.slow
 def test_spherical_rho_below_hyperplane_rho():
     f, n, trials = 0.5, 1024, 50000
-    sph = estimate_rho("spherical", f, n_grid=[n], trials=trials, seed=21)
-    hyp = estimate_rho("hyperplane", f, n_grid=[n], trials=trials, seed=22)
-    p_s, p_h = sph.p_hats[0], hyp.p_hats[0]
+    (sph,) = collision_grid(["spherical"], [f], [n], l=32, d=64, trials=trials, seed=21)
+    (hyp,) = collision_grid(["hyperplane"], [f], [n], l=32, d=64, trials=trials, seed=22)
+    p_s, p_h = sph["p_hat"], hyp["p_hat"]
     se_s = math.sqrt(p_s * (1 - p_s) / trials) / (p_s * math.log(n))
     se_h = math.sqrt(p_h * (1 - p_h) / trials) / (p_h * math.log(n))
-    gap = hyp.rho_hats[0] - sph.rho_hats[0]
+    gap = hyp["rho_hat"] - sph["rho_hat"]
     assert gap > 3 * math.sqrt(se_s ** 2 + se_h ** 2)
 
 
@@ -404,17 +407,7 @@ def test_minhash_collision_tracks_jaccard_over_random_pairs():
         assert abs(hits / perms - j) < 5 * se
 
 
-# -- analysis params / grid -----------------------------------------------------------
-
-def test_lsh_analysis_params():
-    p = LshAnalysisParams(r1=1.0, r2=3.0, p1=0.5, p2=0.1)
-    assert p.c == 3.0
-    assert p.rho == pytest.approx(math.log(2.0) / math.log(10.0))
-    with pytest.raises(ValueError):
-        LshAnalysisParams(r1=2.0, r2=1.0, p1=0.5, p2=0.1)
-    with pytest.raises(ValueError):
-        LshAnalysisParams(r1=1.0, r2=2.0, p1=0.1, p2=0.5)
-
+# -- grid ---------------------------------------------------------------------------
 
 def test_collision_grid_rows_and_determinism():
     rows = collision_grid(["token_id", "minhash"], [0.5, 1.0], [16, 64],

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from sparse_memory_lab.markov import (
-    generate_markov_corpus,
     markov_entropy_rate,
     random_transition_matrix,
     sample_markov,
@@ -49,11 +48,15 @@ def test_degenerate_rows_rejected():
 
 
 def test_corpus_deterministic_per_seed():
-    t1, h1 = generate_markov_corpus(8, transition_seed=1, length=500, corpus_seed=2)
-    t2, h2 = generate_markov_corpus(8, transition_seed=1, length=500, corpus_seed=2)
+    def corpus(transition_seed, corpus_seed):
+        matrix = random_transition_matrix(8, transition_seed)
+        return sample_markov(matrix, 500, corpus_seed), markov_entropy_rate(matrix)
+
+    t1, h1 = corpus(1, 2)
+    t2, h2 = corpus(1, 2)
     np.testing.assert_array_equal(t1, t2)
     assert h1 == h2
-    t3, _ = generate_markov_corpus(8, transition_seed=1, length=500, corpus_seed=3)
+    t3, _ = corpus(1, 3)
     assert np.any(t1 != t3)
 
 

@@ -18,6 +18,8 @@ from sparse_memory_lab.lookup import (
     MemoryTable,
     SoftmaxRouterParams,
     SphericalLshParams,
+    JITTER_EPSILON,
+    MIX_SEED,
     TokenIdLookup,
     fold_cells,
     memory_augmented_forward,
@@ -35,8 +37,8 @@ def reference_route(xt: Tensor, token: int, lookup, train_mode: bool, rng):
         return [token], None
     if isinstance(lookup, SoftmaxRouterParams):
         routed = xt
-        if train_mode and lookup.jitter_epsilon > 0:
-            eps = lookup.jitter_epsilon
+        if train_mode:
+            eps = JITTER_EPSILON
             routed = xt * rng.uniform(1.0 - eps, 1.0 + eps, size=xt.shape)
         probs = (lookup.W @ routed).softmax(axis=-1)
         top = [int(i) for i in np.argsort(-probs.data, kind="stable")[: lookup.k]]
@@ -44,7 +46,7 @@ def reference_route(xt: Tensor, token: int, lookup, train_mode: bool, rng):
     vec = xt.data
     if isinstance(lookup, HyperplaneLshParams):
         cells = np.floor((lookup.directions @ vec + lookup.offsets) / lookup.width)
-        bucket = fold_cells(cells.astype(np.int64), lookup.mix_seed) % np.uint64(lookup.n)
+        bucket = fold_cells(cells.astype(np.int64), MIX_SEED) % np.uint64(lookup.n)
         return [int(bucket)], None
     norm = np.linalg.norm(vec)
     if norm == 0.0:
@@ -127,7 +129,7 @@ def test_batched_layer_matches_per_position_reference(kind, rank, train_mode):
         rng = np.random.default_rng(11)
         jitter = None
         if train_mode and isinstance(lookup, SoftmaxRouterParams):
-            eps = lookup.jitter_epsilon
+            eps = JITTER_EPSILON
             jitter = rng.uniform(1.0 - eps, 1.0 + eps, size=x.shape)
         routed = route(x, tokens, lookup, jitter=jitter).indices.tolist()
         out = memory_augmented_forward(layer, x, tokens, lookup, table, jitter=jitter)

@@ -261,7 +261,7 @@ def test_finite_diff_detects_wrong_gradient():
     y = Tensor(np.array([3.0, 4.0]))  # no grad tracked: analytic grad will be 0
 
     def loss_fn():
-        return (x * y.detach() + y * y).sum()
+        return (x * Tensor(y.data) + y * y).sum()
 
     # analytic grad exists for x only; pretend y is trainable -> mismatch
     report = finite_diff_check(loss_fn, {"y": y}, epsilon=1e-5)
