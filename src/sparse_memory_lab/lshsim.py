@@ -2,18 +2,30 @@
 families, driven by synthetic sentence pairs with a controlled overlap
 fraction.
 
+A pair's cosine is drawn from its law rather than from its (s + 2 own) d
+embedding coordinates. The two sentence sums are S + A and S + B, where S
+sums the s shared unit embeddings and A and B each sentence's own ones; the
+three sums have independent uniform directions, independent of their norms.
+So a trial needs three unit-walk norms (one Beta draw per step) and the
+three pairwise cosines of three uniform directions (a Bartlett factor of a
+d x 3 Gaussian matrix): about 3l draws in place of (s + 2 own) d. Below
+d = 3, where the Bartlett factor has no chi-square(d - 2) term, and for the
+hyperplane width calibration, whose pinned width is a root over its own
+draws, the embeddings are summed literally.
+
 Two mixed sentence averages only interact with a random hash function
 through their 2-D span, so the spherical and hyperplane estimators sample
 (direction . u, direction . v) pairs directly (exactly bivariate normal for
 Gaussian directions, anchor norms recovered with an independent
 chi-square(d-2) term) instead of materializing d-dimensional hash
-parameters per trial. This is equal in law to the literal construction and
-roughly 20x faster; the cell-to-bucket mixing hash is shared verbatim with
-the lookup ops, and the test suite cross-checks both routes.
+parameters per trial. Both shortcuts are equal in law to the literal
+construction; the cell-to-bucket mixing hash is shared verbatim with the
+lookup ops, and the test suite cross-checks both routes.
 
-Every sampler draws its trials in fixed-size batches through one helper.
-`collision_grid`, `estimate_collision` and `estimate_mixing_dot` reject an
-unknown family and an out-of-range f, n, l, d or trial count before any draw.
+Every sampler draws its trials in blocks through one helper; a spherical
+block holds at most 4 MiB per (rows, n) array. `collision_grid`,
+`estimate_collision` and `estimate_mixing_dot` reject an unknown family and
+an out-of-range f, n, l, d or trial count before any draw.
 """
 
 from __future__ import annotations
@@ -37,6 +49,8 @@ _CALIBRATION_TRIALS = 20000
 _CALIBRATION_SEED = 20240917
 
 _PAIR_BATCH = 2048
+# float64s per (rows, n) spherical block array: 4 MiB
+_SPHERICAL_BLOCK = 1 << 19
 # min-hash keys (doubles) drawn per block: 128 KiB, under glibc's default
 # mmap threshold, so each block reuses heap memory instead of mapping and
 # faulting in fresh pages, and stays in cache
@@ -129,8 +143,11 @@ def estimate_mixing_dot(f: float, l: int, d: int, pairs: int, seed) -> tuple[flo
     rng = np.random.default_rng(as_seedseq(seed))
 
     def draw(start: int, stop: int) -> np.ndarray:
-        a1, a2 = _sentence_sums(f, l, d, stop - start, rng)
-        return l * np.einsum("td,td->t", a1 / l, a2 / l)
+        if d < 3:
+            a1, a2 = _sentence_sums(f, l, d, stop - start, rng)
+            return l * np.einsum("td,td->t", a1 / l, a2 / l)
+        dot, _, _ = _pair_gram(f, l, d, stop - start, rng)
+        return dot / l
 
     dots = _batched(pairs, _PAIR_BATCH, draw)
     mean = float(dots.mean())
@@ -148,10 +165,63 @@ def _batched(total: int, batch: int, draw: Callable[[int, int], np.ndarray]) -> 
                            for start in range(0, total, batch)])
 
 
+def _walk_norms(m: int, d: int, size: int, rng: np.random.Generator) -> np.ndarray:
+    """|e_1 + ... + e_m| for `size` sums of m iid uniform unit vectors in R^d, d >= 2.
+
+    Each step's cosine c with the sum so far is 2 Beta((d-1)/2, (d-1)/2) - 1,
+    independent of it, so |S + e|^2 = (|S| + c)^2 + 1 - c^2: one (size, m-1)
+    Beta block per walk.
+    """
+    if m == 0:
+        return np.zeros(size)
+    x = rng.beta(0.5 * (d - 1), 0.5 * (d - 1), (size, m - 1))
+    c = 2.0 * x - 1.0
+    x *= 1.0 - x
+    x *= 4.0  # 1 - c^2, as a product of nonnegative terms
+    r = np.ones(size)
+    for k in range(m - 1):
+        r += c[:, k]
+        r *= r
+        r += x[:, k]
+        np.sqrt(r, out=r)
+    return r
+
+
+def _pair_gram(f: float, l: int, d: int, size: int,
+               rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """a1.a2, |a1|^2 and |a2|^2 of the sentence sums a1 = S + A and a2 = S + B
+    of `size` fresh pairs sharing round(f*l) of their l ids, drawn from their
+    law; d >= 3.
+
+    The norms of S, A and B are unit-walk norms, drawn in that order. Their
+    directions are three iid uniform unit vectors, whose pairwise cosines are
+    those of the columns of a Bartlett factor R of a d x 3 Gaussian matrix:
+    R22 = sqrt(chi2(d-1)), R33 = sqrt(chi2(d-2)) and normal R12, R13, R23
+    (R11 cancels).
+    """
+    s = round(f * l)
+    own = l - s
+    rs, ra, rb = (_walk_norms(m, d, size, rng) for m in (s, own, own))
+    r22 = np.sqrt(rng.chisquare(d - 1, size))
+    r33 = np.sqrt(rng.chisquare(d - 2, size))
+    r12, r13, r23 = rng.standard_normal((3, size))
+    n2 = np.sqrt(r12 * r12 + r22 * r22)
+    n3 = np.sqrt(r13 * r13 + r23 * r23 + r33 * r33)
+    # the cosines of S and A, of S and B, and of A and B
+    sa = r12 / n2
+    sb = r13 / n3
+    ab = (r12 * r13 + r22 * r23) / (n2 * n3)
+    ss = rs * rs
+    dot = ss + rs * (ra * sa + rb * sb) + ra * rb * ab
+    sq1 = ss + ra * ra + 2.0 * rs * ra * sa
+    sq2 = ss + rb * rb + 2.0 * rs * rb * sb
+    return dot, sq1, sq2
+
+
 def _sentence_sums(f: float, l: int, d: int, size: int,
                    rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
     """Sums of the unit wordpiece embeddings of `size` fresh sentence pairs
-    sharing round(f*l) of their l ids: two (size, d) arrays."""
+    sharing round(f*l) of their l ids, built literally: two (size, d) arrays."""
     s = round(f * l)
     own = l - s
     e = rng.standard_normal((size, s + 2 * own, d))
@@ -161,20 +231,29 @@ def _sentence_sums(f: float, l: int, d: int, size: int,
     return a1, a2
 
 
-def _pair_cosines(f: float, l: int, d: int, trials: int,
-                  rng: np.random.Generator) -> np.ndarray:
-    """Realized cosine between the two unit-normalized mixed averages, per trial."""
+def _pair_cosines(f: float, l: int, d: int, trials: int, rng: np.random.Generator,
+                  *, literal: bool = False) -> np.ndarray:
+    """Realized cosine between the two unit-normalized mixed averages, per trial.
+
+    Drawn from its law (`_pair_gram`) when d >= 3; from the literal sentence
+    sums when d < 3 or `literal` is set.
+    """
     if round(f * l) == l:
         # identical sentences: the averages are literally the same vector
         return np.ones(trials)
 
-    def draw(start: int, stop: int) -> np.ndarray:
+    def literal_draw(start: int, stop: int) -> np.ndarray:
         a1, a2 = _sentence_sums(f, l, d, stop - start, rng)
         cos = np.einsum("td,td->t", a1, a2)
         cos /= np.linalg.norm(a1, axis=1) * np.linalg.norm(a2, axis=1)
         return np.clip(cos, -1.0, 1.0)
 
-    return _batched(trials, _PAIR_BATCH, draw)
+    def law_draw(start: int, stop: int) -> np.ndarray:
+        dot, sq1, sq2 = _pair_gram(f, l, d, stop - start, rng)
+        dot /= np.sqrt(sq1 * sq2)
+        return np.clip(dot, -1.0, 1.0, out=dot)
+
+    return _batched(trials, _PAIR_BATCH, literal_draw if literal or d < 3 else law_draw)
 
 
 def default_num_projections(n: int) -> int:
@@ -196,13 +275,19 @@ def _spherical_collisions(cosines: np.ndarray, n: int, d: int,
         b = stop - start
         w1 = rng.standard_normal((b, n))
         w2 = rng.standard_normal((b, n))
-        resid = rng.chisquare(d - 2, (b, n)) if d > 2 else np.zeros((b, n))
-        inv = 1.0 / np.sqrt(w1 * w1 + w2 * w2 + resid)
-        du = w1 * inv
-        dv = (t * w1 + np.sqrt(np.maximum(0.0, 1.0 - t * t)) * w2) * inv
-        return np.argmax(du, axis=1) == np.argmax(dv, axis=1)
+        norm = rng.chisquare(d - 2, (b, n)) if d > 2 else np.zeros((b, n))
+        norm += w1 * w1
+        norm += w2 * w2
+        np.sqrt(norm, out=norm)  # each anchor's norm
+        # each anchor's products with the two rows, in place: w1 with the
+        # first, w2 with the second
+        w2 *= np.sqrt(np.maximum(0.0, 1.0 - t * t))
+        w2 += t * w1
+        w1 /= norm
+        w2 /= norm
+        return np.argmax(w1, axis=1) == np.argmax(w2, axis=1)
 
-    return _batched(cosines.size, max(1, int(2e7 / n)), draw)
+    return _batched(cosines.size, max(1, _SPHERICAL_BLOCK // n), draw)
 
 
 def _hyperplane_collisions(cosines: np.ndarray, n: int, k: int, width: float,
@@ -214,12 +299,15 @@ def _hyperplane_collisions(cosines: np.ndarray, n: int, k: int, width: float,
         w1 = rng.standard_normal((b, k))
         w2 = rng.standard_normal((b, k))
         offs = rng.uniform(0.0, width, (b, k))
-        pu = w1
-        pv = t * w1 + np.sqrt(np.maximum(0.0, 1.0 - t * t)) * w2
-        cu = np.floor((pu + offs) / width).astype(np.int64)
-        cv = np.floor((pv + offs) / width).astype(np.int64)
-        bu = fold_cells(cu, MIX_SEED) % np.uint64(n)
-        bv = fold_cells(cv, MIX_SEED) % np.uint64(n)
+        # the two rows' projections, in place: w1 is the first's, w2 the second's
+        w2 *= np.sqrt(np.maximum(0.0, 1.0 - t * t))
+        w2 += t * w1
+        for proj in (w1, w2):
+            proj += offs
+            proj /= width
+            np.floor(proj, out=proj)
+        bu = fold_cells(w1.astype(np.int64), MIX_SEED) % np.uint64(n)
+        bv = fold_cells(w2.astype(np.int64), MIX_SEED) % np.uint64(n)
         return bu == bv
 
     return _batched(cosines.size, max(1, int(2e7 / k)), draw)
@@ -250,8 +338,9 @@ def hyperplane_collision_width(d: int, l: int) -> float:
     k = default_num_projections(_CALIBRATION_N)
     ss = np.random.SeedSequence(_CALIBRATION_SEED)
     s_pairs, _ = ss.spawn(2)
+    # literal pairs: the pinned (64, 32) width is the root over these draws
     cosines = _pair_cosines(_CALIBRATION_F, l, d, _CALIBRATION_TRIALS,
-                            np.random.default_rng(s_pairs))
+                            np.random.default_rng(s_pairs), literal=True)
     lo, hi = 0.5, 2000.0
     for step in range(40):
         mid = 0.5 * (lo + hi)

@@ -38,7 +38,11 @@ def _validate_transitions(matrix: np.ndarray) -> np.ndarray:
 
 
 def stationary_distribution(matrix: np.ndarray) -> np.ndarray:
-    """Fixed point of pi = pi P by power iteration from uniform."""
+    """Fixed point of pi = pi P by power iteration from uniform.
+
+    Raises ValueError when the iteration does not settle, as on a periodic
+    chain whose iterates cycle.
+    """
     m = _validate_transitions(matrix)
     n = m.shape[0]
     pi = np.full(n, 1.0 / n)
@@ -47,7 +51,8 @@ def stationary_distribution(matrix: np.ndarray) -> np.ndarray:
         if np.max(np.abs(nxt - pi)) < _TOL:
             return nxt / nxt.sum()
         pi = nxt
-    return pi / pi.sum()
+    raise ValueError(f"stationary distribution did not converge in {_MAX_ITERS} power "
+                     "iterations from uniform (is the chain periodic?)")
 
 
 def markov_entropy_rate(matrix: np.ndarray) -> float:

@@ -229,7 +229,7 @@ class GradCheckReport:
 
     def __post_init__(self) -> None:
         self.max_rel_error = max(self.per_param.values()) if self.per_param else 0.0
-        self.passed = self.max_rel_error < self.tolerance
+        self.passed = bool(self.max_rel_error < self.tolerance)  # a numpy bool prints True
 
 
 def finite_diff_check(loss_fn: Callable[[], Tensor],

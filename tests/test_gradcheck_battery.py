@@ -12,7 +12,8 @@ from sparse_memory_lab.config import (
 )
 from sparse_memory_lab.gradcheck import GRADCHECK_COLUMNS, memory_softmax_scenario
 from sparse_memory_lab.model import LanguageModel
-from sparse_memory_lab.nn import finite_diff_check
+from sparse_memory_lab.nn import GradCheckReport, finite_diff_check
+from sparse_memory_lab.reporting import fmt_value
 
 
 def test_memory_scenario_shape():
@@ -20,6 +21,15 @@ def test_memory_scenario_shape():
     assert "softmax" in name
     assert float(loss_fn().data) > 0
     assert set(GRADCHECK_COLUMNS) == {"check", "max_rel_error", "epsilon", "passed"}
+
+
+@pytest.mark.parametrize("error", [0.0, np.float64(0.0), np.float64(3e-7), np.float64(0.5)],
+                         ids=["python-zero", "numpy-zero", "numpy-pass", "numpy-fail"])
+def test_passed_is_a_python_bool(error):
+    # a numpy bool would be written True, a Python bool true
+    report = GradCheckReport(per_param={"w": error}, epsilon=1e-5, tolerance=1e-4)
+    assert type(report.passed) is bool
+    assert fmt_value(report.passed) == ("true" if error < 1e-4 else "false")
 
 
 def test_full_loss_gradcheck_with_block_and_partial_experts():

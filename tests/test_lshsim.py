@@ -8,9 +8,11 @@ import pytest
 
 from sparse_memory_lab import lshsim
 from sparse_memory_lab.lookup import (
+    MIX_SEED,
     HyperplaneLshParams,
     MinHashParams,
     SphericalLshParams,
+    fold_cells,
     hyperplane_lsh_lookup,
     minhash_lookup,
     spherical_lsh_lookup,
@@ -168,25 +170,26 @@ def test_mixing_dot_rejects_out_of_range_input(f, l, d, pairs):
 
 
 def test_random_stream_is_pinned():
-    # literals from the samplers as first written: a reordered draw, or a
-    # re-batched hash draw (which interleaves its arrays per batch), changes them
+    # literals of the samplers' random stream: a reordered draw, or a
+    # re-batched pair or hash draw (each interleaves its arrays per batch),
+    # changes them
     rows = collision_grid(list(lshsim.FAMILIES), [0.25, 0.75], [16, 300], 8, 8, 2000, 3)
     assert [(r["family"], r["f"], r["n"], r["p_hat"]) for r in rows] == [
-        ("token_id", 0.25, 16, 0.25), ("spherical", 0.25, 16, 0.128),
-        ("hyperplane", 0.25, 16, 0.855), ("minhash", 0.25, 16, 0.1415),
-        ("token_id", 0.25, 300, 0.25), ("spherical", 0.25, 300, 0.011),
-        ("hyperplane", 0.25, 300, 0.1575), ("minhash", 0.25, 300, 0.1335),
-        ("token_id", 0.75, 16, 0.75), ("spherical", 0.75, 16, 0.382),
-        ("hyperplane", 0.75, 16, 0.9175), ("minhash", 0.75, 16, 0.5855),
-        ("token_id", 0.75, 300, 0.75), ("spherical", 0.75, 300, 0.132),
-        ("hyperplane", 0.75, 300, 0.327), ("minhash", 0.75, 300, 0.5815),
+        ("token_id", 0.25, 16, 0.25), ("spherical", 0.25, 16, 0.133),
+        ("hyperplane", 0.25, 16, 0.8495), ("minhash", 0.25, 16, 0.1415),
+        ("token_id", 0.25, 300, 0.25), ("spherical", 0.25, 300, 0.01),
+        ("hyperplane", 0.25, 300, 0.156), ("minhash", 0.25, 300, 0.1335),
+        ("token_id", 0.75, 16, 0.75), ("spherical", 0.75, 16, 0.391),
+        ("hyperplane", 0.75, 16, 0.908), ("minhash", 0.75, 16, 0.5855),
+        ("token_id", 0.75, 300, 0.75), ("spherical", 0.75, 300, 0.119),
+        ("hyperplane", 0.75, 300, 0.329), ("minhash", 0.75, 300, 0.5815),
     ]
     # more pairs than one batch of sentence draws
-    assert estimate_mixing_dot(0.5, 8, 8, 3000, 3) == (0.49248016465428973,
-                                                       0.0067010269233291194)
+    assert estimate_mixing_dot(0.5, 8, 8, 3000, 3) == (0.4996037729799272,
+                                                       0.0069912939553428005)
     p_hats = [estimate_collision(fam, 0.5, 16, 8, 8, 5000, 4, width=2.0).p_hat
               for fam in ("spherical", "hyperplane", "minhash")]
-    assert p_hats == [0.2178, 0.068, 0.3356]
+    assert p_hats == [0.2266, 0.0702, 0.3356]
 
 
 # -- dual-route consistency: span samplers vs literal lookup ops --------------------
@@ -262,6 +265,120 @@ def test_minhash_key_blocks_keep_the_one_block_stream():
         expected = (elem_a % n) == (elem_b % n)
         got = lshsim._minhash_collisions(f, l, n, trials, np.random.default_rng(7))
         np.testing.assert_array_equal(got, expected)
+
+
+# -- the pair sampler's law, and the hash blocks ---------------------------------------
+
+def literal_pair_cosines(f, l, d, trials, rng):
+    """make_sentence_pair's construction for `trials` pairs at once: shared
+    ids first, then each sentence's own, unit embeddings, mixed averages."""
+    s = round(f * l)
+    own = l - s
+    out = []
+    for start in range(0, trials, 1000):
+        e = rng.standard_normal((min(1000, trials - start), s + 2 * own, d))
+        e /= np.linalg.norm(e, axis=2, keepdims=True)
+        a1 = e[:, :s + own].mean(axis=1)
+        a2 = np.concatenate([e[:, :s], e[:, s + own:]], axis=1).mean(axis=1)
+        out.append(np.einsum("td,td->t", a1, a2)
+                   / (np.linalg.norm(a1, axis=1) * np.linalg.norm(a2, axis=1)))
+    return np.concatenate(out)
+
+
+def ks_statistic(a, b):
+    """sqrt(n_a n_b / (n_a + n_b)) times the two-sample Kolmogorov-Smirnov distance."""
+    a, b = np.sort(a), np.sort(b)
+    x = np.concatenate([a, b])
+    gap = np.abs(np.searchsorted(a, x, side="right") / a.size
+                 - np.searchsorted(b, x, side="right") / b.size)
+    return gap.max() * math.sqrt(a.size * b.size / (a.size + b.size))
+
+
+@pytest.mark.parametrize("f, l, d", [
+    (0.0, 32, 64), (0.25, 32, 64), (0.5, 8, 8), (0.9, 32, 64), (0.5, 16, 3),
+])
+def test_pair_cosines_follow_the_literal_law(f, l, d):
+    # 1.63 is the Kolmogorov distribution's 1% point
+    trials = 20000
+    law = lshsim._pair_cosines(f, l, d, trials, np.random.default_rng(71))
+    literal = literal_pair_cosines(f, l, d, trials, np.random.default_rng(72))
+    assert ks_statistic(law, literal) < 1.63
+
+
+@pytest.mark.parametrize("m", [1, 2, 32])
+@pytest.mark.parametrize("d", [3, 64])
+def test_walk_squared_norm_has_mean_m(m, d):
+    # E|e_1 + ... + e_m|^2 = m for iid uniform unit vectors
+    sq = lshsim._walk_norms(m, d, 20000, np.random.default_rng(73)) ** 2
+    assert abs(sq.mean() - m) <= 4 * sq.std(ddof=1) / math.sqrt(sq.size)
+
+
+@pytest.mark.parametrize("d", [1, 2])
+def test_pair_cosines_below_d3_are_the_literal_sums(d):
+    f, l, trials = 0.5, 7, 5000  # odd sums of +-1 never vanish at d=1; more than one batch
+    got = lshsim._pair_cosines(f, l, d, trials, np.random.default_rng(74))
+    a1, a2 = lshsim._sentence_sums(f, l, d, trials, np.random.default_rng(74))
+    cos = np.einsum("td,td->t", a1, a2)
+    cos /= np.linalg.norm(a1, axis=1) * np.linalg.norm(a2, axis=1)
+    np.testing.assert_array_equal(got, np.clip(cos, -1.0, 1.0))
+
+
+class RecordingGenerator:
+    """A numpy Generator that records the byte size of every array it draws."""
+
+    def __init__(self, seed):
+        self.rng = np.random.default_rng(seed)
+        self.nbytes = []
+
+    def __getattr__(self, name):
+        method = getattr(self.rng, name)
+
+        def draw(*args, **kwargs):
+            out = method(*args, **kwargs)
+            self.nbytes.append(np.asarray(out).nbytes)
+            return out
+        return draw
+
+
+@pytest.mark.parametrize("n, d", [(1024, 64), (300, 8), (4096, 3)])
+def test_spherical_blocks_stay_under_4_mib(n, d):
+    cosines = np.random.default_rng(75).uniform(-1.0, 1.0, 3000)
+    rng = RecordingGenerator(76)
+    lshsim._spherical_collisions(cosines, n, d, rng)
+    assert len(rng.nbytes) > 3  # several blocks
+    assert max(rng.nbytes) <= 4 << 20
+
+
+def reference_hyperplane_collisions(cosines, n, k, width, rng):
+    """The hyperplane sampler as first written, out of place."""
+    def draw(start, stop):
+        t = cosines[start:stop, None]
+        b = stop - start
+        w1 = rng.standard_normal((b, k))
+        w2 = rng.standard_normal((b, k))
+        offs = rng.uniform(0.0, width, (b, k))
+        pu = w1
+        pv = t * w1 + np.sqrt(np.maximum(0.0, 1.0 - t * t)) * w2
+        cu = np.floor((pu + offs) / width).astype(np.int64)
+        cv = np.floor((pv + offs) / width).astype(np.int64)
+        bu = fold_cells(cu, MIX_SEED) % np.uint64(n)
+        bv = fold_cells(cv, MIX_SEED) % np.uint64(n)
+        return bu == bv
+
+    return lshsim._batched(cosines.size, max(1, int(2e7 / k)), draw)
+
+
+@pytest.mark.parametrize("n", [256, 1024])
+def test_in_place_hyperplane_block_equals_reference(n):
+    rng = np.random.default_rng(77)
+    cosines = np.concatenate([rng.uniform(-1.0, 1.0, 1500), np.ones(100),
+                              lshsim._pair_cosines(0.9, 32, 64, 1500, rng)])
+    k = default_num_projections(n)
+    width = hyperplane_collision_width(64, 32)
+    got = lshsim._hyperplane_collisions(cosines, n, k, width, np.random.default_rng(78))
+    expected = reference_hyperplane_collisions(cosines, n, k, width, np.random.default_rng(78))
+    np.testing.assert_array_equal(got, expected)
+    assert 0 < got.sum() < got.size
 
 
 # -- rho ---------------------------------------------------------------------------
@@ -346,10 +463,10 @@ def test_hyperplane_collisions_match_closed_form(f):
 
 
 def test_pinned_width_is_a_root_of_the_closed_form():
-    # the calibration's own cosines, so only its hash draws are Monte Carlo
+    # the calibration's own literal cosines, so only its hash draws are Monte Carlo
     s_pairs, _ = np.random.SeedSequence(lshsim._CALIBRATION_SEED).spawn(2)
     cosines = lshsim._pair_cosines(lshsim._CALIBRATION_F, 32, 64, lshsim._CALIBRATION_TRIALS,
-                                   np.random.default_rng(s_pairs))
+                                   np.random.default_rng(s_pairs), literal=True)
     n, target = lshsim._CALIBRATION_N, lshsim._CALIBRATION_TARGET
     k = default_num_projections(n)
 

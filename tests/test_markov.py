@@ -32,6 +32,14 @@ def test_bigram_frequencies_match_matrix_at_length_1e6():
     assert np.abs(conditional - p).max() < 0.01
 
 
+def test_periodic_chain_is_an_error():
+    # period 2: the iterates from uniform alternate and never settle on
+    # pi = (1/4, 1/2, 1/4)
+    p = np.array([[0.0, 1.0, 0.0], [0.5, 0.0, 0.5], [0.0, 1.0, 0.0]])
+    with pytest.raises(ValueError, match="did not converge"):
+        stationary_distribution(p)
+
+
 def test_stationary_is_fixed_point():
     p = random_transition_matrix(6, seed=5)
     pi = stationary_distribution(p)
