@@ -16,7 +16,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .autodiff import Tensor, at_layer, at_stage, concat
+from .autodiff import Tensor, _unbroadcast, at_layer, at_stage, concat
 
 
 class WideRepresentation:
@@ -121,39 +121,95 @@ class PccSimplifiedParams:
         return PccFullParams(P=Tensor(p_full), G=Tensor(g_full))
 
 
+def _weight_grad(a: np.ndarray, g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
+    """The gradient of w in a @ w.T, given g at its output: the sum of g^T @ a
+    over the leading axes, a 1-D operand taken as one row."""
+    a, g = np.atleast_2d(a), np.atleast_2d(g)
+    return _unbroadcast(np.matmul(np.swapaxes(g, -1, -2), a), shape)
+
+
+def predict_correct_full(flat: Tensor, computed: Tensor, P: Tensor, G: Tensor,
+                         j_star: int) -> Tensor:
+    """flat @ P.T + (computed - block j* of that prediction) @ G.T, one node:
+    the full form's prediction, corrected by the computed block's innovation."""
+    d = G.shape[1]
+    cols = slice(j_star * d, (j_star + 1) * d)
+    predicted = np.matmul(flat.data, P.data.T.copy())
+    innovation = computed.data - predicted[..., cols]
+    out_data = predicted + np.matmul(innovation, G.data.T.copy())
+
+    def backward(g: np.ndarray) -> None:
+        g_innovation = np.matmul(g, G.data)
+        if computed.requires_grad:
+            computed._accumulate(g_innovation)
+        if G.requires_grad:
+            G._accumulate(_weight_grad(innovation, g, G.shape))
+        g_predicted = g.copy()
+        g_predicted[..., cols] -= g_innovation
+        if P.requires_grad:
+            P._accumulate(_weight_grad(flat.data, g_predicted, P.shape))
+        if flat.requires_grad:
+            flat._accumulate(np.matmul(g_predicted, P.data))
+
+    return Tensor._op(out_data, (flat, computed, P, G), backward)
+
+
+def predict_correct_simplified(flat: Tensor, computed: Tensor, p: Tensor, g: Tensor,
+                               j_star: int) -> Tensor:
+    """Block i of the result is sum_j p_ij x^j + g_i (computed - sum_j p_{j*j} x^j),
+    x^j block j of the (..., K*d) `flat`, as one node."""
+    K = p.shape[0]
+    *lead, kd = flat.shape
+    d = kd // K
+    x = flat.data.reshape(*lead, K, d)
+    predicted = np.matmul(p.data, x)
+    innovation = computed.data.reshape(*lead, 1, d) - predicted[..., j_star:j_star + 1, :]
+    gains = g.data.reshape(K, 1)
+    out_data = (predicted + gains * innovation).reshape(*lead, kd)
+
+    def backward(grad: np.ndarray) -> None:
+        grad = grad.reshape(*lead, K, d)
+        g_innovation = (grad * gains).sum(axis=-2, keepdims=True)
+        if computed.requires_grad:
+            computed._accumulate(g_innovation.reshape(computed.shape))
+        if g.requires_grad:
+            g._accumulate(_unbroadcast(grad * innovation, (K, 1)).reshape(K))
+        g_predicted = grad.copy()
+        g_predicted[..., j_star:j_star + 1, :] -= g_innovation
+        if p.requires_grad:
+            p._accumulate(_unbroadcast(np.matmul(g_predicted, np.swapaxes(x, -1, -2)), (K, K)))
+        if flat.requires_grad:
+            flat._accumulate(np.matmul(p.data.T, g_predicted).reshape(flat.shape))
+
+    return Tensor._op(out_data, (flat, computed, p, g), backward)
+
+
 def pcc_forward_full(x_old: WideRepresentation, params: PccFullParams,
                      layer: Callable[[Tensor], Tensor], j_star: int) -> WideRepresentation:
-    """Predict with P, compute block j* with the layer, correct with G."""
+    """Compute block j* with the layer, predict with P, correct with G."""
     K, d = x_old.K, x_old.d
     if params.P.shape != (K * d, K * d) or params.G.shape != (K * d, d):
         raise ValueError("predictor/gain shapes inconsistent with the representation")
     if not (0 <= j_star < K):
         raise ValueError(f"j_star {j_star} outside [0, {K})")
-    at_stage("pcc predict")
-    predicted = x_old.to_flat() @ params.P.T
-    pred_j = predicted.narrow(predicted.ndim - 1, j_star * d, d)
     computed = layer(x_old.block(j_star))
-    at_stage("pcc correct")
-    innovation = computed - pred_j
-    return WideRepresentation(flat=predicted + innovation @ params.G.T, K=K)
+    at_stage("pcc")
+    flat = predict_correct_full(x_old.to_flat(), computed, params.P, params.G, j_star)
+    return WideRepresentation(flat=flat, K=K)
 
 
 def pcc_forward_simplified(x_old: WideRepresentation, params: PccSimplifiedParams,
                            layer: Callable[[Tensor], Tensor], j_star: int) -> WideRepresentation:
     """Blockwise scalar form: x_new^i = sum_j p_ij x^j + g_i (computed - predicted j*)."""
-    K, d = x_old.K, x_old.d
+    K = x_old.K
     if params.K != K:
         raise ValueError(f"params built for K={params.K}, representation has K={K}")
     if not (0 <= j_star < K):
         raise ValueError(f"j_star {j_star} outside [0, {K})")
-    at_stage("pcc predict")
-    predicted = params.p @ x_old.view()  # (..., K, d)
-    lead = predicted.shape[:-2]
     computed = layer(x_old.block(j_star))
-    at_stage("pcc correct")
-    innovation = computed.reshape(*lead, 1, d) - predicted.narrow(len(lead), j_star, 1)
-    corrected = predicted + params.g.reshape(K, 1) * innovation
-    return WideRepresentation(flat=corrected.reshape(*lead, K * d), K=K)
+    at_stage("pcc")
+    flat = predict_correct_simplified(x_old.to_flat(), computed, params.p, params.g, j_star)
+    return WideRepresentation(flat=flat, K=K)
 
 
 def divide_and_project(aug: Tensor, proj: Tensor) -> Tensor:

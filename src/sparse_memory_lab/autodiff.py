@@ -3,7 +3,8 @@
 Only the operations the layers in this package need are implemented, plus
 `exp` and `log` (the tests plant non-finite values with them): no division,
 no constant minus a tensor, no views and no in-place graph surgery. Matmul follows np.matmul, so a
-whole batch of sequences, or of attention heads, is one node. A tensor built
+whole batch of sequences, or of attention heads, is one node; `layer_norm` and
+`causal_attention` are fused ops, one node each with a hand-written backward. A tensor built
 by a caller is validated to be finite; op results are not scanned, so a
 training step or an eval pass checks its outputs once. Inside `checked()`
 every op result and every backward contribution is scanned, and the first
@@ -15,6 +16,7 @@ intermediate as soon as the next op has used it.
 
 from __future__ import annotations
 
+import math
 import threading
 from contextlib import contextmanager
 from typing import Callable, Iterator, Sequence
@@ -42,6 +44,35 @@ def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     if axes:
         grad = grad.sum(axis=axes, keepdims=True)
     return grad
+
+
+def _softmax(x: np.ndarray, axis: int) -> np.ndarray:
+    shifted = x - x.max(axis=axis, keepdims=True)
+    e = np.exp(shifted)
+    return e / e.sum(axis=axis, keepdims=True)
+
+
+def _softmax_grad(g: np.ndarray, p: np.ndarray, axis: int) -> np.ndarray:
+    """The gradient at the input of a softmax with output p and output gradient g."""
+    inner = (g * p).sum(axis=axis, keepdims=True)
+    return p * (g - inner)
+
+
+def _normalize(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """x rescaled to zero mean and unit variance along the last axis, and the
+    1/std it was multiplied by."""
+    mu = x.mean(axis=-1, keepdims=True)
+    xc = x - mu
+    var = (xc * xc).mean(axis=-1, keepdims=True)
+    inv = 1.0 / np.sqrt(var + _NORM_EPS)
+    return xc * inv, inv
+
+
+def _normalize_grad(g: np.ndarray, y: np.ndarray, inv: np.ndarray) -> np.ndarray:
+    """The gradient at the input of _normalize, whose output is y."""
+    gm = g.mean(axis=-1, keepdims=True)
+    gym = (g * y).mean(axis=-1, keepdims=True)
+    return inv * (g - gm - y * gym)
 
 
 class _Mode(threading.local):
@@ -374,13 +405,10 @@ class Tensor:
     # -- softmax family -----------------------------------------------------------
 
     def softmax(self, axis: int = -1) -> "Tensor":
-        shifted = self.data - self.data.max(axis=axis, keepdims=True)
-        e = np.exp(shifted)
-        p = e / e.sum(axis=axis, keepdims=True)
+        p = _softmax(self.data, axis)
 
         def backward(g: np.ndarray) -> None:
-            inner = (g * p).sum(axis=axis, keepdims=True)
-            self._accumulate(p * (g - inner))
+            self._accumulate(_softmax_grad(g, p, axis))
 
         return Tensor._op(p, (self,), backward)
 
@@ -398,16 +426,10 @@ class Tensor:
 
     def normalize(self) -> "Tensor":
         """Zero-mean unit-variance rescale along the last axis (layer-norm core)."""
-        mu = self.data.mean(axis=-1, keepdims=True)
-        xc = self.data - mu
-        var = (xc * xc).mean(axis=-1, keepdims=True)
-        inv = 1.0 / np.sqrt(var + _NORM_EPS)
-        y = xc * inv
+        y, inv = _normalize(self.data)
 
         def backward(g: np.ndarray) -> None:
-            gm = g.mean(axis=-1, keepdims=True)
-            gym = (g * y).mean(axis=-1, keepdims=True)
-            self._accumulate(inv * (g - gm - y * gym))
+            self._accumulate(_normalize_grad(g, y, inv))
 
         return Tensor._op(y, (self,), backward)
 
@@ -429,3 +451,68 @@ def concat(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
                 t._accumulate(g[tuple(idx)])
 
     return Tensor._op(out_data, tuple(tensors), backward)
+
+
+# -- fused ops ----------------------------------------------------------------------
+# Each runs the numpy forward of the chain of ops it stands for, call for call,
+# so its values are bit-identical to that chain's; only the order of the sums
+# in its one backward differs.
+
+def layer_norm(x: Tensor, scale: Tensor, bias: Tensor) -> Tensor:
+    """x.normalize() * scale + bias as one node."""
+    y, inv = _normalize(x.data)
+
+    def backward(g: np.ndarray) -> None:
+        if x.requires_grad:
+            x._accumulate(_normalize_grad(g * scale.data, y, inv))
+        if scale.requires_grad:
+            scale._accumulate(_unbroadcast(g * y, scale.data.shape))
+        if bias.requires_grad:
+            bias._accumulate(_unbroadcast(g, bias.data.shape))
+
+    return Tensor._op(y * scale.data + bias.data, (x, scale, bias), backward)
+
+
+def causal_attention(q: Tensor, k: Tensor, v: Tensor, n_heads: int,
+                     mask: np.ndarray | None = None) -> Tensor:
+    """Multi-head attention on (..., seq, d) query, key and value projections
+    as one node: the heads are column groups of d/n_heads, each head's output
+    is softmax(q k^T / sqrt(d/n_heads) + mask) v, and the heads' outputs sit
+    side by side in (..., seq, d). `mask` is an additive (seq, seq) array
+    (-1e30 above the diagonal makes it causal), or None."""
+    if not q.shape == k.shape == v.shape or q.ndim < 2:
+        raise ValueError(f"attention expects equal (..., seq, d) shapes, got "
+                         f"{q.shape}, {k.shape}, {v.shape}")
+    *lead, seq, d = q.shape
+    if d % n_heads != 0:
+        raise ValueError(f"n_heads={n_heads} must divide d={d}")
+    dh = d // n_heads
+    scale = 1.0 / math.sqrt(dh)
+
+    def split(t: np.ndarray) -> np.ndarray:
+        return np.swapaxes(t.reshape(*lead, seq, n_heads, dh), -3, -2)
+
+    def merge(t: np.ndarray) -> np.ndarray:
+        return np.swapaxes(t, -3, -2).reshape(*lead, seq, d)
+
+    # (..., h, seq, dh) C-ordered copies, so the GEMMs see the layouts that
+    # the head-split and transpose ops give
+    qh, kh, vh = split(q.data).copy(), split(k.data).copy(), split(v.data).copy()
+    scores = np.matmul(qh, np.swapaxes(kh, -2, -1).copy()) * scale
+    if mask is not None:
+        scores = scores + mask
+    p = _softmax(scores, -1)
+    out_data = np.swapaxes(np.matmul(p, vh), -3, -2).copy().reshape(*lead, seq, d)
+
+    def backward(g: np.ndarray) -> None:
+        gh = split(g)
+        if v.requires_grad:
+            v._accumulate(merge(np.matmul(np.swapaxes(p, -2, -1), gh)))
+        if q.requires_grad or k.requires_grad:
+            gs = _softmax_grad(np.matmul(gh, np.swapaxes(vh, -2, -1)), p, -1) * scale
+            if q.requires_grad:
+                q._accumulate(merge(np.matmul(gs, kh)))
+            if k.requires_grad:
+                k._accumulate(merge(np.matmul(np.swapaxes(gs, -2, -1), qh)))
+
+    return Tensor._op(out_data, (q, k, v), backward)

@@ -363,9 +363,11 @@ def _check_cells(families: Sequence[str], f_grid: Sequence[float],
     checks += [(0.0 <= f <= 1.0, f"overlap fraction must lie in [0, 1], got {f}") for f in f_grid]
     checks += [(n >= 1, f"table size must be at least 1, got {n}") for n in n_grid]
     checks += [(l >= 1, f"sentence length must be at least 1, got {l}"),
-               (d >= 1, f"embedding dimension must be at least 1, got {d}"),
-               (d >= 2 or "spherical" not in families, "spherical simulation needs d >= 2"),
-               (trials >= 1, f"need at least one trial, got {trials}")]
+               (d >= 1, f"embedding dimension must be at least 1, got {d}")]
+    # at d = 1 a sentence sum is 0 with positive probability, and its cosine NaN
+    checks += [(d >= 2, f"{fam} simulation needs d >= 2")
+               for fam in _COSINE_FAMILIES if fam in families]
+    checks += [(trials >= 1, f"need at least one trial, got {trials}")]
     for ok, message in checks:
         if not ok:
             raise ValueError(message)

@@ -13,7 +13,7 @@ from typing import Callable, Mapping
 
 import numpy as np
 
-from .autodiff import Tensor, at_stage, no_grad
+from .autodiff import Tensor, at_stage, causal_attention, layer_norm, no_grad
 
 
 def as_seedseq(seed) -> np.random.SeedSequence:
@@ -183,31 +183,20 @@ def transformer_block_forward(x: Tensor, params: TransformerBlockParams,
     """Run one block on a (..., seq, d) tensor; deterministic given params.
 
     Leading axes are independent sequences; the heads run as one
-    (..., h, seq, d/h) batch.
+    (..., h, seq, d/h) batch inside the attention op.
     """
     if x.ndim < 2 or x.shape[-1] != params.d:
         raise ValueError(f"block expects (..., seq, {params.d}), got {x.shape}")
-    *lead, seq, d = x.shape
-    h = params.n_heads
-    dh = d // h
-
-    def heads(t: Tensor) -> Tensor:
-        return t.reshape(*lead, seq, h, dh).swapaxes(-3, -2)
-
+    seq = x.shape[-2]
     at_stage("attention")
-    ln1 = x.normalize() * params.ln1_scale + params.ln1_bias
-    q = heads(ln1 @ params.wq)
-    k = heads(ln1 @ params.wk)
-    v = heads(ln1 @ params.wv)
-
-    scores = (q @ k.T) * (1.0 / math.sqrt(dh))
-    if causal and seq > 1:
-        scores = scores + np.triu(np.full((seq, seq), _NEG_MASK), k=1)
-    attended = (scores.softmax(axis=-1) @ v).swapaxes(-3, -2).reshape(*lead, seq, d)
+    ln1 = layer_norm(x, params.ln1_scale, params.ln1_bias)
+    mask = np.triu(np.full((seq, seq), _NEG_MASK), k=1) if causal and seq > 1 else None
+    attended = causal_attention(ln1 @ params.wq, ln1 @ params.wk, ln1 @ params.wv,
+                                params.n_heads, mask)
     x = x + attended @ params.wo
 
     at_stage("ffn")
-    ln2 = x.normalize() * params.ln2_scale + params.ln2_bias
+    ln2 = layer_norm(x, params.ln2_scale, params.ln2_bias)
     ffn = (ln2 @ params.w1).relu() @ params.w2
     return x + ffn
 

@@ -84,6 +84,8 @@ class FlatParameters:
         """The entries an optimizer step writes: those of each parameter that
         got a gradient, but of a `rowwise` one only the axis-0 rows that got
         one (see Tensor.grad_rows); True when that is every entry."""
+        if not rowwise and all(t.grad is not None for t in self.tensors):
+            return True
         mask, full = self._mask, True
         for name, t, sl in zip(self.names, self.tensors, self.slices):
             if t.grad is None:

@@ -112,6 +112,15 @@ def test_out_of_range_lshsim_input_is_a_clean_error(tmp_path, capsys, flag, valu
     assert not (tmp_path / "lshsim.csv").exists()
 
 
+def test_hyperplane_at_d_1_is_a_clean_error(tmp_path, capsys):
+    # a unit embedding at d = 1 is +-1, so a sentence sum can be 0 and its cosine NaN
+    code = cli_main(["lshsim", "--family", "hyperplane", "--d", "1", "--trials", "10",
+                     "--out", str(tmp_path)])
+    assert code == 2
+    assert capsys.readouterr().err == "error: hyperplane simulation needs d >= 2\n"
+    assert not (tmp_path / "lshsim.csv").exists()
+
+
 def test_divergence_is_a_clean_error(tmp_path):
     src = str(Path(sparse_memory_lab.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(

@@ -142,6 +142,7 @@ GOOD_CELL = dict(family="minhash", f=0.5, n=8, l=4, d=4, trials=10)
     ({"d": 0}, "embedding dimension"),
     ({"family": "spherical", "d": 1}, "needs d >= 2"),
     ({"trials": 0}, "at least one trial"),
+    ({"family": "hyperplane", "d": 1}, "hyperplane simulation needs d >= 2"),
 ])
 def test_out_of_range_cells_rejected_before_any_draw(bad, match, monkeypatch):
     def no_draw(*args, **kwargs):
