@@ -122,9 +122,7 @@ def cli_main(argv: list[str] | None = None) -> int:
             n_grid = _parse_list(args.n, int, "--n")
             rows = collision_grid(families, f_grid, n_grid, args.l, args.d,
                                   args.trials, args.seed)
-            out = Path(args.out)
-            out.mkdir(parents=True, exist_ok=True)
-            write_csv(out / "lshsim.csv", LSHSIM_COLUMNS, rows)
+            write_csv(Path(args.out) / "lshsim.csv", LSHSIM_COLUMNS, rows)
             for r in rows:
                 print(f"{r['family']:>10} f={r['f']:<5} n={r['n']:<6} "
                       f"p_hat={r['p_hat']:.5f} stderr={r['stderr']:.5f}")
@@ -146,23 +144,19 @@ def cli_main(argv: list[str] | None = None) -> int:
             return 0
 
         if args.command == "theorem2":
-            out = Path(args.out)
-            out.mkdir(parents=True, exist_ok=True)
             seeds = tuple(args.seed + i for i in range(args.seeds))
             rows = run_separation_experiment(
                 d=args.d, u_count=args.u_count, depth=args.depth, seeds=seeds,
                 steps=args.steps, train_size=args.train_size,
-                out_path=out / "separation.csv")
+                out_path=Path(args.out) / "separation.csv")
             for r in rows:
                 print(f"{r['architecture']:>10} width={r['width']:<4} seed={r['seed']} "
                       f"test_mse={r['test_mse']:.5f}")
             return 0
 
         if args.command == "gradcheck":
-            out = Path(args.out)
-            out.mkdir(parents=True, exist_ok=True)
             rows = gradcheck_mod.run_gradcheck_battery(args.epsilon, args.tolerance)
-            write_csv(out / "gradcheck.csv", gradcheck_mod.GRADCHECK_COLUMNS, rows)
+            write_csv(Path(args.out) / "gradcheck.csv", gradcheck_mod.GRADCHECK_COLUMNS, rows)
             ok = True
             for r in rows:
                 status = "pass" if r["passed"] else "FAIL"

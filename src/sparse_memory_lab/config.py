@@ -148,8 +148,8 @@ _SECTIONS = {
 }
 
 
-def config_keys() -> list[tuple[str, type]]:
-    """All known `section.key` names with their value types."""
+def config_keys() -> list[tuple[str, str]]:
+    """All known `section.key` names with their annotations: "int", "float", "bool" or "str"."""
     out = []
     for section, cls in _SECTIONS.items():
         for f in fields(cls):
@@ -157,18 +157,18 @@ def config_keys() -> list[tuple[str, type]]:
     return out
 
 
-def _parse_value(raw: str, typ) -> object:
+def _parse_value(raw: str, typ: str) -> object:
     raw = raw.strip()
-    if typ in (bool, "bool"):
+    if typ == "bool":
         low = raw.lower()
         if low in ("true", "1", "yes"):
             return True
         if low in ("false", "0", "no"):
             return False
         raise ValueError(f"expected a boolean, got {raw!r}")
-    if typ in (int, "int"):
+    if typ == "int":
         return int(raw)
-    if typ in (float, "float"):
+    if typ == "float":
         return float(raw)
     return raw
 

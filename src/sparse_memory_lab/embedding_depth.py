@@ -192,6 +192,8 @@ def run_separation_experiment(d: int = 16, u_count: int = 64, depth: int = 2,
                               steps: int = 1500, train_size: int = 4096,
                               out_path=None) -> list[dict]:
     """Both architectures at widths {d, 2d} across seeds; rows sorted stably."""
+    if not seeds:
+        raise ValueError("need at least one seed")
     cells = [
         SeparationConfig(d=d, u_count=u_count, depth=depth, width=w,
                          architecture=arch, steps=steps, train_size=train_size,

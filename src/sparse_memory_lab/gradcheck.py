@@ -37,7 +37,7 @@ def memory_softmax_scenario() -> Scenario:
     params.update(table.parameters())
 
     def loss_fn() -> Tensor:
-        y = memory_augmented_forward(lambda v: v @ layer_w, x, None, router, table)
+        y = x @ layer_w + memory_augmented_forward(x, None, router, table)
         return (y * y).sum()
 
     return "memory_augmented_softmax_seq3_d8_n4_rank2", loss_fn, params

@@ -1,5 +1,5 @@
 """Sparse table lookups: token-id, learnable softmax routing, hyperplane and
-spherical LSH, min-hash, and the memory-augmented layer that consumes them.
+spherical LSH, min-hash, and the memory term of a layer, which consumes them.
 
 Every routine except min-hash routes all rows of a (..., d) block at once,
 such as a (seq, d) sequence or a (B, seq, d) batch of them, and returns the
@@ -14,7 +14,7 @@ by the caller and passed in.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable
+from typing import Iterable
 
 import numpy as np
 
@@ -292,11 +292,10 @@ def route(x: Tensor, tokens, lookup: LookupParams,
     raise ValueError(f"unknown lookup kind: {type(lookup).__name__}")
 
 
-def memory_augmented_forward(layer: Callable[[Tensor], Tensor], x: Tensor, tokens,
-                             lookup: LookupParams, table: MemoryTable,
+def memory_augmented_forward(x: Tensor, tokens, lookup: LookupParams, table: MemoryTable,
                              jitter: np.ndarray | None = None) -> Tensor:
-    """L(x) plus, per row of x (..., seq, d), the weighted sum of its selected
-    partial experts on that row.
+    """What the memory adds to a layer: per row of x (..., seq, d), the
+    weighted sum of its selected partial experts on that row, shaped like x.
 
     One route and one expert call serve every row; `jitter`, when given, has
     x's shape (see softmax_route).
@@ -315,9 +314,8 @@ def memory_augmented_forward(layer: Callable[[Tensor], Tensor], x: Tensor, token
     experts = apply_expert(rows, table, idx)
     if result.weights is not None:
         experts = experts * result.weights.reshape(*idx.shape, 1)
-    out = layer(x)
     at_stage("memory add")
-    return out + experts.sum(axis=1).reshape(*x.shape)
+    return experts.sum(axis=1).reshape(*x.shape)
 
 
 def partial_expert_param_count(rank: int, buckets: int, d_in: int) -> tuple[int, int]:

@@ -188,22 +188,20 @@ class LanguageModel:
     def _layer_fn(self, layer_index: int, tokens: np.ndarray,
                   jitter: np.ndarray | None) -> Callable[[Tensor], Tensor]:
         block = self.blocks[layer_index]
+        lookup = self.lookups[layer_index] if self.lookups else None
+        table = self.tables[layer_index] if self.tables else None
 
-        def base(x: Tensor) -> Tensor:
-            return transformer_block_forward(x, block, causal=True)
-
-        if self.lookups is None:
-            return base
-
-        lookup = self.lookups[layer_index]
-        table = self.tables[layer_index]
-
-        def augmented(x: Tensor) -> Tensor:
+        def layer(x: Tensor) -> Tensor:
+            if lookup is None:
+                return transformer_block_forward(x, block, causal=True)
             # the block is the always-on main expert; each position adds its
             # routed partial experts on the block *input*, per the layer contract
-            return memory_augmented_forward(base, x, tokens, lookup, table, jitter=jitter)
+            memory = memory_augmented_forward(x, tokens, lookup, table, jitter=jitter)
+            out = transformer_block_forward(x, block, causal=True)
+            at_stage("memory add")
+            return out + memory
 
-        return augmented
+        return layer
 
     def _router_jitter(self, tokens: np.ndarray,
                        rng: np.random.Generator | None) -> np.ndarray | None:

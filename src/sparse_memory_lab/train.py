@@ -380,6 +380,8 @@ def run_lookup_benchmark(grid: list[tuple[str, int, int]],
                          base_config: ExperimentConfig,
                          out_dir: str | Path) -> list[dict]:
     """Train one model per (lookup, rank, buckets) cell; rows sorted by the key."""
+    if any(kind == "none" for kind, _, _ in grid):
+        raise ValueError("route-bench needs a lookup: 'none' attaches no table to count")
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
 
@@ -392,8 +394,8 @@ def run_lookup_benchmark(grid: list[tuple[str, int, int]],
         cfg.validate()
         cell_dir = out / f"{kind}_r{rank}_b{buckets}"
         rows, trainer = train_model(cfg, cell_dir)
-        comparison, full = partial_expert_param_count(
-            rank, buckets if kind != "token_id" else cfg.model.vocab, cfg.model.d)
+        table = trainer.model.tables[0]
+        comparison, full = partial_expert_param_count(table.rank, table.n, table.d_in)
         last = rows[-1]
         return {
             "lookup": kind, "rank": rank, "buckets": buckets,

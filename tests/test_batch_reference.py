@@ -105,8 +105,8 @@ def reference_forward(model, tokens, rng):
             if rng is not None and isinstance(lookup, SoftmaxRouterParams):
                 eps = JITTER_EPSILON
                 jitter = rng.uniform(1.0 - eps, 1.0 + eps, size=x.shape)
-            return memory_augmented_forward(base, x, tokens, lookup, model.tables[i],
-                                            jitter=jitter)
+            return base(x) + memory_augmented_forward(x, tokens, lookup, model.tables[i],
+                                                      jitter=jitter)
 
         return augmented
 

@@ -78,6 +78,28 @@ def test_route_bench_runs(tmp_path):
     assert len((out / "route_bench.csv").read_text().splitlines()) == 3
 
 
+def test_route_bench_without_a_lookup_is_a_clean_error(tmp_path, capsys):
+    out = tmp_path / "bench"
+    code = cli_main(["route-bench", "--lookup", "none", "--ranks", "4", "--buckets", "8",
+                     "--out", str(out)])
+    assert code == 2
+    assert capsys.readouterr().err.startswith("error: route-bench needs a lookup")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["theorem2", "--seeds", "0"], "need at least one seed"),
+    (["theorem2", "--d", "0"], "all sizes must be positive"),
+    (["gradcheck", "--epsilon", "0"], "epsilon must be positive"),
+])
+def test_failed_run_is_a_clean_error_and_leaves_no_directory(tmp_path, capsys, argv, message):
+    out = tmp_path / "out"
+    code = cli_main([*argv, "--out", str(out)])
+    assert code == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
 def test_theorem2_subcommand(tmp_path):
     out = tmp_path / "sep"
     code = cli_main(["theorem2", "--d", "8", "--u-count", "8", "--depth", "1",

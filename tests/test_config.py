@@ -1,13 +1,20 @@
 """Flat config format: parsing, validation, strict unknown-key handling."""
 
+import re
+from pathlib import Path
+
 import pytest
 
+from sparse_memory_lab import config
 from sparse_memory_lab.config import (
     ExperimentConfig,
+    config_keys,
     format_config,
     load_config,
     parse_config,
 )
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def test_defaults_validate():
@@ -118,3 +125,41 @@ def test_token_id_buckets_are_one_or_the_vocabulary():
         parse_config("model.vocab = 32\nmemory.lookup = token_id\nmemory.buckets = 7\n")
     for buckets in (1, 32):
         parse_config(f"model.vocab = 32\nmemory.lookup = token_id\nmemory.buckets = {buckets}\n")
+
+
+# the config key whose allowed values each *_KINDS tuple lists
+KIND_KEYS = {
+    "memory.lookup": "LOOKUP_KINDS",
+    "memory.consumption": "CONSUMPTION_KINDS",
+    "altup.selection": "SELECTION_KINDS",
+    "altup.variant": "VARIANT_KINDS",
+    "altup.head": "HEAD_KINDS",
+    "training.optimizer": "OPTIMIZER_KINDS",
+}
+
+
+def readme_config_table() -> dict[str, list[tuple[str, str]]]:
+    """section -> [(key, its parenthesized kinds or "")] from README's "Config keys" table."""
+    lines = README.read_text().split("## Config keys", 1)[1].strip().splitlines()
+    table: dict[str, list[tuple[str, str]]] = {}
+    for line in lines[2:]:  # below the header and its rule
+        if not line.startswith("|"):
+            break
+        section, keys = (cell.strip() for cell in line.strip("|").split("|"))
+        table[section] = re.findall(r"(\w+)(?: \(([^)]*)\))?", keys)
+    return table
+
+
+def test_readme_lists_every_config_key():
+    table = readme_config_table()
+    documented = [f"{section}.{key}" for section, keys in table.items() for key, _ in keys]
+    assert documented == [key for key, _typ in config_keys()]
+
+
+def test_readme_kind_lists_match_config():
+    assert sorted(KIND_KEYS.values()) == sorted(n for n in dir(config) if n.endswith("_KINDS"))
+    listed = {f"{section}.{key}": kinds for section, keys in readme_config_table().items()
+              for key, kinds in keys if kinds}
+    assert sorted(listed) == sorted(KIND_KEYS)
+    for key, name in KIND_KEYS.items():
+        assert tuple(listed[key].split("/")) == getattr(config, name), key

@@ -263,7 +263,7 @@ def test_memory_forward_zero_experts_is_layer_output():
     table = MemoryTable(U=Tensor(np.zeros((3, 4, 2))), V=Tensor(np.zeros((3, 4, 2))))
     router = SoftmaxRouterParams.init(3, 4, k=2, seed=1)
     x = Tensor(np.random.default_rng(2).standard_normal((5, 4)))
-    out = memory_augmented_forward(lambda v: v * 2.0, x, None, router, table)
+    out = x * 2.0 + memory_augmented_forward(x, None, router, table)
     np.testing.assert_allclose(out.data, 2.0 * x.data, rtol=1e-12)
 
 
@@ -272,7 +272,7 @@ def test_memory_forward_token_id_constant_expert():
     table = MemoryTable(b=Tensor(np.repeat(np.arange(n, dtype=float)[:, None], d, axis=1)))
     x = Tensor(np.random.default_rng(3).standard_normal((3, d)))
     tokens = np.array([2, 0, 4])
-    out = memory_augmented_forward(lambda v: v, x, tokens, TokenIdLookup(n=n), table)
+    out = x + memory_augmented_forward(x, tokens, TokenIdLookup(n=n), table)
     np.testing.assert_allclose(out.data, x.data + tokens[:, None], rtol=1e-12)
 
 
@@ -287,8 +287,8 @@ def test_memory_forward_matches_scripted_formula():
 
     table = MemoryTable(U=Tensor(us), V=Tensor(vs))
     router = SoftmaxRouterParams(W=Tensor(w), k=k)
-    got = memory_augmented_forward(lambda v: v @ Tensor(layer_m.T), Tensor(x),
-                                   None, router, table).data
+    got = (Tensor(x) @ Tensor(layer_m.T)
+           + memory_augmented_forward(Tensor(x), None, router, table)).data
 
     for t in range(seq):
         probs = np.exp(w @ x[t]) / np.exp(w @ x[t]).sum()
@@ -305,7 +305,7 @@ def test_memory_forward_router_gradient_nonzero():
     table = MemoryTable.init(n, d, rank=2, seed=5)
     router = SoftmaxRouterParams.init(n, d, k=2, seed=6)
     x = Tensor(rng.standard_normal((3, d)))
-    out = memory_augmented_forward(lambda v: v, x, None, router, table)
+    out = x + memory_augmented_forward(x, None, router, table)
     (out * out).sum().backward()
     assert router.W.grad is not None and np.abs(router.W.grad).max() > 0
 
@@ -314,7 +314,7 @@ def test_memory_forward_rejects_index_outside_table():
     table = MemoryTable.init(4, 3, rank=1, seed=0)
     x = Tensor(np.ones((2, 3)))
     with pytest.raises(ValueError, match="outside table"):
-        memory_augmented_forward(lambda v: v, x, [1, 5], TokenIdLookup(n=8), table)
+        memory_augmented_forward(x, [1, 5], TokenIdLookup(n=8), table)
 
 
 def test_route_purity_same_inputs_same_result():

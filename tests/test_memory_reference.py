@@ -132,7 +132,7 @@ def test_batched_layer_matches_per_position_reference(kind, rank, train_mode):
             eps = JITTER_EPSILON
             jitter = rng.uniform(1.0 - eps, 1.0 + eps, size=x.shape)
         routed = route(x, tokens, lookup, jitter=jitter).indices.tolist()
-        out = memory_augmented_forward(layer, x, tokens, lookup, table, jitter=jitter)
+        out = layer(x) + memory_augmented_forward(x, tokens, lookup, table, jitter=jitter)
         return out, (routed, rng.random())
 
     def reference():

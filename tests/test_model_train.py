@@ -403,9 +403,10 @@ def test_lookup_benchmark_grid_rows(tmp_path):
         assert r["added_params"] == max(2 * r["rank"], 1) * r["buckets"]
         assert r["added_params_full"] == r["added_params"] * 8
 
-    # token-id at rank 0 routes over the vocabulary itself
-    tid = run_lookup_benchmark([("token_id", 0, 8)], base, tmp_path / "tid")
+    # token-id routes over the vocabulary itself, whatever the cell's buckets
+    tid = run_lookup_benchmark([("token_id", 0, 8), ("token_id", 2, 1)], base, tmp_path / "tid")
     assert tid[0]["added_params"] == base.model.vocab
+    assert (tid[1]["added_params"], tid[1]["added_params_full"]) == (4 * 8, 4 * 8 * 8)
 
     # duplicate cells with the same seed give identical metrics
     dup = run_lookup_benchmark([("softmax", 4, 8)], base, tmp_path / "dup")
