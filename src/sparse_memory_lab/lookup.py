@@ -308,12 +308,8 @@ def memory_augmented_forward(x: Tensor, tokens, lookup: LookupParams, table: Mem
     result = route(x, tokens, lookup, jitter=jitter)
     at_stage("memory experts")
     rows = x.reshape(-1, x.shape[-1])
-    idx = result.indices.reshape(rows.shape[0], -1)
-    if idx.max() >= table.n:
-        raise ValueError(f"routed index {int(idx.max())} outside table of size {table.n}")
-    experts = apply_expert(rows, table, idx)
-    if result.weights is not None:
-        experts = experts * result.weights.reshape(*idx.shape, 1)
+    experts = apply_expert(rows, table, result.indices.reshape(rows.shape[0], -1),
+                           result.weights)
     at_stage("memory add")
     return experts.sum(axis=1).reshape(*x.shape)
 

@@ -13,7 +13,7 @@ from typing import Callable, Mapping
 
 import numpy as np
 
-from .autodiff import Tensor, at_stage, causal_attention, layer_norm, no_grad
+from .autodiff import Tensor, _unbroadcast, at_stage, causal_attention, layer_norm, no_grad
 
 
 def as_seedseq(seed) -> np.random.SeedSequence:
@@ -101,20 +101,85 @@ class MemoryTable:
         return {"U": self.U, "V": self.V}
 
 
-def apply_expert(x: Tensor, table: MemoryTable, indices) -> Tensor:
-    """out[t, j] is expert indices[t, j] evaluated on row t of x (seq, d_in)."""
+def apply_expert(x: Tensor, table: MemoryTable, indices, weights: Tensor | None = None) -> Tensor:
+    """out[t, j] is expert indices[t, j] evaluated on row t of x (seq, d_in),
+    times weights[t, j] when `weights` (seq·k entries, row-major) is given.
+
+    For rank >= 1 this is one graph node. Its forward runs the numpy calls
+    of the chain U.take, matmul, relu, V.take, matmul, times the weights, so
+    its values are that chain's bit for bit, and so are the gradients of x
+    and the weights. The U and V gradients group the (t, j) pairs by expert
+    and run one (d_in, m) @ (m, rank) product per used expert, zero-padded
+    to the largest load m; only their summation order differs.
+    """
     idx = np.asarray(indices, dtype=np.intp)
     if x.ndim != 2 or x.shape[1] != table.d_in or idx.ndim != 2 or idx.shape[0] != x.shape[0]:
         raise ValueError(f"experts expect (seq, {table.d_in}) rows and (seq, k) indices, "
                          f"got {x.shape} and {idx.shape}")
+    bad = idx[(idx < 0) | (idx >= table.n)]
+    if bad.size:
+        raise ValueError(f"routed index {int(bad[0])} outside table of size {table.n}")
     if table.b is not None:
-        return table.b.take(idx)
-    # two batched matmuls over the gathered (seq, k, d_in, rank) stacks:
-    # (1, d_in) @ U_j, then V_j @ (rank, 1), one small GEMM per (t, j)
+        out = table.b.take(idx)
+        return out if weights is None else out * weights.reshape(*idx.shape, 1)
+    U, V = table.U, table.V
     seq, d = x.shape
     k, r = idx.shape[1], table.rank
-    hidden = (x.reshape(seq, 1, 1, d) @ table.U.take(idx)).relu()
-    return (table.V.take(idx) @ hidden.reshape(seq, k, r, 1)).reshape(seq, k, d)
+    # (1, d_in) @ U_j, then V_j @ (rank, 1), one small GEMM per (t, j)
+    u = np.take(U.data, idx, axis=0)
+    pre = np.matmul(x.data.reshape(seq, 1, 1, d), u)
+    if not x.requires_grad:
+        u = None  # only x's gradient reads it; an eval pass frees it before the V gather
+    hidden = np.maximum(pre, 0.0)
+    v = np.take(V.data, idx, axis=0)
+    out = np.matmul(v, hidden.reshape(seq, k, r, 1)).reshape(seq, k, d)
+    w = None if weights is None else weights.data.reshape(seq, k, 1)
+
+    def backward(g: np.ndarray) -> None:
+        if w is not None and weights.requires_grad:
+            weights._accumulate(_unbroadcast(g * out, w.shape).reshape(weights.shape))
+        g_out = g if w is None else g * w
+        g_pre = None
+        if x.requires_grad or U.requires_grad:
+            g_hidden = np.matmul(np.swapaxes(v, -1, -2), g_out.reshape(seq, k, d, 1))
+            g_pre = g_hidden.reshape(seq, k, 1, r) * (pre > 0)
+        if x.requires_grad:
+            g_x = np.matmul(g_pre, np.swapaxes(u, -1, -2))
+            x._accumulate(_unbroadcast(g_x, (seq, 1, 1, d)).reshape(seq, d))
+        if not (U.requires_grad or V.requires_grad):
+            return
+        # slot[t, j]: where pair (t, j) sits in a (used experts · m) stack
+        # that lists each used expert's pairs in row-major order
+        order = np.argsort(idx, axis=None, kind="stable")
+        loads = np.bincount(idx.reshape(-1), minlength=table.n)
+        used = np.flatnonzero(loads)
+        loads = loads[used]
+        m = int(loads.max(initial=0))
+        starts = np.cumsum(loads) - loads
+        slot = np.empty(idx.size, dtype=np.intp)
+        slot[order] = np.arange(idx.size) + np.repeat(np.arange(used.size) * m - starts, loads)
+        slot = slot.reshape(seq, k)
+
+        def per_expert(left: np.ndarray, right: np.ndarray) -> np.ndarray:
+            """(n, d_in, rank): each used expert's sum over its pairs of
+            left[t, j] ⊗ right[t, j], as one batched GEMM; zero elsewhere."""
+            a = np.zeros((used.size * m, d))
+            a[slot] = left
+            b = np.zeros((used.size * m, r))
+            b[slot] = right
+            full = np.zeros((table.n, d, r))
+            full[used] = np.matmul(np.swapaxes(a.reshape(used.size, m, d), 1, 2),
+                                   b.reshape(used.size, m, r))
+            return full
+
+        if U.requires_grad:
+            U._accumulate(per_expert(x.data[:, None, :], g_pre.reshape(seq, k, r)), rows=used)
+        if V.requires_grad:
+            V._accumulate(per_expert(g_out, hidden.reshape(seq, k, r)), rows=used)
+
+    data = out if w is None else out * w
+    parents = (x, U, V) if weights is None else (x, U, V, weights)
+    return Tensor._op(data, parents, backward)
 
 
 @dataclass

@@ -382,18 +382,19 @@ def run_lookup_benchmark(grid: list[tuple[str, int, int]],
     """Train one model per (lookup, rank, buckets) cell; rows sorted by the key."""
     if any(kind == "none" for kind, _, _ in grid):
         raise ValueError("route-bench needs a lookup: 'none' attaches no table to count")
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-
-    def run_cell(cell: tuple[str, int, int]) -> dict:
-        kind, rank, buckets = cell
+    configs = []
+    for kind, rank, buckets in grid:  # every cell is checked before any output is made
         cfg = copy.deepcopy(base_config)
         cfg.memory.lookup = kind
         cfg.memory.rank = rank
         cfg.memory.buckets = buckets
-        cfg.validate()
-        cell_dir = out / f"{kind}_r{rank}_b{buckets}"
-        rows, trainer = train_model(cfg, cell_dir)
+        configs.append(cfg.validate())
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+
+    def run_cell(cfg: ExperimentConfig) -> dict:
+        kind, rank, buckets = cfg.memory.lookup, cfg.memory.rank, cfg.memory.buckets
+        rows, trainer = train_model(cfg, out / f"{kind}_r{rank}_b{buckets}")
         table = trainer.model.tables[0]
         comparison, full = partial_expert_param_count(table.rank, table.n, table.d_in)
         last = rows[-1]
@@ -405,7 +406,7 @@ def run_lookup_benchmark(grid: list[tuple[str, int, int]],
             "seed": cfg.training.seed,
         }
 
-    results = [run_cell(cell) for cell in grid]
+    results = [run_cell(cfg) for cfg in configs]
     results.sort(key=lambda r: (r["lookup"], r["rank"], r["buckets"]))
     write_csv(out / "route_bench.csv", BENCH_COLUMNS, results)
     return results

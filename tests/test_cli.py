@@ -91,6 +91,10 @@ def test_route_bench_without_a_lookup_is_a_clean_error(tmp_path, capsys):
     (["theorem2", "--seeds", "0"], "need at least one seed"),
     (["theorem2", "--d", "0"], "all sizes must be positive"),
     (["gradcheck", "--epsilon", "0"], "epsilon must be positive"),
+    # the first cell is valid; the second fails validate() before any cell runs
+    (["route-bench", "--lookup", "token_id", "--ranks", "0", "--buckets", "1,8"],
+     "token_id lookup requires memory.buckets equal to the vocabulary size (64) or left "
+     "at the default 1"),
 ])
 def test_failed_run_is_a_clean_error_and_leaves_no_directory(tmp_path, capsys, argv, message):
     out = tmp_path / "out"

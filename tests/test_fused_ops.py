@@ -1,10 +1,13 @@
-"""The fused ops (layer norm, attention core, predict-and-correct) against
-central differences and against the chains of plain ops they stand for.
+"""The fused ops (layer norm, attention core, predict-and-correct, routed
+partial experts) against central differences and against the chains of
+plain ops they stand for.
 
 Each reference below is the unfused composition the op replaced in the
 model. A fused op runs that chain's numpy forward call for call, so its
 values must match bit for bit; its one backward sums in another order, so
-its gradients must match within 1e-12.
+its gradients must match within 1e-12, except where it makes the chain's
+own calls (the expert op's x and weights gradients), which must match bit
+for bit. The rows of a table that received gradient must match exactly.
 """
 
 import math
@@ -17,8 +20,8 @@ from hypothesis import strategies as st
 from sparse_memory_lab.altup import predict_correct_full, predict_correct_simplified
 from sparse_memory_lab.autodiff import Tensor, causal_attention, layer_norm, no_grad
 from sparse_memory_lab.config import ExperimentConfig, set_config_value
-from sparse_memory_lab.nn import _NEG_MASK
-from sparse_memory_lab.train import Trainer
+from sparse_memory_lab.nn import _NEG_MASK, MemoryTable, apply_expert
+from sparse_memory_lab.train import DivergenceError, Trainer
 
 GRAD_TOL = 1e-12
 
@@ -58,6 +61,25 @@ def unfused_full(flat, computed, P, G, j_star):
     return predicted + innovation @ G.T
 
 
+def unfused_expert(x, table, idx, weights=None):
+    seq, d = x.shape
+    k, r = idx.shape[1], table.rank
+    hidden = (x.reshape(seq, 1, 1, d) @ table.U.take(idx)).relu()
+    out = (table.V.take(idx) @ hidden.reshape(seq, k, r, 1)).reshape(seq, k, d)
+    return out if weights is None else out * weights.reshape(*idx.shape, 1)
+
+
+def on_one_table(expert):
+    """`expert` on the table (U, V) as op(x, U, V[, weights]); with `idx2`,
+    a second call on (x, idx2) is added, so one table serves two nodes."""
+    def op(x, U, V, *weights, idx, idx2=None):
+        table = MemoryTable(U=U, V=V)
+        out = expert(x, table, idx, *weights)
+        return out if idx2 is None else out + expert(x, table, idx2)
+
+    return op
+
+
 # -- the cases -----------------------------------------------------------------
 
 def causal_mask(seq):
@@ -89,18 +111,38 @@ def pcc_case(form, lead, K, d, j_star, seed):
     return [flat, computed, *params], {"j_star": j_star}
 
 
+def expert_case(rows, k, d, r, n, weighted, twice, seed):
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal((rows, d))
+    U, V = rng.standard_normal((2, n, d, r))
+    idx = rng.integers(0, n, (rows, k))
+    idx[0] = idx[0, 0]  # row 0 routes to one expert k times
+    # the last row's pre-activations are all negative
+    x[-1] = np.abs(x[-1]) + 0.1
+    U[idx[-1]] = -np.abs(U[idx[-1]]) - 0.1
+    weights = [rng.standard_normal(rows * k)] if weighted else []
+    idx2 = rng.integers(0, n, (rows, k)) if twice else None
+    return [x, U, V, *weights], {"idx": idx, "idx2": idx2}
+
+
 FUSED = {
     "layer_norm": (layer_norm, unfused_layer_norm),
     "attention": (causal_attention, unfused_attention),
     "simplified": (predict_correct_simplified, unfused_simplified),
     "full": (predict_correct_full, unfused_full),
+    "expert": (on_one_table(apply_expert), on_one_table(unfused_expert)),
 }
+# inputs whose gradient the fused op computes with its chain's own calls
+EXACT_GRADS = {"expert": {0, 3}}
 
 leads = st.lists(st.integers(1, 3), min_size=0, max_size=2).map(tuple)
 seeds = st.integers(0, 2 ** 32 - 1)
 layer_norm_cases = st.builds(layer_norm_case, leads, st.integers(2, 6), seeds)
 attention_cases = st.builds(attention_case, leads, st.integers(1, 4), st.integers(1, 3),
                             st.integers(1, 3), st.booleans(), seeds)
+expert_cases = st.builds(expert_case, st.integers(1, 6), st.integers(1, 4), st.integers(1, 5),
+                         st.integers(1, 3), st.integers(1, 6), st.booleans(), st.booleans(),
+                         seeds)
 
 
 @st.composite
@@ -115,6 +157,7 @@ CASES = {
     "attention": attention_cases,
     "simplified": pcc_cases("simplified"),
     "full": pcc_cases("full"),
+    "expert": expert_cases,
 }
 
 
@@ -163,7 +206,14 @@ def check_against_reference(name, arrays, kwargs):
     assert out.data.tobytes() == ref.data.tobytes()
     for i, (a, b) in enumerate(zip(got, want)):
         assert a.grad.shape == b.grad.shape
-        assert np.abs(a.grad - b.grad).max() <= GRAD_TOL, f"input {i}"
+        if i in EXACT_GRADS.get(name, ()):
+            assert a.grad.tobytes() == b.grad.tobytes(), f"input {i}"
+        else:
+            assert np.abs(a.grad - b.grad).max() <= GRAD_TOL, f"input {i}"
+        if b.grad_rows is None:
+            assert a.grad_rows is None, f"input {i}"
+        else:
+            assert a.grad_rows.tobytes() == b.grad_rows.tobytes(), f"input {i}"
 
 
 # -- central differences ------------------------------------------------------------
@@ -203,6 +253,13 @@ def test_attention_matches_its_unfused_chain_at_model_shapes(lead, masked):
     check_against_reference("attention", *attention_case(lead, 16, 2, 16, masked, 3))
 
 
+def test_expert_matches_its_unfused_chain_at_zero_pre_activations():
+    # row 1 is zero, so its pre-activations are exactly 0, where relu passes no gradient
+    arrays, kwargs = expert_case(4, 2, 3, 2, 3, True, False, 5)
+    arrays[0][1] = 0.0
+    check_against_reference("expert", arrays, kwargs)
+
+
 def test_attention_rejects_bad_shapes():
     x = Tensor(np.zeros((3, 6)))
     with pytest.raises(ValueError, match="must divide"):
@@ -226,16 +283,40 @@ def op_nodes(root):
     return count
 
 
+MEMORY = {"memory.rank": "4", "memory.buckets": "64"}
+
+
 @pytest.mark.parametrize("overrides, limit", [
     ({}, 35),
     ({"memory.consumption": "altup", "altup.K": "2"}, 40),
     ({"memory.consumption": "altup", "altup.K": "2", "altup.variant": "full"}, 40),
-], ids=["baseline", "altup-simplified", "altup-full"])
+    ({"memory.lookup": "token_id", "memory.rank": "4"}, 43),
+    ({**MEMORY, "memory.lookup": "softmax", "memory.k": "2"}, 55),
+    ({**MEMORY, "memory.lookup": "hyperplane"}, 43),
+    ({**MEMORY, "memory.lookup": "spherical"}, 43),
+], ids=["baseline", "altup-simplified", "altup-full", "token_id", "softmax", "hyperplane",
+        "spherical"])
 def test_training_step_graph_stays_fused(overrides, limit):
-    # the default model: 2 layers; a step built 67, 90 and 86 op nodes unfused
+    # the default model: 2 layers; a step built 67, 90 and 86 op nodes unfused,
+    # and the memory cells 57 (73 for softmax with k=2) with the expert chain
     cfg = ExperimentConfig()
     for key, value in overrides.items():
         set_config_value(cfg, key, value)
     trainer = Trainer(cfg.validate())
     loss = trainer.batch_loss(trainer.sample_batch(), trainer.jitter_rng)
     assert op_nodes(loss) <= limit
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_checked_replay_names_the_expert_op():
+    cfg = ExperimentConfig()
+    set_config_value(cfg, "memory.lookup", "token_id")
+    set_config_value(cfg, "memory.rank", "4")
+    trainer = Trainer(cfg.validate())
+    table = trainer.model.tables[0]
+    table.U.data[:] = 1e200  # V_j @ relu(U_j^T x) overflows
+    table.V.data[:] = 1e200
+    with pytest.raises(DivergenceError, match=r"^training diverged at step 0: apply_expert "
+                       r"produced a non-finite value \(NaN or Inf\) in the forward pass at "
+                       r"layer 0 memory experts$"):
+        trainer.step()

@@ -104,6 +104,15 @@ def test_expert_dimension_mismatch_raises():
         apply_expert(Tensor(np.ones(4)), table, [[0]])
 
 
+@pytest.mark.parametrize("rank", [0, 2])
+@pytest.mark.parametrize("bad", [-1, 3])
+def test_expert_rejects_index_outside_table(rank, bad):
+    # a negative index would wrap to expert n - 1 in a gather
+    table = MemoryTable.init(3, 4, rank, seed=0)
+    with pytest.raises(ValueError, match=f"routed index {bad} outside table of size 3"):
+        apply_expert(Tensor(np.ones((2, 4))), table, [[0], [bad]])
+
+
 def test_expert_positive_homogeneity_in_v():
     rng = np.random.default_rng(3)
     for trial in range(10):
