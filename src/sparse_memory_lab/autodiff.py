@@ -1,16 +1,16 @@
 """Minimal reverse-mode autodiff over dense float64 numpy arrays.
 
-Only the operations the layers in this package need are implemented, plus
-`exp` and `log` (the tests plant non-finite values with them): no division,
-no constant minus a tensor, no views and no in-place graph surgery. Matmul follows np.matmul, so a
-whole batch of sequences, or of attention heads, is one node; `layer_norm` and
-`causal_attention` are fused ops, one node each with a hand-written backward. A tensor built
-by a caller is validated to be finite; op results are not scanned, so a
-training step or an eval pass checks its outputs once. Inside `checked()`
-every op result and every backward contribution is scanned, and the first
-non-finite one raises a `NonFiniteError` that names the op, the pass and the
-layer stage set by `at_layer`/`at_stage`; callers replay a failed step there.
-Inside `no_grad()` ops record no graph, so a forward-only pass frees each
+Only the operations the layers in this package need are implemented: no
+division, no constant minus a tensor, no views and no in-place graph
+surgery. Matmul follows np.matmul, so a whole batch of sequences, or of
+attention heads, is one node; `layer_norm` and `causal_attention` are fused
+ops, one node each with a hand-written backward. A tensor built by a caller
+is validated to be finite; op results are not scanned, so a training step or
+an eval pass checks its outputs once. Inside `checked()` every op result and
+every backward contribution is scanned, and the first non-finite one raises
+a `NonFiniteError` that names the op, the pass and the layer stage set by
+`at_layer`/`at_stage`; callers replay a failed step there. Inside
+`no_grad()` ops record no graph, so a forward-only pass frees each
 intermediate as soon as the next op has used it.
 """
 
@@ -322,11 +322,6 @@ class Tensor:
 
         return Tensor._op(np.swapaxes(self.data, axis1, axis2).copy(), (self,), backward)
 
-    @property
-    def T(self) -> "Tensor":
-        """The last two axes swapped: the transpose of every trailing matrix."""
-        return self.swapaxes(-2, -1)
-
     def reshape(self, *shape: int) -> "Tensor":
         orig = self.data.shape
 
@@ -371,20 +366,6 @@ class Tensor:
             self._accumulate(g * mask)
 
         return Tensor._op(np.maximum(self.data, 0.0), (self,), backward)
-
-    def exp(self) -> "Tensor":
-        out_data = np.exp(self.data)
-
-        def backward(g: np.ndarray) -> None:
-            self._accumulate(g * out_data)
-
-        return Tensor._op(out_data, (self,), backward)
-
-    def log(self) -> "Tensor":
-        def backward(g: np.ndarray) -> None:
-            self._accumulate(g / self.data)
-
-        return Tensor._op(np.log(self.data), (self,), backward)
 
     # -- reductions -------------------------------------------------------------
 

@@ -4,7 +4,7 @@ spherical LSH, min-hash, and the memory term of a layer, which consumes them.
 Every routine except min-hash routes all rows of a (..., d) block at once,
 such as a (seq, d) sequence or a (B, seq, d) batch of them, and returns the
 selected table indices as one flat integer array that the memory layer
-reshapes to (rows, k) without a conversion.
+reshapes to (..., k) without a conversion.
 Routing never writes its parameters. Of them only the softmax router's `W`
 trains, through the optimizer; the LSH directions, offsets and anchors stay
 as drawn. The softmax router's training jitter (JITTER_EPSILON, 1%) is drawn
@@ -51,30 +51,32 @@ JITTER_EPSILON = 0.01  # the softmax router's training jitter: x times U[1 - eps
 
 @dataclass
 class SoftmaxRouterParams:
-    """Learnable router: logits h = W x, probabilities softmax(h), top-k selection."""
+    """Learnable router: logits h = x W, probabilities softmax(h), top-k selection.
+
+    W is stored (d_in, n), the layout the logits' product reads."""
 
     W: Tensor
     k: int
 
     def __post_init__(self) -> None:
         if self.W.ndim != 2:
-            raise ValueError("router weight must be n x d_in")
-        if not (1 <= self.k <= self.W.shape[0]):
-            raise ValueError(f"k={self.k} outside [1, n={self.W.shape[0]}]")
+            raise ValueError("router weight must be d_in x n")
+        if not (1 <= self.k <= self.n):
+            raise ValueError(f"k={self.k} outside [1, n={self.n}]")
 
     @property
     def n(self) -> int:
-        return self.W.shape[0]
+        return self.W.shape[1]
 
     @property
     def d_in(self) -> int:
-        return self.W.shape[1]
+        return self.W.shape[0]
 
     @classmethod
     def init(cls, n: int, d_in: int, k: int, seed, std: float = 2e-2) -> "SoftmaxRouterParams":
-        rng = np.random.default_rng(seed)
-        w = Tensor(rng.standard_normal((n, d_in)) * std, requires_grad=True)
-        return cls(W=w, k=k)
+        # drawn (n, d_in) from the seed, stored transposed (see the class docstring)
+        w = np.random.default_rng(seed).standard_normal((n, d_in)) * std
+        return cls(W=Tensor(w.T.copy(), requires_grad=True), k=k)
 
 
 def softmax_route(x: Tensor, params: SoftmaxRouterParams,
@@ -89,10 +91,8 @@ def softmax_route(x: Tensor, params: SoftmaxRouterParams,
     """
     if x.shape[-1] != params.d_in:
         raise ValueError(f"router expects (..., {params.d_in}) rows, got {x.shape}")
-    if params.k > params.n:
-        raise ValueError("k exceeds table size")
     routed_x = x if jitter is None else x * jitter
-    probs = (routed_x @ params.W.T).softmax(axis=-1)
+    probs = (routed_x @ params.W).softmax(axis=-1)
     n = params.n
     top = top_k_rows(probs.data.reshape(-1, n), params.k)
     flat = (np.arange(top.shape[0])[:, None] * n + top).reshape(-1)
@@ -307,11 +307,7 @@ def memory_augmented_forward(x: Tensor, tokens, lookup: LookupParams, table: Mem
     at_stage("memory route")
     result = route(x, tokens, lookup, jitter=jitter)
     at_stage("memory experts")
-    rows = x.reshape(-1, x.shape[-1])
-    experts = apply_expert(rows, table, result.indices.reshape(rows.shape[0], -1),
-                           result.weights)
-    at_stage("memory add")
-    return experts.sum(axis=1).reshape(*x.shape)
+    return apply_expert(x, table, result.indices.reshape(*x.shape[:-1], -1), result.weights)
 
 
 def partial_expert_param_count(rank: int, buckets: int, d_in: int) -> tuple[int, int]:

@@ -47,7 +47,7 @@ class LanguageModel:
     aug_table: Tensor | None     # (V, e)
     dp_proj: Tensor | None       # (K-1, e/(K-1), d)
     sum_table: Tensor | None
-    out_table: Tensor
+    out_table: Tensor            # (head width, V)
     blocks: list[TransformerBlockParams]
     pcc: list[PccParams] | None  # None exactly when K = 1
     lookups: list[LookupParams] | None
@@ -93,7 +93,10 @@ class LanguageModel:
             sum_table = lecun_normal_init((V, d), _seed(master, 1), fan_in=d)
 
         head_width = K * d if (wide and alt.head == "proj") else d
-        out_table = lecun_normal_init((V, head_width), _seed(master, 2), fan_in=head_width)
+        # drawn (V, head width) from its seed, stored transposed so the head's
+        # matmul reads it with no transpose node
+        drawn = lecun_normal_init((V, head_width), _seed(master, 2), fan_in=head_width)
+        out_table = Tensor(drawn.data.T.copy(), requires_grad=True)
 
         blocks = [
             TransformerBlockParams.init(d, m.heads, _seed(master, 3, i))
@@ -247,7 +250,7 @@ class LanguageModel:
             read = final.view().mean(axis=-2)
         else:
             read = final.block(0)
-        return read @ self.out_table.T
+        return read @ self.out_table
 
     def sequence_loss(self, window: np.ndarray,
                       rng: np.random.Generator | None = None) -> Tensor:

@@ -102,29 +102,33 @@ class MemoryTable:
 
 
 def apply_expert(x: Tensor, table: MemoryTable, indices, weights: Tensor | None = None) -> Tensor:
-    """out[t, j] is expert indices[t, j] evaluated on row t of x (seq, d_in),
-    times weights[t, j] when `weights` (seq·k entries, row-major) is given.
+    """The memory term of x (..., d_in), shaped like x: row t's sum over its
+    slots j of expert indices[t, j] evaluated on it, times weights[t, j] when
+    `weights` (one entry per index, row-major) is given; `indices` is (..., k).
 
     For rank >= 1 this is one graph node. Its forward runs the numpy calls
-    of the chain U.take, matmul, relu, V.take, matmul, times the weights, so
-    its values are that chain's bit for bit, and so are the gradients of x
-    and the weights. The U and V gradients group the (t, j) pairs by expert
-    and run one (d_in, m) @ (m, rank) product per used expert, zero-padded
-    to the largest load m; only their summation order differs.
+    of the chain U.take, matmul, relu, V.take, matmul, times the weights, sum
+    over the slots, so its values are that chain's bit for bit, and so are
+    the gradients of x and the weights. The U and V gradients group the
+    (t, j) pairs by expert and run one (d_in, m) @ (m, rank) product per used
+    expert, zero-padded to the largest load m; only their summation order
+    differs.
     """
     idx = np.asarray(indices, dtype=np.intp)
-    if x.ndim != 2 or x.shape[1] != table.d_in or idx.ndim != 2 or idx.shape[0] != x.shape[0]:
-        raise ValueError(f"experts expect (seq, {table.d_in}) rows and (seq, k) indices, "
-                         f"got {x.shape} and {idx.shape}")
+    if x.shape[-1:] != (table.d_in,) or idx.ndim != x.ndim or idx.shape[:-1] != x.shape[:-1]:
+        raise ValueError(f"experts expect (..., {table.d_in}) rows and (..., k) indices "
+                         f"with the same leading shape, got {x.shape} and {idx.shape}")
     bad = idx[(idx < 0) | (idx >= table.n)]
     if bad.size:
         raise ValueError(f"routed index {int(bad[0])} outside table of size {table.n}")
     if table.b is not None:
         out = table.b.take(idx)
-        return out if weights is None else out * weights.reshape(*idx.shape, 1)
+        if weights is not None:
+            out = out * weights.reshape(*idx.shape, 1)
+        return out.sum(axis=-2)
     U, V = table.U, table.V
-    seq, d = x.shape
-    k, r = idx.shape[1], table.rank
+    seq, d, k, r = math.prod(x.shape[:-1]), table.d_in, idx.shape[-1], table.rank
+    idx = idx.reshape(seq, k)
     # (1, d_in) @ U_j, then V_j @ (rank, 1), one small GEMM per (t, j)
     u = np.take(U.data, idx, axis=0)
     pre = np.matmul(x.data.reshape(seq, 1, 1, d), u)
@@ -136,6 +140,8 @@ def apply_expert(x: Tensor, table: MemoryTable, indices, weights: Tensor | None 
     w = None if weights is None else weights.data.reshape(seq, k, 1)
 
     def backward(g: np.ndarray) -> None:
+        # the sum's gradient: g copied to every slot, as a C-ordered array
+        g = np.repeat(g.reshape(seq, 1, d), k, axis=1)
         if w is not None and weights.requires_grad:
             weights._accumulate(_unbroadcast(g * out, w.shape).reshape(weights.shape))
         g_out = g if w is None else g * w
@@ -145,7 +151,7 @@ def apply_expert(x: Tensor, table: MemoryTable, indices, weights: Tensor | None 
             g_pre = g_hidden.reshape(seq, k, 1, r) * (pre > 0)
         if x.requires_grad:
             g_x = np.matmul(g_pre, np.swapaxes(u, -1, -2))
-            x._accumulate(_unbroadcast(g_x, (seq, 1, 1, d)).reshape(seq, d))
+            x._accumulate(_unbroadcast(g_x, (seq, 1, 1, d)).reshape(x.shape))
         if not (U.requires_grad or V.requires_grad):
             return
         # slot[t, j]: where pair (t, j) sits in a (used experts · m) stack
@@ -173,13 +179,14 @@ def apply_expert(x: Tensor, table: MemoryTable, indices, weights: Tensor | None 
             return full
 
         if U.requires_grad:
-            U._accumulate(per_expert(x.data[:, None, :], g_pre.reshape(seq, k, r)), rows=used)
+            U._accumulate(per_expert(x.data.reshape(seq, 1, d), g_pre.reshape(seq, k, r)),
+                          rows=used)
         if V.requires_grad:
             V._accumulate(per_expert(g_out, hidden.reshape(seq, k, r)), rows=used)
 
     data = out if w is None else out * w
     parents = (x, U, V) if weights is None else (x, U, V, weights)
-    return Tensor._op(data, parents, backward)
+    return Tensor._op(data.sum(axis=1).reshape(x.shape), parents, backward)
 
 
 @dataclass
@@ -282,7 +289,8 @@ class GradCheckReport:
     passed: bool = field(init=False)
 
     def __post_init__(self) -> None:
-        self.max_rel_error = max(self.per_param.values()) if self.per_param else 0.0
+        # np.max propagates a NaN error, which fails the comparison below
+        self.max_rel_error = float(np.max(list(self.per_param.values()), initial=0.0))
         self.passed = bool(self.max_rel_error < self.tolerance)  # a numpy bool prints True
 
 
@@ -294,10 +302,14 @@ def finite_diff_check(loss_fn: Callable[[], Tensor],
 
     loss_fn must rebuild its graph from the current parameter values on every
     call and return a scalar. Relative errors use the denominator
-    max(|analytic|, |numeric|, 1e-12).
+    max(|analytic|, |numeric|, 1e-12). A NaN error, as from a perturbed loss
+    that overflows, fails the check.
     """
-    if epsilon <= 0:
-        raise ValueError("epsilon must be positive")
+    for name, value in (("epsilon", epsilon), ("tolerance", tolerance)):
+        if not value > 0:  # NaN too
+            raise ValueError(f"{name} must be positive")
+        if value == math.inf:
+            raise ValueError(f"{name} must be finite")
     tensors = dict(params)
     for t in tensors.values():
         t.zero_grad()
@@ -315,7 +327,7 @@ def finite_diff_check(loss_fn: Callable[[], Tensor],
         for name, t in tensors.items():
             flat = t.data.reshape(-1)
             grad_flat = analytic[name].reshape(-1)
-            worst = 0.0
+            numeric = np.empty(flat.size)
             for i in range(flat.size):
                 orig = flat[i]
                 flat[i] = orig + epsilon
@@ -323,9 +335,9 @@ def finite_diff_check(loss_fn: Callable[[], Tensor],
                 flat[i] = orig - epsilon
                 lm = float(loss_fn().data)
                 flat[i] = orig
-                numeric = (lp - lm) / (2.0 * epsilon)
-                denom = max(abs(grad_flat[i]), abs(numeric), 1e-12)
-                worst = max(worst, abs(grad_flat[i] - numeric) / denom)
-            per_param[name] = worst
+                numeric[i] = (lp - lm) / (2.0 * epsilon)
+            # np.maximum and np.max propagate NaN, so a NaN error fails the check
+            denom = np.maximum(np.maximum(np.abs(grad_flat), np.abs(numeric)), 1e-12)
+            per_param[name] = float(np.max(np.abs(grad_flat - numeric) / denom, initial=0.0))
 
     return GradCheckReport(per_param=per_param, epsilon=epsilon, tolerance=tolerance)

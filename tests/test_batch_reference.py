@@ -80,7 +80,7 @@ def reference_block(x, p, causal=True):
     outs = []
     for i in range(h):
         qi, ki, vi = (t.narrow(1, i * dh, dh) for t in (q, k, v))
-        scores = (qi @ ki.T) * (1.0 / math.sqrt(dh))
+        scores = (qi @ ki.swapaxes(-2, -1)) * (1.0 / math.sqrt(dh))
         if causal and seq > 1:
             scores = scores + np.triu(np.full((seq, seq), _NEG_MASK), k=1)
         outs.append(scores.softmax(axis=1) @ vi)
@@ -123,7 +123,7 @@ def reference_forward(model, tokens, rng):
         read = read * (1.0 / final.K)
     else:
         read = final.block(0)
-    return read @ model.out_table.T
+    return read @ model.out_table
 
 
 def pick_targets(logits, targets):

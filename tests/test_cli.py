@@ -95,6 +95,10 @@ def test_route_bench_without_a_lookup_is_a_clean_error(tmp_path, capsys):
     (["route-bench", "--lookup", "token_id", "--ranks", "0", "--buckets", "1,8"],
      "token_id lookup requires memory.buckets equal to the vocabulary size (64) or left "
      "at the default 1"),
+    # NaN compares false with everything, so it once passed for a positive epsilon
+    (["gradcheck", "--epsilon", "nan"], "epsilon must be positive"),
+    (["gradcheck", "--epsilon", "inf"], "epsilon must be finite"),
+    (["gradcheck", "--tolerance", "nan"], "tolerance must be positive"),
 ])
 def test_failed_run_is_a_clean_error_and_leaves_no_directory(tmp_path, capsys, argv, message):
     out = tmp_path / "out"

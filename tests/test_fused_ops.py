@@ -11,6 +11,7 @@ for bit. The rows of a table that received gradient must match exactly.
 """
 
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -18,7 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sparse_memory_lab.altup import predict_correct_full, predict_correct_simplified
-from sparse_memory_lab.autodiff import Tensor, causal_attention, layer_norm, no_grad
+from sparse_memory_lab.autodiff import Tensor, _op_name, causal_attention, layer_norm, no_grad
 from sparse_memory_lab.config import ExperimentConfig, set_config_value
 from sparse_memory_lab.nn import _NEG_MASK, MemoryTable, apply_expert
 from sparse_memory_lab.train import DivergenceError, Trainer
@@ -39,7 +40,7 @@ def unfused_attention(q, k, v, n_heads, mask):
     def heads(t):
         return t.reshape(*lead, seq, n_heads, dh).swapaxes(-3, -2)
 
-    scores = (heads(q) @ heads(k).T) * (1.0 / math.sqrt(dh))
+    scores = (heads(q) @ heads(k).swapaxes(-2, -1)) * (1.0 / math.sqrt(dh))
     if mask is not None:
         scores = scores + mask
     return (scores.softmax(axis=-1) @ heads(v)).swapaxes(-3, -2).reshape(*lead, seq, d)
@@ -56,9 +57,9 @@ def unfused_simplified(flat, computed, p, g, j_star):
 
 def unfused_full(flat, computed, P, G, j_star):
     d = G.shape[1]
-    predicted = flat @ P.T
+    predicted = flat @ P.swapaxes(-2, -1)
     innovation = computed - predicted.narrow(predicted.ndim - 1, j_star * d, d)
-    return predicted + innovation @ G.T
+    return predicted + innovation @ G.swapaxes(-2, -1)
 
 
 def unfused_expert(x, table, idx, weights=None):
@@ -66,7 +67,8 @@ def unfused_expert(x, table, idx, weights=None):
     k, r = idx.shape[1], table.rank
     hidden = (x.reshape(seq, 1, 1, d) @ table.U.take(idx)).relu()
     out = (table.V.take(idx) @ hidden.reshape(seq, k, r, 1)).reshape(seq, k, d)
-    return out if weights is None else out * weights.reshape(*idx.shape, 1)
+    out = out if weights is None else out * weights.reshape(*idx.shape, 1)
+    return out.sum(axis=1)
 
 
 def on_one_table(expert):
@@ -270,41 +272,47 @@ def test_attention_rejects_bad_shapes():
 
 # -- graph size --------------------------------------------------------------------
 
-def op_nodes(root):
-    """Nodes reachable from `root` that have a backward."""
-    seen, stack, count = {id(root)}, [root], 0
+def op_census(root):
+    """Op name -> count of the nodes reachable from `root` that have a backward."""
+    seen, stack, census = {id(root)}, [root], Counter()
     while stack:
         node = stack.pop()
-        count += node._backward is not None
+        if node._backward is not None:
+            census[_op_name(node._backward)] += 1
         for p in node._parents:
             if id(p) not in seen:
                 seen.add(id(p))
                 stack.append(p)
-    return count
+    return census
 
 
 MEMORY = {"memory.rank": "4", "memory.buckets": "64"}
+ALTUP = {"memory.consumption": "altup", "altup.K": "2"}
 
 
 @pytest.mark.parametrize("overrides, limit", [
-    ({}, 35),
-    ({"memory.consumption": "altup", "altup.K": "2"}, 40),
-    ({"memory.consumption": "altup", "altup.K": "2", "altup.variant": "full"}, 40),
-    ({"memory.lookup": "token_id", "memory.rank": "4"}, 43),
-    ({**MEMORY, "memory.lookup": "softmax", "memory.k": "2"}, 55),
-    ({**MEMORY, "memory.lookup": "hyperplane"}, 43),
-    ({**MEMORY, "memory.lookup": "spherical"}, 43),
+    ({}, 32),
+    (ALTUP, 37),
+    ({**ALTUP, "altup.variant": "full"}, 37),
+    ({"memory.lookup": "token_id", "memory.rank": "4"}, 36),
+    ({**MEMORY, "memory.lookup": "softmax", "memory.k": "2"}, 46),
+    ({**MEMORY, "memory.lookup": "hyperplane"}, 36),
+    ({**MEMORY, "memory.lookup": "spherical"}, 36),
+    ({"memory.lookup": "token_id", "memory.rank": "0", "memory.share_table": "true"}, 38),
+    ({**MEMORY, **ALTUP, "memory.lookup": "softmax", "memory.k": "2"}, 51),
 ], ids=["baseline", "altup-simplified", "altup-full", "token_id", "softmax", "hyperplane",
-        "spherical"])
+        "spherical", "token_id-rank0-shared", "softmax-altup"])
 def test_training_step_graph_stays_fused(overrides, limit):
     # the default model: 2 layers; a step built 67, 90 and 86 op nodes unfused,
-    # and the memory cells 57 (73 for softmax with k=2) with the expert chain
+    # and the memory cells 57 (73 for softmax with k=2) with the expert chain.
+    # The head and the router read their weights as stored, with no transpose.
     cfg = ExperimentConfig()
     for key, value in overrides.items():
         set_config_value(cfg, key, value)
     trainer = Trainer(cfg.validate())
-    loss = trainer.batch_loss(trainer.sample_batch(), trainer.jitter_rng)
-    assert op_nodes(loss) <= limit
+    census = op_census(trainer.batch_loss(trainer.sample_batch(), trainer.jitter_rng))
+    assert census.total() <= limit
+    assert census["swapaxes"] == 0
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")

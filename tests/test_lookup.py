@@ -51,7 +51,7 @@ def test_token_id_layer_independent():
 # -- softmax routing -------------------------------------------------------------
 
 def test_softmax_uniform_logits_tie_break_low_index():
-    params = SoftmaxRouterParams(W=Tensor(np.zeros((4, 3)), requires_grad=True), k=1)
+    params = SoftmaxRouterParams(W=Tensor(np.zeros((3, 4)), requires_grad=True), k=1)
     r = softmax_route(Tensor(np.ones((2, 3))), params)
     assert r.indices.tolist() == [0, 0]
     np.testing.assert_allclose(r.weights.data, [0.25, 0.25])
@@ -71,7 +71,7 @@ def test_softmax_matches_full_sort_oracle():
     w = rng.standard_normal((40, 4))
     w[30:] = w[:10]  # exact ties, which must go to the lower index
     x = rng.standard_normal((5, 4))
-    params = SoftmaxRouterParams(W=Tensor(w), k=2)
+    params = SoftmaxRouterParams(W=Tensor(w.T), k=2)  # stored (d_in, n)
     r = softmax_route(Tensor(x), params)
 
     expected_idx, expected_w = [], []
@@ -121,12 +121,15 @@ def test_softmax_jitter_routes_the_premultiplied_input():
 
 
 def test_softmax_k_bounds():
-    with pytest.raises(ValueError):
-        SoftmaxRouterParams(W=Tensor(np.zeros((4, 3))), k=5)
-    params = SoftmaxRouterParams(W=Tensor(np.zeros((4, 3))), k=2)
-    params.k = 5
-    with pytest.raises(ValueError, match="k exceeds"):
-        softmax_route(Tensor(np.ones((1, 3))), params)
+    # W is (d_in, n) = (3, 4): k must lie in [1, 4]
+    for k in (0, 5):
+        with pytest.raises(ValueError, match=rf"k={k} outside \[1, n=4\]"):
+            SoftmaxRouterParams(W=Tensor(np.zeros((3, 4))), k=k)
+    with pytest.raises(ValueError, match="router weight must be d_in x n"):
+        SoftmaxRouterParams(W=Tensor(np.zeros(4)), k=1)
+    params = SoftmaxRouterParams(W=Tensor(np.zeros((3, 4))), k=4)
+    assert (params.d_in, params.n) == (3, 4)
+    assert softmax_route(Tensor(np.ones((1, 3))), params).indices.tolist() == [0, 1, 2, 3]
 
 
 # -- hyperplane LSH ---------------------------------------------------------------
@@ -286,7 +289,7 @@ def test_memory_forward_matches_scripted_formula():
     layer_m = rng.standard_normal((d, d))
 
     table = MemoryTable(U=Tensor(us), V=Tensor(vs))
-    router = SoftmaxRouterParams(W=Tensor(w), k=k)
+    router = SoftmaxRouterParams(W=Tensor(w.T), k=k)  # stored (d_in, n)
     got = (Tensor(x) @ Tensor(layer_m.T)
            + memory_augmented_forward(Tensor(x), None, router, table)).data
 

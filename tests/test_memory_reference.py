@@ -40,7 +40,7 @@ def reference_route(xt: Tensor, token: int, lookup, train_mode: bool, rng):
         if train_mode:
             eps = JITTER_EPSILON
             routed = xt * rng.uniform(1.0 - eps, 1.0 + eps, size=xt.shape)
-        probs = (lookup.W @ routed).softmax(axis=-1)
+        probs = (lookup.W.swapaxes(-2, -1) @ routed).softmax(axis=-1)
         top = [int(i) for i in np.argsort(-probs.data, kind="stable")[: lookup.k]]
         return top, probs.take(top)
     vec = xt.data
@@ -60,7 +60,7 @@ def reference_expert(xt: Tensor, table: MemoryTable, i: int) -> Tensor:
         return table.b.narrow(0, i, 1).reshape(d)
     u = table.U.narrow(0, i, 1).reshape(d, table.rank)
     v = table.V.narrow(0, i, 1).reshape(d, table.rank)
-    return v @ (u.T @ xt).relu()
+    return v @ (u.swapaxes(-2, -1) @ xt).relu()
 
 
 def reference_layer(layer, x: Tensor, tokens, lookup, table, train_mode, rng):

@@ -23,15 +23,15 @@ def test_expert_zero_weights_gives_zero():
     table = MemoryTable(U=Tensor(np.zeros((3, 5, 2)), requires_grad=True),
                         V=Tensor(np.zeros((3, 5, 2)), requires_grad=True))
     out = apply_expert(Tensor(np.ones((2, 5))), table, [[0, 2], [1, 2]])
-    np.testing.assert_array_equal(out.data, np.zeros((2, 2, 5)))
+    np.testing.assert_array_equal(out.data, np.zeros((2, 5)))
 
 
 def test_constant_expert_returns_b():
     b = np.array([[1.0, -2.0, 0.5], [4.0, 0.0, -1.0]])
     table = MemoryTable(b=Tensor(b, requires_grad=True))
-    idx = [[1], [0], [1]]
+    idx = [[1, 1], [0, 1], [1, 0]]
     out = apply_expert(Tensor(np.full((3, 3), 9.0)), table, idx)
-    np.testing.assert_array_equal(out.data, b[idx])
+    np.testing.assert_array_equal(out.data, b[idx].sum(axis=1))
 
 
 def test_expert_matches_hand_rolled_matrix_multiply():
@@ -43,10 +43,10 @@ def test_expert_matches_hand_rolled_matrix_multiply():
     idx = [[2, 0], [2, 1], [0, 0]]
     out = apply_expert(Tensor(x), MemoryTable(U=Tensor(u), V=Tensor(v)), idx).data
 
-    # independent elementwise recomputation
-    expected = np.zeros((seq, 2, d))
+    # independent elementwise recomputation, summed over each row's slots
+    expected = np.zeros((seq, d))
     for t in range(seq):
-        for j, e in enumerate(idx[t]):
+        for e in idx[t]:
             hidden = np.zeros(rank)
             for r in range(rank):
                 for i in range(d):
@@ -54,15 +54,17 @@ def test_expert_matches_hand_rolled_matrix_multiply():
                 hidden[r] = max(hidden[r], 0.0)
             for i in range(d):
                 for r in range(rank):
-                    expected[t, j, i] += v[e, i, r] * hidden[r]
+                    expected[t, i] += v[e, i, r] * hidden[r]
     np.testing.assert_allclose(out, expected, rtol=1e-12)
 
 
 def broadcast_expert(x: Tensor, table: MemoryTable, idx) -> Tensor:
-    """The expert as a broadcast product summed over the contracted axis."""
+    """The expert as a broadcast product summed over the contracted axis,
+    then over the slots."""
     seq, d = x.shape
     hidden = (table.U.take(idx) * x.reshape(seq, 1, d, 1)).sum(axis=2).relu()
-    return (table.V.take(idx) * hidden.reshape(*idx.shape, 1, table.rank)).sum(axis=3)
+    out = (table.V.take(idx) * hidden.reshape(*idx.shape, 1, table.rank)).sum(axis=3)
+    return out.sum(axis=1)
 
 
 @pytest.mark.parametrize("k", [1, 2, 4])
@@ -78,7 +80,7 @@ def test_expert_matches_broadcast_sum_with_gradients(k):
     idx[0] = 0
     x[0] = np.abs(x[0])
     u[0] = -np.abs(u[0])
-    w = rng.standard_normal((seq, k, d))
+    w = rng.standard_normal((seq, d))
     results = []
     for expert in (apply_expert, broadcast_expert):
         xt = Tensor(x, requires_grad=True)
@@ -86,7 +88,7 @@ def test_expert_matches_broadcast_sum_with_gradients(k):
         out = expert(xt, table, idx)
         (out * w).sum().backward()
         results.append((out.data, xt.grad, table.U.grad, table.V.grad))
-    assert results[0][0].shape == (seq, k, d)
+    assert results[0][0].shape == (seq, d)
     assert not results[0][0][0].any()  # no expert output on the all-negative row
     for got, want in zip(*results):
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
@@ -102,6 +104,42 @@ def test_expert_dimension_mismatch_raises():
         apply_expert(Tensor(np.ones((2, 4))), table, [0, 1])
     with pytest.raises(ValueError):
         apply_expert(Tensor(np.ones(4)), table, [[0]])
+
+
+@pytest.mark.parametrize("rank", [0, 2])
+@pytest.mark.parametrize("idx_shape", [(3, 2, 1), (6, 1), (2, 1)],
+                         ids=["swapped", "flattened", "short"])
+def test_expert_rejects_indices_of_another_leading_shape(rank, idx_shape):
+    table = MemoryTable.init(3, 4, rank, seed=0)
+    with pytest.raises(ValueError, match="same leading shape"):
+        apply_expert(Tensor(np.ones((2, 3, 4))), table, np.zeros(idx_shape, dtype=int))
+
+
+@pytest.mark.parametrize("rank", [0, 3])
+@pytest.mark.parametrize("weighted", [False, True])
+def test_expert_on_a_batch_equals_the_flat_call_reshaped(rank, weighted):
+    rng = np.random.default_rng(8 + rank)
+    B, seq, d, n, k = 2, 3, 4, 5, 2
+    x = rng.standard_normal((B, seq, d))
+    idx = rng.integers(0, n, (B, seq, k))
+    w = rng.standard_normal(B * seq * k)
+    stored = {name: rng.standard_normal(t.shape)
+              for name, t in MemoryTable.init(n, d, rank, seed=0).parameters().items()}
+    probe = rng.standard_normal((B, seq, d))
+    results = []
+    for lead in ((B, seq), (B * seq,)):
+        xt = Tensor(x.reshape(*lead, d), requires_grad=True)
+        table = MemoryTable(**{name: Tensor(a, requires_grad=True) for name, a in stored.items()})
+        weights = Tensor(w, requires_grad=True) if weighted else None
+        out = apply_expert(xt, table, idx.reshape(*lead, k), weights)
+        assert out.shape == (*lead, d)
+        (out * probe.reshape(*lead, d)).sum().backward()
+        tensors = [xt, *table.parameters().values(), *([weights] if weighted else [])]
+        # a constant expert passes x no gradient
+        results.append([out.data.tobytes()]
+                       + [None if t.grad is None else t.grad.tobytes() for t in tensors])
+    assert results[0] == results[1]
+    assert (results[0][1] is None) == (rank == 0)
 
 
 @pytest.mark.parametrize("rank", [0, 2])
@@ -275,3 +313,32 @@ def test_finite_diff_detects_wrong_gradient():
     # analytic grad exists for x only; pretend y is trainable -> mismatch
     report = finite_diff_check(loss_fn, {"y": y}, epsilon=1e-5)
     assert not report.passed
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_finite_diff_fails_when_a_perturbed_loss_overflows():
+    # the loss is finite at x = 1.7, but at x + epsilon it overflows to inf, so
+    # x's central difference is inf and its relative error NaN; y is unused
+    # (error 0), so the NaN is not the first error the report sees
+    y = Tensor(np.array([0.5, -1.0]), requires_grad=True)
+    x = Tensor(np.array([1.7]), requires_grad=True)
+    report = finite_diff_check(lambda: (x * 1e308).sum(), {"y": y, "x": x}, epsilon=0.1)
+    assert report.per_param["y"] == 0.0
+    assert np.isnan(report.per_param["x"]) and np.isnan(report.max_rel_error)
+    assert not report.passed
+
+
+@pytest.mark.parametrize("kwargs, message", [
+    ({"epsilon": 0.0}, "epsilon must be positive"),
+    ({"epsilon": -1e-5}, "epsilon must be positive"),
+    ({"epsilon": float("nan")}, "epsilon must be positive"),
+    ({"epsilon": float("inf")}, "epsilon must be finite"),
+    ({"tolerance": 0.0}, "tolerance must be positive"),
+    ({"tolerance": float("nan")}, "tolerance must be positive"),
+    ({"tolerance": float("inf")}, "tolerance must be finite"),
+])
+def test_finite_diff_rejects_bad_epsilon_and_tolerance(kwargs, message):
+    x = Tensor(np.ones(2), requires_grad=True)
+    with pytest.raises(ValueError, match=message):
+        finite_diff_check(lambda: (x * x).sum(), {"x": x}, **kwargs)
+    assert x.grad is None  # rejected before any loss is built
