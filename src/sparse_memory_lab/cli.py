@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+import time
 from pathlib import Path
 
 from . import gradcheck as gradcheck_mod
@@ -120,9 +121,16 @@ def cli_main(argv: list[str] | None = None) -> int:
             families = list(FAMILIES) if args.family == "all" else [args.family]
             f_grid = _parse_list(args.f, float, "--f")
             n_grid = _parse_list(args.n, int, "--n")
+            t0 = time.perf_counter()
             rows = collision_grid(families, f_grid, n_grid, args.l, args.d,
                                   args.trials, args.seed)
-            write_csv(Path(args.out) / "lshsim.csv", LSHSIM_COLUMNS, rows)
+            seconds = max(time.perf_counter() - t0, 1e-9)
+            out = Path(args.out)
+            write_csv(out / "lshsim.csv", LSHSIM_COLUMNS, rows)
+            # wall-clock speed stays outside the deterministic CSV, as in `train`
+            (out / "speed.txt").write_text(
+                f"grid_seconds {seconds:.3f}\n"
+                f"trials_per_sec {args.trials * len(rows) / seconds:.3f}\n")
             for r in rows:
                 print(f"{r['family']:>10} f={r['f']:<5} n={r['n']:<6} "
                       f"p_hat={r['p_hat']:.5f} stderr={r['stderr']:.5f}")

@@ -49,11 +49,13 @@ def token_id_lookup(tokens, n: int) -> RouteResult:
 JITTER_EPSILON = 0.01  # the softmax router's training jitter: x times U[1 - eps, 1 + eps]
 
 
-@dataclass
+@dataclass(frozen=True)
 class SoftmaxRouterParams:
     """Learnable router: logits h = x W, probabilities softmax(h), top-k selection.
 
-    W is stored (d_in, n), the layout the logits' product reads."""
+    W is stored (d_in, n), the layout the logits' product reads. The fields
+    are frozen, so the construction-time check of k holds for every route;
+    W's values still train in place."""
 
     W: Tensor
     k: int

@@ -16,9 +16,12 @@ draws, the embeddings are summed literally.
 Two mixed sentence averages only interact with a random hash function
 through their 2-D span, so the spherical and hyperplane estimators sample
 (direction . u, direction . v) pairs directly (exactly bivariate normal for
-Gaussian directions, anchor norms recovered with an independent
-chi-square(d-2) term) instead of materializing d-dimensional hash
-parameters per trial. Both shortcuts are equal in law to the literal
+Gaussian directions) instead of materializing d-dimensional hash
+parameters per trial. A spherical anchor takes two normals (w1, w2): its
+products with the rows come from their direction, and its radial factor,
+the Beta(1, (d-2)/2) squared projection on the rows' plane, from their
+norm R as -expm1(-R^2/(d-2)), since exp(-R^2/2) is uniform and independent
+of the direction. Both shortcuts are equal in law to the literal
 construction; the cell-to-bucket mixing hash is shared verbatim with the
 lookup ops, and the test suite cross-checks both routes.
 
@@ -267,25 +270,52 @@ def default_num_projections(n: int) -> int:
     return max(1, round(n ** 0.85))
 
 
+def _anchor_products(t: np.ndarray, w1: np.ndarray, w2: np.ndarray,
+                     d: int) -> tuple[np.ndarray, np.ndarray]:
+    """Products of uniform unit anchors in R^d with two unit rows of cosine t,
+    one anchor per entry of w1 and w2, iid N(0, 1) arrays that are
+    overwritten with the products with the first and the second row; d >= 2.
+
+    In an orthonormal basis of the rows' plane whose first vector is the
+    first row, an anchor's projection has direction (w1, w2) / R, with
+    R^2 = w1^2 + w2^2, and squared norm r^2 ~ Beta(1, (d-2)/2), independent
+    of the direction. R is independent of (w1, w2) / R and exp(-R^2/2) is
+    uniform, so r^2 = -expm1(-R^2/(d-2)) has that law (r = 1 at d = 2), and
+    the products are r (w1, t w1 + sqrt(1 - t^2) w2) / R.
+    """
+    scale = w1 * w1
+    scale += w2 * w2  # R^2
+    if d > 2:
+        r2 = scale * (-1.0 / (d - 2))
+        np.expm1(r2, out=r2)
+        r2 /= scale  # -(r/R)^2
+        np.negative(r2, out=r2)
+        scale = np.sqrt(r2, out=r2)
+    else:
+        np.sqrt(scale, out=scale)
+        np.reciprocal(scale, out=scale)
+    w2 *= np.sqrt(np.maximum(0.0, 1.0 - t * t))
+    w2 += t * w1
+    w1 *= scale
+    w2 *= scale
+    return w1, w2
+
+
 def _spherical_collisions(cosines: np.ndarray, n: int, d: int,
                           rng: np.random.Generator) -> np.ndarray:
-    """Same-argmax indicator per trial over n fresh uniform anchors; d >= 2."""
+    """Same-argmax indicator per trial over n fresh uniform anchors; d >= 2.
+
+    Each anchor takes two normal draws, (w1, w2): its products with the two
+    rows come from their direction, and its radial factor, a Beta(1, (d-2)/2)
+    squared projection on the rows' plane, from their norm
+    (`_anchor_products`).
+    """
     def draw(start: int, stop: int) -> np.ndarray:
-        t = cosines[start:stop, None]
         b = stop - start
         w1 = rng.standard_normal((b, n))
         w2 = rng.standard_normal((b, n))
-        norm = rng.chisquare(d - 2, (b, n)) if d > 2 else np.zeros((b, n))
-        norm += w1 * w1
-        norm += w2 * w2
-        np.sqrt(norm, out=norm)  # each anchor's norm
-        # each anchor's products with the two rows, in place: w1 with the
-        # first, w2 with the second
-        w2 *= np.sqrt(np.maximum(0.0, 1.0 - t * t))
-        w2 += t * w1
-        w1 /= norm
-        w2 /= norm
-        return np.argmax(w1, axis=1) == np.argmax(w2, axis=1)
+        p1, p2 = _anchor_products(cosines[start:stop, None], w1, w2, d)
+        return np.argmax(p1, axis=1) == np.argmax(p2, axis=1)
 
     return _batched(cosines.size, max(1, _SPHERICAL_BLOCK // n), draw)
 

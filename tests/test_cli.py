@@ -55,6 +55,19 @@ def test_lshsim_schema_and_output(tmp_path, capsys):
     assert len(lines) == 1 + 4  # header + one row per family
 
 
+def test_lshsim_writes_a_speed_sidecar_outside_the_csv(tmp_path):
+    args = ["lshsim", "--f", "0.5", "--n", "64", "--l", "8", "--d", "8",
+            "--trials", "300", "--seed", "2"]
+    outs = [tmp_path / "a", tmp_path / "b"]
+    for out in outs:
+        assert cli_main(args + ["--out", str(out)]) == 0
+    assert (outs[0] / "lshsim.csv").read_bytes() == (outs[1] / "lshsim.csv").read_bytes()
+    speed = dict(line.split() for line in (outs[0] / "speed.txt").read_text().splitlines())
+    assert set(speed) == {"grid_seconds", "trials_per_sec"}
+    assert float(speed["grid_seconds"]) >= 0.0
+    assert float(speed["trials_per_sec"]) > 0.0
+
+
 def test_lshsim_single_family(tmp_path):
     out = tmp_path / "sim"
     code = cli_main(["lshsim", "--family", "minhash", "--f", "0.5,1.0", "--n", "16",

@@ -1,5 +1,7 @@
 """Routing functions against brute-force oracles, plus the augmented layer."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -51,12 +53,12 @@ def test_token_id_layer_independent():
 # -- softmax routing -------------------------------------------------------------
 
 def test_softmax_uniform_logits_tie_break_low_index():
-    params = SoftmaxRouterParams(W=Tensor(np.zeros((3, 4)), requires_grad=True), k=1)
-    r = softmax_route(Tensor(np.ones((2, 3))), params)
+    W = Tensor(np.zeros((3, 4)), requires_grad=True)
+    r = softmax_route(Tensor(np.ones((2, 3))), SoftmaxRouterParams(W=W, k=1))
     assert r.indices.tolist() == [0, 0]
     np.testing.assert_allclose(r.weights.data, [0.25, 0.25])
-    params.k = 3
-    assert softmax_route(Tensor(np.ones((1, 3))), params).indices.tolist() == [0, 1, 2]
+    top3 = SoftmaxRouterParams(W=W, k=3)
+    assert softmax_route(Tensor(np.ones((1, 3))), top3).indices.tolist() == [0, 1, 2]
 
 
 def test_softmax_identity_rows_pick_matching_index():
@@ -129,6 +131,15 @@ def test_softmax_k_bounds():
         SoftmaxRouterParams(W=Tensor(np.zeros(4)), k=1)
     params = SoftmaxRouterParams(W=Tensor(np.zeros((3, 4))), k=4)
     assert (params.d_in, params.n) == (3, 4)
+    assert softmax_route(Tensor(np.ones((1, 3))), params).indices.tolist() == [0, 1, 2, 3]
+
+
+def test_softmax_k_cannot_be_raised_after_construction():
+    # a k past n would route repeated indices, [0 1 2 3 0] for k = 5 here
+    params = SoftmaxRouterParams(W=Tensor(np.zeros((3, 4))), k=4)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        params.k = 5
+    assert params.k == 4
     assert softmax_route(Tensor(np.ones((1, 3))), params).indices.tolist() == [0, 1, 2, 3]
 
 

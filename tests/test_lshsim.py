@@ -176,13 +176,13 @@ def test_random_stream_is_pinned():
     # changes them
     rows = collision_grid(list(lshsim.FAMILIES), [0.25, 0.75], [16, 300], 8, 8, 2000, 3)
     assert [(r["family"], r["f"], r["n"], r["p_hat"]) for r in rows] == [
-        ("token_id", 0.25, 16, 0.25), ("spherical", 0.25, 16, 0.133),
+        ("token_id", 0.25, 16, 0.25), ("spherical", 0.25, 16, 0.121),
         ("hyperplane", 0.25, 16, 0.8495), ("minhash", 0.25, 16, 0.1415),
-        ("token_id", 0.25, 300, 0.25), ("spherical", 0.25, 300, 0.01),
+        ("token_id", 0.25, 300, 0.25), ("spherical", 0.25, 300, 0.0095),
         ("hyperplane", 0.25, 300, 0.156), ("minhash", 0.25, 300, 0.1335),
-        ("token_id", 0.75, 16, 0.75), ("spherical", 0.75, 16, 0.391),
+        ("token_id", 0.75, 16, 0.75), ("spherical", 0.75, 16, 0.389),
         ("hyperplane", 0.75, 16, 0.908), ("minhash", 0.75, 16, 0.5855),
-        ("token_id", 0.75, 300, 0.75), ("spherical", 0.75, 300, 0.119),
+        ("token_id", 0.75, 300, 0.75), ("spherical", 0.75, 300, 0.123),
         ("hyperplane", 0.75, 300, 0.329), ("minhash", 0.75, 300, 0.5815),
     ]
     # more pairs than one batch of sentence draws
@@ -190,7 +190,7 @@ def test_random_stream_is_pinned():
                                                        0.0069912939553428005)
     p_hats = [estimate_collision(fam, 0.5, 16, 8, 8, 5000, 4, width=2.0).p_hat
               for fam in ("spherical", "hyperplane", "minhash")]
-    assert p_hats == [0.2266, 0.0702, 0.3356]
+    assert p_hats == [0.2312, 0.0702, 0.3356]
 
 
 # -- dual-route consistency: span samplers vs literal lookup ops --------------------
@@ -348,6 +348,30 @@ def test_spherical_blocks_stay_under_4_mib(n, d):
     lshsim._spherical_collisions(cosines, n, d, rng)
     assert len(rng.nbytes) > 3  # several blocks
     assert max(rng.nbytes) <= 4 << 20
+
+
+@pytest.mark.parametrize("d", [3, 8, 64])
+def test_anchor_products_have_the_uniform_anchor_moments(d):
+    # a uniform unit anchor a and unit rows u, v of cosine t have
+    # E(a.u)^2 = 1/d, E(a.u)^4 = 3/(d(d+2)) and E(a.u)(a.v) = t/d
+    t = 0.6
+    rng = np.random.default_rng(79)
+    w1, w2 = rng.standard_normal((2, 400, 500))
+    p1, p2 = lshsim._anchor_products(np.full((400, 1), t), w1, w2, d)
+    for sample, expected in ((p1 ** 2, 1 / d), (p1 ** 4, 3 / (d * (d + 2))),
+                             (p1 * p2, t / d)):
+        stderr = sample.std(ddof=1) / math.sqrt(sample.size)
+        assert abs(sample.mean() - expected) <= 4 * stderr, (d, expected)
+
+
+def test_anchor_products_at_d2_lie_on_the_unit_circle():
+    rng = np.random.default_rng(80)
+    t = rng.uniform(-0.99, 0.99, (300, 1))
+    w1, w2 = rng.standard_normal((2, 300, 64))
+    p1, p2 = lshsim._anchor_products(t, w1, w2, 2)
+    # (p1, (p2 - t p1) / s) is the anchor in an orthonormal basis of the plane
+    second = (p2 - t * p1) / np.sqrt(1.0 - t * t)
+    np.testing.assert_allclose(p1 * p1 + second * second, 1.0, rtol=0, atol=1e-12)
 
 
 def reference_hyperplane_collisions(cosines, n, k, width, rng):
