@@ -3,15 +3,16 @@
 Only the operations the layers in this package need are implemented: no
 division, no constant minus a tensor, no views and no in-place graph
 surgery. Matmul follows np.matmul, so a whole batch of sequences, or of
-attention heads, is one node; `layer_norm` and `causal_attention` are fused
-ops, one node each with a hand-written backward. A tensor built by a caller
-is validated to be finite; op results are not scanned, so a training step or
-an eval pass checks its outputs once. Inside `checked()` every op result and
-every backward contribution is scanned, and the first non-finite one raises
-a `NonFiniteError` that names the op, the pass and the layer stage set by
-`at_layer`/`at_stage`; callers replay a failed step there. Inside
-`no_grad()` ops record no graph, so a forward-only pass frees each
-intermediate as soon as the next op has used it.
+attention heads, is one node; `layer_norm`, `causal_attention` and the loss
+head `cross_entropy` are fused ops, one node each with a hand-written
+backward (inside `checked()` the loss head builds its op chain). A tensor
+built by a caller is validated to be finite; op results are not scanned, so
+a training step or an eval pass checks its outputs once. Inside `checked()`
+every op result and every backward contribution is scanned, and the first
+non-finite one raises a `NonFiniteError` that names the op, the pass and
+the layer stage set by `at_layer`/`at_stage`; callers replay a failed step
+there. Inside `no_grad()` ops record no graph, so a forward-only pass
+frees each intermediate as soon as the next op has used it.
 """
 
 from __future__ import annotations
@@ -58,20 +59,34 @@ def _softmax_grad(g: np.ndarray, p: np.ndarray, axis: int) -> np.ndarray:
     return p * (g - inner)
 
 
+def _log_softmax(x: np.ndarray, axis: int) -> np.ndarray:
+    shifted = x - x.max(axis=axis, keepdims=True)
+    return shifted - np.log(np.exp(shifted).sum(axis=axis, keepdims=True))
+
+
+def _log_softmax_grad(g: np.ndarray, out: np.ndarray, axis: int) -> np.ndarray:
+    """The gradient at the input of a log-softmax with output out and output gradient g."""
+    return g - np.exp(out) * g.sum(axis=axis, keepdims=True)
+
+
+# the last-axis means below are np.mean's own sum and division, without its
+# Python wrapper
+
 def _normalize(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """x rescaled to zero mean and unit variance along the last axis, and the
     1/std it was multiplied by."""
-    mu = x.mean(axis=-1, keepdims=True)
-    xc = x - mu
-    var = (xc * xc).mean(axis=-1, keepdims=True)
+    n = x.shape[-1]
+    xc = x - np.add.reduce(x, axis=-1, keepdims=True) / n
+    var = np.add.reduce(xc * xc, axis=-1, keepdims=True) / n
     inv = 1.0 / np.sqrt(var + _NORM_EPS)
     return xc * inv, inv
 
 
 def _normalize_grad(g: np.ndarray, y: np.ndarray, inv: np.ndarray) -> np.ndarray:
     """The gradient at the input of _normalize, whose output is y."""
-    gm = g.mean(axis=-1, keepdims=True)
-    gym = (g * y).mean(axis=-1, keepdims=True)
+    n = g.shape[-1]
+    gm = np.add.reduce(g, axis=-1, keepdims=True) / n
+    gym = np.add.reduce(g * y, axis=-1, keepdims=True) / n
     return inv * (g - gm - y * gym)
 
 
@@ -118,6 +133,11 @@ def at_layer(index: int | None) -> None:
     the diagnostics of checked mode; a no-op outside it."""
     if _mode.checked:
         _mode.layer = index
+
+
+def is_checked() -> bool:
+    """Whether this thread runs inside checked()."""
+    return _mode.checked
 
 
 def at_stage(name: str) -> None:
@@ -394,14 +414,10 @@ class Tensor:
         return Tensor._op(p, (self,), backward)
 
     def log_softmax(self, axis: int = -1) -> "Tensor":
-        m = self.data.max(axis=axis, keepdims=True)
-        shifted = self.data - m
-        lse = np.log(np.exp(shifted).sum(axis=axis, keepdims=True))
-        out_data = shifted - lse
+        out_data = _log_softmax(self.data, axis)
 
         def backward(g: np.ndarray) -> None:
-            p = np.exp(out_data)
-            self._accumulate(g - p * g.sum(axis=axis, keepdims=True))
+            self._accumulate(_log_softmax_grad(g, out_data, axis))
 
         return Tensor._op(out_data, (self,), backward)
 
@@ -437,21 +453,70 @@ def concat(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
 # -- fused ops ----------------------------------------------------------------------
 # Each runs the numpy forward of the chain of ops it stands for, call for call,
 # so its values are bit-identical to that chain's; only the order of the sums
-# in its one backward differs.
+# in its one backward differs. The numpy halves of the layer norm and the
+# attention core (a forward that returns its output and a function from the
+# output gradient to the input gradients) also serve nn's fused block.
+
+def _layer_norm(x: np.ndarray, scale: np.ndarray, bias: np.ndarray):
+    """normalize(x) * scale + bias, and its gradients function: output
+    gradient -> the (x, scale, bias) gradients."""
+    y, inv = _normalize(x)
+
+    def grads(g: np.ndarray):
+        return (_normalize_grad(g * scale, y, inv), _unbroadcast(g * y, scale.shape),
+                _unbroadcast(g, bias.shape))
+
+    return y * scale + bias, grads
+
+
+def _attention(q: np.ndarray, k: np.ndarray, v: np.ndarray, n_heads: int,
+               mask: np.ndarray | None):
+    """causal_attention on arrays, and its gradients function as _layer_norm's:
+    output gradient -> the (q, k, v) gradients."""
+    *lead, seq, d = q.shape
+    dh = d // n_heads
+    scale = 1.0 / math.sqrt(dh)
+
+    def split(t: np.ndarray) -> np.ndarray:
+        return np.swapaxes(t.reshape(*lead, seq, n_heads, dh), -3, -2)
+
+    def merge(t: np.ndarray) -> np.ndarray:
+        return np.swapaxes(t, -3, -2).reshape(*lead, seq, d)
+
+    # (..., h, seq, dh) C-ordered copies, so the GEMMs see the layouts that
+    # the head-split and transpose ops give
+    qh, kh, vh = split(q).copy(), split(k).copy(), split(v).copy()
+    scores = np.matmul(qh, np.swapaxes(kh, -2, -1).copy()) * scale
+    if mask is not None:
+        scores = scores + mask
+    p = _softmax(scores, -1)
+    out = np.swapaxes(np.matmul(p, vh), -3, -2).copy().reshape(*lead, seq, d)
+
+    def grads(g: np.ndarray):
+        gh = split(g)
+        gv = merge(np.matmul(np.swapaxes(p, -2, -1), gh))
+        gs = _softmax_grad(np.matmul(gh, np.swapaxes(vh, -2, -1)), p, -1) * scale
+        return merge(np.matmul(gs, kh)), merge(np.matmul(np.swapaxes(gs, -2, -1), qh)), gv
+
+    return out, grads
+
+
+def _accumulate_each(tensors: Sequence[Tensor], grads: Sequence[np.ndarray]) -> None:
+    """Each gradient into its tensor, skipping tensors that take none."""
+    for t, g in zip(tensors, grads):
+        if t.requires_grad:
+            t._accumulate(g)
+
 
 def layer_norm(x: Tensor, scale: Tensor, bias: Tensor) -> Tensor:
     """x.normalize() * scale + bias as one node."""
-    y, inv = _normalize(x.data)
+    out, grads = _layer_norm(x.data, scale.data, bias.data)
+    parents = (x, scale, bias)
 
     def backward(g: np.ndarray) -> None:
-        if x.requires_grad:
-            x._accumulate(_normalize_grad(g * scale.data, y, inv))
-        if scale.requires_grad:
-            scale._accumulate(_unbroadcast(g * y, scale.data.shape))
-        if bias.requires_grad:
-            bias._accumulate(_unbroadcast(g, bias.data.shape))
+        _accumulate_each(parents, grads(g))
 
-    return Tensor._op(y * scale.data + bias.data, (x, scale, bias), backward)
+    return Tensor._op(out, parents, backward)
 
 
 def causal_attention(q: Tensor, k: Tensor, v: Tensor, n_heads: int,
@@ -464,36 +529,44 @@ def causal_attention(q: Tensor, k: Tensor, v: Tensor, n_heads: int,
     if not q.shape == k.shape == v.shape or q.ndim < 2:
         raise ValueError(f"attention expects equal (..., seq, d) shapes, got "
                          f"{q.shape}, {k.shape}, {v.shape}")
-    *lead, seq, d = q.shape
-    if d % n_heads != 0:
-        raise ValueError(f"n_heads={n_heads} must divide d={d}")
-    dh = d // n_heads
-    scale = 1.0 / math.sqrt(dh)
-
-    def split(t: np.ndarray) -> np.ndarray:
-        return np.swapaxes(t.reshape(*lead, seq, n_heads, dh), -3, -2)
-
-    def merge(t: np.ndarray) -> np.ndarray:
-        return np.swapaxes(t, -3, -2).reshape(*lead, seq, d)
-
-    # (..., h, seq, dh) C-ordered copies, so the GEMMs see the layouts that
-    # the head-split and transpose ops give
-    qh, kh, vh = split(q.data).copy(), split(k.data).copy(), split(v.data).copy()
-    scores = np.matmul(qh, np.swapaxes(kh, -2, -1).copy()) * scale
-    if mask is not None:
-        scores = scores + mask
-    p = _softmax(scores, -1)
-    out_data = np.swapaxes(np.matmul(p, vh), -3, -2).copy().reshape(*lead, seq, d)
+    if q.shape[-1] % n_heads != 0:
+        raise ValueError(f"n_heads={n_heads} must divide d={q.shape[-1]}")
+    out, grads = _attention(q.data, k.data, v.data, n_heads, mask)
+    parents = (q, k, v)
 
     def backward(g: np.ndarray) -> None:
-        gh = split(g)
-        if v.requires_grad:
-            v._accumulate(merge(np.matmul(np.swapaxes(p, -2, -1), gh)))
-        if q.requires_grad or k.requires_grad:
-            gs = _softmax_grad(np.matmul(gh, np.swapaxes(vh, -2, -1)), p, -1) * scale
-            if q.requires_grad:
-                q._accumulate(merge(np.matmul(gs, kh)))
-            if k.requires_grad:
-                k._accumulate(merge(np.matmul(np.swapaxes(gs, -2, -1), qh)))
+        _accumulate_each(parents, grads(g))
 
-    return Tensor._op(out_data, (q, k, v), backward)
+    return Tensor._op(out, parents, backward)
+
+
+def _cross_entropy_chain(logits: Tensor, targets: np.ndarray) -> Tensor:
+    flat = np.arange(targets.size) * logits.shape[-1] + targets.reshape(-1)
+    return -logits.log_softmax(axis=-1).reshape(-1).take(flat).mean()
+
+
+def cross_entropy(logits: Tensor, targets: np.ndarray) -> Tensor:
+    """The mean over positions of -log softmax(logits)[target], for (..., V)
+    logits and integer targets shaped like their leading axes, as one node:
+    the chain _cross_entropy_chain builds of log_softmax, the target take, the
+    mean and the negation. Inside checked() it builds that chain, so a replay
+    names the op that failed."""
+    targets = np.asarray(targets)
+    if targets.shape != logits.shape[:-1]:
+        raise ValueError(f"targets {targets.shape} must match the leading axes of logits "
+                         f"{logits.shape}")
+    if _mode.checked:
+        return _cross_entropy_chain(logits, targets)
+    flat = np.arange(targets.size) * logits.shape[-1] + targets.reshape(-1)
+    out = _log_softmax(logits.data, -1)
+    scale = 1.0 / flat.size
+
+    def backward(g: np.ndarray) -> None:
+        # the take's gradient: the negation's and the mean's -g * (1 / count)
+        # at each target, zero elsewhere
+        full = np.zeros(out.size)
+        full[flat] = -g * scale
+        logits._accumulate(_log_softmax_grad(full.reshape(out.shape), out, -1))
+
+    loss = -(np.take(out.reshape(-1), flat, axis=0).sum() * scale)
+    return Tensor._op(loss, (logits,), backward)

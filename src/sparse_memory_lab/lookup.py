@@ -118,7 +118,6 @@ def top_k_rows(scores: np.ndarray, k: int) -> np.ndarray:
 # seed of the cell-to-bucket hash, shared by the hyperplane lookup and lshsim
 MIX_SEED = 0x5EED
 
-_MASK64 = np.uint64(0xFFFFFFFFFFFFFFFF)
 _MIX_A = np.uint64(0x9E3779B97F4A7C15)
 _MIX_B = np.uint64(0xBF58476D1CE4E5B9)
 _MIX_C = np.uint64(0x94D049BB133111EB)
@@ -129,17 +128,22 @@ def fold_cells(cells: np.ndarray, seed: int) -> np.ndarray:
 
     Splitmix-style mixing folded left to right; trailing axis is the tuple.
     The same function serves the lookup op and the vectorized collision
-    simulation, so the two routes share bucket math exactly.
+    simulation, so the two routes share bucket math exactly. uint64
+    arithmetic wraps modulo 2**64, so the state is mixed in place.
     """
-    cells = np.asarray(cells, dtype=np.int64)
-    state = np.full(cells.shape[:-1], np.uint64(seed), dtype=np.uint64)
+    # the int64 cells' two's-complement bits, as an astype to uint64 gives them
+    bits = np.asarray(cells, dtype=np.int64).view(np.uint64)
+    state = np.full(bits.shape[:-1], np.uint64(seed), dtype=np.uint64)
+    shifted = np.empty_like(state)
     with np.errstate(over="ignore"):
-        for j in range(cells.shape[-1]):
-            z = (state ^ cells[..., j].astype(np.uint64)) + _MIX_A
-            z &= _MASK64
-            z = ((z ^ (z >> np.uint64(30))) * _MIX_B) & _MASK64
-            z = ((z ^ (z >> np.uint64(27))) * _MIX_C) & _MASK64
-            state = z ^ (z >> np.uint64(31))
+        for j in range(bits.shape[-1]):
+            state ^= bits[..., j]
+            state += _MIX_A
+            state ^= np.right_shift(state, np.uint64(30), out=shifted)
+            state *= _MIX_B
+            state ^= np.right_shift(state, np.uint64(27), out=shifted)
+            state *= _MIX_C
+            state ^= np.right_shift(state, np.uint64(31), out=shifted)
     return state
 
 

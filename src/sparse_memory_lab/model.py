@@ -21,7 +21,7 @@ from .altup import (
     altup_stack_forward,
     divide_and_project,
 )
-from .autodiff import Tensor, at_stage, concat
+from .autodiff import Tensor, at_stage, concat, cross_entropy
 from .config import ExperimentConfig
 from .lookup import (
     JITTER_EPSILON,
@@ -259,9 +259,7 @@ class LanguageModel:
         window = np.asarray(window, dtype=np.int64)
         logits = self.forward(window[..., :-1], rng=rng)
         at_stage("loss")
-        targets = window[..., 1:].reshape(-1)
-        flat = np.arange(targets.size) * logits.shape[-1] + targets
-        return -logits.log_softmax(axis=-1).reshape(-1).take(flat).mean()
+        return cross_entropy(logits, window[..., 1:])
 
 
 def count_params(model: LanguageModel) -> tuple[int, int]:

@@ -13,7 +13,18 @@ from typing import Callable, Mapping
 
 import numpy as np
 
-from .autodiff import Tensor, _unbroadcast, at_stage, causal_attention, layer_norm, no_grad
+from .autodiff import (
+    Tensor,
+    _accumulate_each,
+    _attention,
+    _layer_norm,
+    _unbroadcast,
+    at_stage,
+    causal_attention,
+    is_checked,
+    layer_norm,
+    no_grad,
+)
 
 
 def as_seedseq(seed) -> np.random.SeedSequence:
@@ -212,8 +223,13 @@ class TransformerBlockParams:
                 raise ValueError(f"{name} must be {d}x{d}")
         if self.w1.shape[0] != d or self.w2.shape[1] != d or self.w1.shape[1] != self.w2.shape[0]:
             raise ValueError("feed-forward shapes inconsistent with model width")
+        if self.n_heads < 1:
+            raise ValueError(f"n_heads must be at least 1, got {self.n_heads}")
         if d % self.n_heads != 0:
             raise ValueError(f"n_heads={self.n_heads} must divide d={d}")
+        for name in ("ln1_scale", "ln1_bias", "ln2_scale", "ln2_bias"):
+            if getattr(self, name).shape != (d,):
+                raise ValueError(f"{name} must be ({d},), got {getattr(self, name).shape}")
 
     @property
     def d(self) -> int:
@@ -255,14 +271,59 @@ def transformer_block_forward(x: Tensor, params: TransformerBlockParams,
     """Run one block on a (..., seq, d) tensor; deterministic given params.
 
     Leading axes are independent sequences; the heads run as one
-    (..., h, seq, d/h) batch inside the attention op.
+    (..., h, seq, d/h) batch inside the attention core. The block is one
+    graph node. Its forward makes the numpy calls of the op chain
+    _block_chain builds, in the chain's order, and its backward replays that
+    chain's backward in its order, so its values and every gradient are the
+    chain's bit for bit, and x receives its two contributions in the chain's
+    order. Inside checked() it builds the chain, so a replay names the op and
+    the stage that failed.
     """
     if x.ndim < 2 or x.shape[-1] != params.d:
         raise ValueError(f"block expects (..., seq, {params.d}), got {x.shape}")
     seq = x.shape[-2]
+    mask = np.triu(np.full((seq, seq), _NEG_MASK), k=1) if causal and seq > 1 else None
+    if is_checked():
+        return _block_chain(x, params, mask)
+    p = params
+    ln1, ln1_grads = _layer_norm(x.data, p.ln1_scale.data, p.ln1_bias.data)
+    attended, attention_grads = _attention(np.matmul(ln1, p.wq.data), np.matmul(ln1, p.wk.data),
+                                           np.matmul(ln1, p.wv.data), p.n_heads, mask)
+    x1 = x.data + np.matmul(attended, p.wo.data)
+    ln2, ln2_grads = _layer_norm(x1, p.ln2_scale.data, p.ln2_bias.data)
+    hidden = np.maximum(np.matmul(ln2, p.w1.data), 0.0)
+    out = x1 + np.matmul(hidden, p.w2.data)
+
+    def matmul_grads(g: np.ndarray, a: np.ndarray, w: Tensor) -> np.ndarray:
+        """a @ w's backward: w's gradient accumulated, a's returned."""
+        if w.requires_grad:
+            w._accumulate(_unbroadcast(np.matmul(np.swapaxes(a, -1, -2), g), w.shape))
+        return np.matmul(g, w.data.T)
+
+    def backward(g: np.ndarray) -> None:
+        # the chain's nodes in its backward order: the FFN residual, w2, the
+        # relu, w1, ln2, the attention residual, wo, the attention core, wq,
+        # wk, wv, ln1. The relu's mask is read off its output here, so a
+        # forward under no_grad() never makes it.
+        g_hidden = matmul_grads(g, hidden, p.w2) * (hidden > 0)
+        g_x1, g_scale, g_bias = ln2_grads(matmul_grads(g_hidden, ln2, p.w1))
+        _accumulate_each((p.ln2_scale, p.ln2_bias), (g_scale, g_bias))
+        g_x1 = g + g_x1
+        if x.requires_grad:
+            x._accumulate(g_x1)
+        g_q, g_k, g_v = attention_grads(matmul_grads(g_x1, attended, p.wo))
+        g_ln1 = matmul_grads(g_q, ln1, p.wq)
+        g_ln1 += matmul_grads(g_k, ln1, p.wk)
+        g_ln1 += matmul_grads(g_v, ln1, p.wv)
+        _accumulate_each((x, p.ln1_scale, p.ln1_bias), ln1_grads(g_ln1))
+
+    return Tensor._op(out, (x, *p.parameters().values()), backward)
+
+
+def _block_chain(x: Tensor, params: TransformerBlockParams, mask: np.ndarray | None) -> Tensor:
+    """transformer_block_forward as a chain of ops, each op a graph node."""
     at_stage("attention")
     ln1 = layer_norm(x, params.ln1_scale, params.ln1_bias)
-    mask = np.triu(np.full((seq, seq), _NEG_MASK), k=1) if causal and seq > 1 else None
     attended = causal_attention(ln1 @ params.wq, ln1 @ params.wk, ln1 @ params.wv,
                                 params.n_heads, mask)
     x = x + attended @ params.wo

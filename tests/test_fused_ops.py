@@ -1,13 +1,14 @@
 """The fused ops (layer norm, attention core, predict-and-correct, routed
-partial experts) against central differences and against the chains of
-plain ops they stand for.
+partial experts, the transformer block, the loss head) against central
+differences and against the chains of ops they stand for.
 
 Each reference below is the unfused composition the op replaced in the
 model. A fused op runs that chain's numpy forward call for call, so its
 values must match bit for bit; its one backward sums in another order, so
 its gradients must match within 1e-12, except where it makes the chain's
-own calls (the expert op's x and weights gradients), which must match bit
-for bit. The rows of a table that received gradient must match exactly.
+own calls (the expert op's x and weights gradients; every gradient of the
+block and the loss head), which must match bit for bit. The rows of a
+table that received gradient must match exactly.
 """
 
 import math
@@ -19,9 +20,26 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sparse_memory_lab.altup import predict_correct_full, predict_correct_simplified
-from sparse_memory_lab.autodiff import Tensor, _op_name, causal_attention, layer_norm, no_grad
+from sparse_memory_lab.autodiff import (
+    Tensor,
+    _cross_entropy_chain,
+    _op_name,
+    causal_attention,
+    checked,
+    cross_entropy,
+    layer_norm,
+    no_grad,
+)
 from sparse_memory_lab.config import ExperimentConfig, set_config_value
-from sparse_memory_lab.nn import _NEG_MASK, MemoryTable, apply_expert
+from sparse_memory_lab.nn import (
+    _NEG_MASK,
+    MemoryTable,
+    TransformerBlockParams,
+    _block_chain,
+    apply_expert,
+    finite_diff_check,
+    transformer_block_forward,
+)
 from sparse_memory_lab.train import DivergenceError, Trainer
 
 GRAD_TOL = 1e-12
@@ -82,6 +100,21 @@ def on_one_table(expert):
     return op
 
 
+def chain_block(x, params, causal):
+    seq = x.shape[-2]
+    return _block_chain(x, params, causal_mask(seq) if causal and seq > 1 else None)
+
+
+def on_block_params(block):
+    """`block` on the parameters given as arrays, as op(x, wq, ..., ln2_bias),
+    after x * 0.5: that product's gradient reaches x ahead of the block's
+    two, so their order and grouping show in x's gradient."""
+    def op(x, *weights, n_heads, causal):
+        return x * 0.5 + block(x, TransformerBlockParams(*weights, n_heads=n_heads), causal)
+
+    return op
+
+
 # -- the cases -----------------------------------------------------------------
 
 def causal_mask(seq):
@@ -127,15 +160,33 @@ def expert_case(rows, k, d, r, n, weighted, twice, seed):
     return [x, U, V, *weights], {"idx": idx, "idx2": idx2}
 
 
+def block_case(lead, seq, n_heads, dh, causal, seed):
+    rng = np.random.default_rng(seed)
+    d = n_heads * dh
+    shapes = [(d, d)] * 4 + [(d, 4 * d), (4 * d, d)]
+    weights = [rng.standard_normal(s) / math.sqrt(s[0]) for s in shapes]
+    norms = [1.0 + 0.3 * rng.standard_normal(d) if i % 2 == 0 else 0.3 * rng.standard_normal(d)
+             for i in range(4)]
+    x = rng.standard_normal((*lead, seq, d))
+    return [x, *weights, *norms], {"n_heads": n_heads, "causal": causal}
+
+
+def loss_case(lead, vocab, seed):
+    rng = np.random.default_rng(seed)
+    return [3.0 * rng.standard_normal((*lead, vocab))], {"targets": rng.integers(0, vocab, lead)}
+
+
 FUSED = {
     "layer_norm": (layer_norm, unfused_layer_norm),
     "attention": (causal_attention, unfused_attention),
     "simplified": (predict_correct_simplified, unfused_simplified),
     "full": (predict_correct_full, unfused_full),
     "expert": (on_one_table(apply_expert), on_one_table(unfused_expert)),
+    "block": (on_block_params(transformer_block_forward), on_block_params(chain_block)),
+    "loss": (cross_entropy, _cross_entropy_chain),
 }
 # inputs whose gradient the fused op computes with its chain's own calls
-EXACT_GRADS = {"expert": {0, 3}}
+EXACT_GRADS = {"expert": {0, 3}, "block": set(range(11)), "loss": {0}}
 
 leads = st.lists(st.integers(1, 3), min_size=0, max_size=2).map(tuple)
 seeds = st.integers(0, 2 ** 32 - 1)
@@ -145,6 +196,12 @@ attention_cases = st.builds(attention_case, leads, st.integers(1, 4), st.integer
 expert_cases = st.builds(expert_case, st.integers(1, 6), st.integers(1, 4), st.integers(1, 5),
                          st.integers(1, 3), st.integers(1, 6), st.booleans(), st.booleans(),
                          seeds)
+# (seq, d) and (B, seq, d) activations
+block_cases = st.builds(block_case, st.lists(st.integers(1, 3), max_size=1).map(tuple),
+                        st.integers(1, 5), st.sampled_from([1, 2, 4]), st.integers(1, 3),
+                        st.booleans(), seeds)
+loss_cases = st.builds(loss_case, st.lists(st.integers(1, 4), min_size=1, max_size=2).map(tuple),
+                       st.integers(1, 6), seeds)
 
 
 @st.composite
@@ -160,6 +217,8 @@ CASES = {
     "simplified": pcc_cases("simplified"),
     "full": pcc_cases("full"),
     "expert": expert_cases,
+    "block": block_cases,
+    "loss": loss_cases,
 }
 
 
@@ -220,7 +279,9 @@ def check_against_reference(name, arrays, kwargs):
 
 # -- central differences ------------------------------------------------------------
 
-@pytest.mark.parametrize("name", list(FUSED))
+# the block has too many entries for a drawn central-difference check per
+# example; finite_diff_check covers it below
+@pytest.mark.parametrize("name", [name for name in FUSED if name != "block"])
 def test_fused_op_matches_central_differences(name):
     @settings(max_examples=25, deadline=None)
     @given(CASES[name])
@@ -228,6 +289,24 @@ def test_fused_op_matches_central_differences(name):
         check_central_differences(FUSED[name][0], *case)
 
     check()
+
+
+@pytest.mark.parametrize("causal", [True, False])
+def test_block_node_passes_finite_diff_check(causal):
+    arrays, kwargs = block_case((2,), 3, 2, 2, causal, 11)
+    names = ["x", *TransformerBlockParams.init(4, 2, 0).parameters()]
+    tensors = {name: Tensor(a, requires_grad=True) for name, a in zip(names, arrays)}
+    weights = np.random.default_rng(1).standard_normal(arrays[0].shape)
+    x, *params = tensors.values()
+    block = TransformerBlockParams(*params, n_heads=2)
+    out = transformer_block_forward(x, block, causal=causal)
+    assert _op_name(out._backward) == "transformer_block_forward"
+
+    def loss_fn():
+        return (transformer_block_forward(x, block, causal=causal) * weights).sum()
+
+    report = finite_diff_check(loss_fn, tensors)
+    assert report.passed, report.per_param
 
 
 @pytest.mark.parametrize("form", ["simplified", "full"])
@@ -262,6 +341,13 @@ def test_expert_matches_its_unfused_chain_at_zero_pre_activations():
     check_against_reference("expert", arrays, kwargs)
 
 
+def test_cross_entropy_rejects_targets_not_shaped_like_the_logit_rows():
+    logits = Tensor(np.zeros((2, 3, 5)))
+    for targets in (np.zeros(6, dtype=int), np.zeros((2, 3, 1), dtype=int)):
+        with pytest.raises(ValueError, match="must match the leading axes"):
+            cross_entropy(logits, targets)
+
+
 def test_attention_rejects_bad_shapes():
     x = Tensor(np.zeros((3, 6)))
     with pytest.raises(ValueError, match="must divide"):
@@ -291,20 +377,21 @@ ALTUP = {"memory.consumption": "altup", "altup.K": "2"}
 
 
 @pytest.mark.parametrize("overrides, limit", [
-    ({}, 32),
-    (ALTUP, 37),
-    ({**ALTUP, "altup.variant": "full"}, 37),
-    ({"memory.lookup": "token_id", "memory.rank": "4"}, 36),
-    ({**MEMORY, "memory.lookup": "softmax", "memory.k": "2"}, 46),
-    ({**MEMORY, "memory.lookup": "hyperplane"}, 36),
-    ({**MEMORY, "memory.lookup": "spherical"}, 36),
-    ({"memory.lookup": "token_id", "memory.rank": "0", "memory.share_table": "true"}, 38),
-    ({**MEMORY, **ALTUP, "memory.lookup": "softmax", "memory.k": "2"}, 51),
+    ({}, 5),
+    (ALTUP, 10),
+    ({**ALTUP, "altup.variant": "full"}, 10),
+    ({"memory.lookup": "token_id", "memory.rank": "4"}, 9),
+    ({**MEMORY, "memory.lookup": "softmax", "memory.k": "2"}, 19),
+    ({**MEMORY, "memory.lookup": "hyperplane"}, 9),
+    ({**MEMORY, "memory.lookup": "spherical"}, 9),
+    ({"memory.lookup": "token_id", "memory.rank": "0", "memory.share_table": "true"}, 11),
+    ({**MEMORY, **ALTUP, "memory.lookup": "softmax", "memory.k": "2"}, 24),
 ], ids=["baseline", "altup-simplified", "altup-full", "token_id", "softmax", "hyperplane",
         "spherical", "token_id-rank0-shared", "softmax-altup"])
 def test_training_step_graph_stays_fused(overrides, limit):
     # the default model: 2 layers; a step built 67, 90 and 86 op nodes unfused,
     # and the memory cells 57 (73 for softmax with k=2) with the expert chain.
+    # Each block and the loss head are one node (12 and 6 as chains).
     # The head and the router read their weights as stored, with no transpose.
     cfg = ExperimentConfig()
     for key, value in overrides.items():
@@ -313,6 +400,50 @@ def test_training_step_graph_stays_fused(overrides, limit):
     census = op_census(trainer.batch_loss(trainer.sample_batch(), trainer.jitter_rng))
     assert census.total() <= limit
     assert census["swapaxes"] == 0
+
+
+def test_checked_mode_builds_the_block_and_loss_chains():
+    trainer = Trainer(ExperimentConfig().validate())
+    batch = trainer.sample_batch()
+    with checked():
+        census = op_census(trainer.batch_loss(batch, None))
+    assert census.total() == 32
+    assert census["transformer_block_forward"] == census["cross_entropy"] == 0
+    assert census["layer_norm"] == 4 and census["log_softmax"] == 1
+
+
+# the cells of the benchmark's train-dense and train-memory workloads
+PERFBENCH_CELLS = {
+    "baseline": {},
+    "altup-simplified": ALTUP,
+    "altup-full": {**ALTUP, "altup.variant": "full"},
+    "token_id": {"memory.lookup": "token_id", "memory.rank": "4"},
+    "softmax": {**MEMORY, "memory.lookup": "softmax", "memory.k": "2"},
+    "hyperplane": {**MEMORY, "memory.lookup": "hyperplane"},
+    "spherical": {**MEMORY, "memory.lookup": "spherical"},
+}
+
+
+@pytest.mark.parametrize("overrides", list(PERFBENCH_CELLS.values()), ids=list(PERFBENCH_CELLS))
+def test_checked_steps_train_as_the_fused_ones_do(overrides):
+    # a divergence replay reruns a step in checked mode, which builds the
+    # block and loss chains: the two must be the same step bit for bit
+    def fingerprint(step_in_checked_mode):
+        cfg = ExperimentConfig()
+        for key, value in overrides.items():
+            set_config_value(cfg, key, value)
+        trainer = Trainer(cfg.validate())
+        losses = []
+        for _ in range(20):
+            if step_in_checked_mode:
+                with checked():
+                    losses.append(trainer.step())
+            else:
+                losses.append(trainer.step())
+        opt = trainer.opt
+        return losses, opt.flat.data.tobytes(), opt._m.tobytes(), opt._v.tobytes()
+
+    assert fingerprint(True) == fingerprint(False)
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")

@@ -253,6 +253,22 @@ def test_block_width_mismatch_raises():
         transformer_block_forward(Tensor(np.zeros((3, 6))), p)
 
 
+@pytest.mark.parametrize("n_heads", [0, -2])
+def test_block_params_reject_fewer_than_one_head(n_heads):
+    p = TransformerBlockParams.init(8, 2, seed=0).parameters()
+    with pytest.raises(ValueError, match="n_heads must be at least 1"):
+        TransformerBlockParams(**p, n_heads=n_heads)
+
+
+@pytest.mark.parametrize("name", ["ln1_scale", "ln1_bias", "ln2_scale", "ln2_bias"])
+@pytest.mark.parametrize("shape", [(1,), (4,), (1, 8), ()])
+def test_block_params_reject_layer_norm_vectors_not_of_width_d(name, shape):
+    p = TransformerBlockParams.init(8, 2, seed=0).parameters()
+    p[name] = Tensor(np.ones(shape), requires_grad=True)
+    with pytest.raises(ValueError, match=rf"{name} must be \(8,\)"):
+        TransformerBlockParams(**p, n_heads=2)
+
+
 def test_block_multiply_count():
     assert transformer_block_multiplies(8, 4) == 4 * 64 + 2 * 4 * 8 + 2 * 8 * 32
 
