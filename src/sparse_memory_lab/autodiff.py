@@ -3,16 +3,17 @@
 Only the operations the layers in this package need are implemented: no
 division, no constant minus a tensor, no views and no in-place graph
 surgery. Matmul follows np.matmul, so a whole batch of sequences, or of
-attention heads, is one node; `layer_norm`, `causal_attention` and the loss
-head `cross_entropy` are fused ops, one node each with a hand-written
-backward (inside `checked()` the loss head builds its op chain). A tensor
-built by a caller is validated to be finite; op results are not scanned, so
-a training step or an eval pass checks its outputs once. Inside `checked()`
-every op result and every backward contribution is scanned, and the first
-non-finite one raises a `NonFiniteError` that names the op, the pass and
-the layer stage set by `at_layer`/`at_stage`; callers replay a failed step
-there. Inside `no_grad()` ops record no graph, so a forward-only pass
-frees each intermediate as soon as the next op has used it.
+attention heads, is one node; the loss head `cross_entropy` is a fused op,
+one node with a hand-written backward, and so are nn's transformer block and
+routed experts and altup's predict-and-correct step. A tensor built by a
+caller is validated to be finite; op results are not scanned, so a training
+step or an eval pass checks its outputs once. Inside `checked()` every op
+result and every backward contribution is scanned, and the first non-finite
+one raises a `NonFiniteError` that names the op, the pass and the layer
+stage set by `at_layer`/`at_stage` (a fused node that spans stages scans its
+own parts through `scanner`); callers replay a failed step there. Inside
+`no_grad()` ops record no graph, so a forward-only pass frees each
+intermediate as soon as the next op has used it.
 """
 
 from __future__ import annotations
@@ -135,11 +136,6 @@ def at_layer(index: int | None) -> None:
         _mode.layer = index
 
 
-def is_checked() -> bool:
-    """Whether this thread runs inside checked()."""
-    return _mode.checked
-
-
 def at_stage(name: str) -> None:
     """Name the stage of the ops that follow, as at_layer."""
     if _mode.checked:
@@ -161,6 +157,23 @@ def _non_finite(what: str, pass_: str, label: str) -> NonFiniteError:
                          f"pass" + (f" at {label}" if label else ""))
     err.pass_ = pass_
     return err
+
+
+def scanner(op: str) -> Callable[..., None] | None:
+    """None outside checked(). Inside it, scan(pass_, stage, *arrays) for a
+    fused node `op` that spans stages: it raises the NonFiniteError naming
+    op, the pass and the stage at the current layer when an array (None is
+    skipped) holds a non-finite value."""
+    if not _mode.checked:
+        return None
+    layer = _mode.layer
+
+    def scan(pass_: str, stage: str, *arrays: np.ndarray | None) -> None:
+        if not all(a is None or np.isfinite(a).all() for a in arrays):
+            what = op if pass_ == "forward" else f"backward of {op}"
+            raise _non_finite(what, pass_, stage if layer is None else f"layer {layer} {stage}")
+
+    return scan
 
 
 class Tensor:
@@ -450,12 +463,10 @@ def concat(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
     return Tensor._op(out_data, tuple(tensors), backward)
 
 
-# -- fused ops ----------------------------------------------------------------------
-# Each runs the numpy forward of the chain of ops it stands for, call for call,
-# so its values are bit-identical to that chain's; only the order of the sums
-# in its one backward differs. The numpy halves of the layer norm and the
-# attention core (a forward that returns its output and a function from the
-# output gradient to the input gradients) also serve nn's fused block.
+# -- fused-op parts ----------------------------------------------------------------
+# The numpy halves of the layer norm and the attention core, which nn's fused
+# block is built of: each a forward that returns its output and a function
+# from the output gradient to the input gradients.
 
 def _layer_norm(x: np.ndarray, scale: np.ndarray, bias: np.ndarray):
     """normalize(x) * scale + bias, and its gradients function: output
@@ -471,8 +482,10 @@ def _layer_norm(x: np.ndarray, scale: np.ndarray, bias: np.ndarray):
 
 def _attention(q: np.ndarray, k: np.ndarray, v: np.ndarray, n_heads: int,
                mask: np.ndarray | None):
-    """causal_attention on arrays, and its gradients function as _layer_norm's:
-    output gradient -> the (q, k, v) gradients."""
+    """Multi-head attention on (..., seq, d) arrays, each head a column group
+    of d/n_heads giving softmax(q k^T / sqrt(d/n_heads) + mask) v, with
+    `mask` an additive (seq, seq) array or None; and its gradients function
+    as _layer_norm's: output gradient -> the (q, k, v) gradients."""
     *lead, seq, d = q.shape
     dh = d // n_heads
     scale = 1.0 / math.sqrt(dh)
@@ -508,55 +521,20 @@ def _accumulate_each(tensors: Sequence[Tensor], grads: Sequence[np.ndarray]) -> 
             t._accumulate(g)
 
 
-def layer_norm(x: Tensor, scale: Tensor, bias: Tensor) -> Tensor:
-    """x.normalize() * scale + bias as one node."""
-    out, grads = _layer_norm(x.data, scale.data, bias.data)
-    parents = (x, scale, bias)
-
-    def backward(g: np.ndarray) -> None:
-        _accumulate_each(parents, grads(g))
-
-    return Tensor._op(out, parents, backward)
-
-
-def causal_attention(q: Tensor, k: Tensor, v: Tensor, n_heads: int,
-                     mask: np.ndarray | None = None) -> Tensor:
-    """Multi-head attention on (..., seq, d) query, key and value projections
-    as one node: the heads are column groups of d/n_heads, each head's output
-    is softmax(q k^T / sqrt(d/n_heads) + mask) v, and the heads' outputs sit
-    side by side in (..., seq, d). `mask` is an additive (seq, seq) array
-    (-1e30 above the diagonal makes it causal), or None."""
-    if not q.shape == k.shape == v.shape or q.ndim < 2:
-        raise ValueError(f"attention expects equal (..., seq, d) shapes, got "
-                         f"{q.shape}, {k.shape}, {v.shape}")
-    if q.shape[-1] % n_heads != 0:
-        raise ValueError(f"n_heads={n_heads} must divide d={q.shape[-1]}")
-    out, grads = _attention(q.data, k.data, v.data, n_heads, mask)
-    parents = (q, k, v)
-
-    def backward(g: np.ndarray) -> None:
-        _accumulate_each(parents, grads(g))
-
-    return Tensor._op(out, parents, backward)
-
-
-def _cross_entropy_chain(logits: Tensor, targets: np.ndarray) -> Tensor:
-    flat = np.arange(targets.size) * logits.shape[-1] + targets.reshape(-1)
-    return -logits.log_softmax(axis=-1).reshape(-1).take(flat).mean()
-
-
 def cross_entropy(logits: Tensor, targets: np.ndarray) -> Tensor:
     """The mean over positions of -log softmax(logits)[target], for (..., V)
-    logits and integer targets shaped like their leading axes, as one node:
-    the chain _cross_entropy_chain builds of log_softmax, the target take, the
-    mean and the negation. Inside checked() it builds that chain, so a replay
-    names the op that failed."""
+    logits and integer targets in [0, V) shaped like their leading axes, as
+    one node: the numpy forward of the chain log_softmax, a take of each
+    target's entry, the mean and the negation, call for call, and that
+    chain's backward."""
     targets = np.asarray(targets)
     if targets.shape != logits.shape[:-1]:
         raise ValueError(f"targets {targets.shape} must match the leading axes of logits "
                          f"{logits.shape}")
-    if _mode.checked:
-        return _cross_entropy_chain(logits, targets)
+    bad = targets[(targets < 0) | (targets >= logits.shape[-1])]
+    if bad.size:
+        raise ValueError(f"target {int(bad[0])} outside [0, {logits.shape[-1]}), the logit "
+                         f"columns")
     flat = np.arange(targets.size) * logits.shape[-1] + targets.reshape(-1)
     out = _log_softmax(logits.data, -1)
     scale = 1.0 / flat.size

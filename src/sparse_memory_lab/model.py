@@ -236,6 +236,10 @@ class LanguageModel:
         tokens = np.asarray(tokens, dtype=np.int64)
         if tokens.ndim not in (1, 2):
             raise ValueError("forward expects a (seq,) sequence or a (B, seq) batch of tokens")
+        vocab = self.config.model.vocab
+        bad = tokens[(tokens < 0) | (tokens >= vocab)]
+        if bad.size:
+            raise ValueError(f"token id {int(bad[0])} outside the vocabulary [0, {vocab})")
         at_stage("embed")
         x0 = self.initial_representation(tokens)
         jitter = self._router_jitter(tokens, rng)

@@ -19,11 +19,8 @@ from .autodiff import (
     _attention,
     _layer_norm,
     _unbroadcast,
-    at_stage,
-    causal_attention,
-    is_checked,
-    layer_norm,
     no_grad,
+    scanner,
 )
 
 
@@ -272,27 +269,36 @@ def transformer_block_forward(x: Tensor, params: TransformerBlockParams,
 
     Leading axes are independent sequences; the heads run as one
     (..., h, seq, d/h) batch inside the attention core. The block is one
-    graph node. Its forward makes the numpy calls of the op chain
-    _block_chain builds, in the chain's order, and its backward replays that
-    chain's backward in its order, so its values and every gradient are the
-    chain's bit for bit, and x receives its two contributions in the chain's
-    order. Inside checked() it builds the chain, so a replay names the op and
-    the stage that failed.
+    graph node. Its forward makes the numpy calls of the chain layer norm,
+    the q/k/v projections, the attention core, the output projection and
+    residual, layer norm, the ReLU FFN and residual, in that order, and its
+    backward replays that chain's backward in its order, so its values and
+    every gradient are the chain's bit for bit, and x receives its two
+    contributions in the chain's order. Inside checked() it scans the
+    attention half's result, the FFN pre-activation and the output in the
+    forward, and each half's gradients in the backward, so a replay names
+    the half that failed.
     """
     if x.ndim < 2 or x.shape[-1] != params.d:
         raise ValueError(f"block expects (..., seq, {params.d}), got {x.shape}")
     seq = x.shape[-2]
     mask = np.triu(np.full((seq, seq), _NEG_MASK), k=1) if causal and seq > 1 else None
-    if is_checked():
-        return _block_chain(x, params, mask)
     p = params
+    scan = scanner("transformer_block_forward")
     ln1, ln1_grads = _layer_norm(x.data, p.ln1_scale.data, p.ln1_bias.data)
     attended, attention_grads = _attention(np.matmul(ln1, p.wq.data), np.matmul(ln1, p.wk.data),
                                            np.matmul(ln1, p.wv.data), p.n_heads, mask)
     x1 = x.data + np.matmul(attended, p.wo.data)
+    if scan:
+        scan("forward", "attention", x1)
     ln2, ln2_grads = _layer_norm(x1, p.ln2_scale.data, p.ln2_bias.data)
-    hidden = np.maximum(np.matmul(ln2, p.w1.data), 0.0)
+    hidden = np.matmul(ln2, p.w1.data)
+    if scan:
+        scan("forward", "ffn", hidden)  # before the relu zeroes a -inf
+    np.maximum(hidden, 0.0, out=hidden)
     out = x1 + np.matmul(hidden, p.w2.data)
+    if scan:
+        scan("forward", "ffn", out)
 
     def matmul_grads(g: np.ndarray, a: np.ndarray, w: Tensor) -> np.ndarray:
         """a @ w's backward: w's gradient accumulated, a's returned."""
@@ -309,6 +315,9 @@ def transformer_block_forward(x: Tensor, params: TransformerBlockParams,
         g_x1, g_scale, g_bias = ln2_grads(matmul_grads(g_hidden, ln2, p.w1))
         _accumulate_each((p.ln2_scale, p.ln2_bias), (g_scale, g_bias))
         g_x1 = g + g_x1
+        if scan:
+            scan("backward", "ffn", g_x1,
+                 *(t.grad for t in (p.w1, p.w2, p.ln2_scale, p.ln2_bias)))
         if x.requires_grad:
             x._accumulate(g_x1)
         g_q, g_k, g_v = attention_grads(matmul_grads(g_x1, attended, p.wo))
@@ -316,22 +325,11 @@ def transformer_block_forward(x: Tensor, params: TransformerBlockParams,
         g_ln1 += matmul_grads(g_k, ln1, p.wk)
         g_ln1 += matmul_grads(g_v, ln1, p.wv)
         _accumulate_each((x, p.ln1_scale, p.ln1_bias), ln1_grads(g_ln1))
+        if scan:
+            scan("backward", "attention",
+                 *(t.grad for t in (x, p.wq, p.wk, p.wv, p.wo, p.ln1_scale, p.ln1_bias)))
 
     return Tensor._op(out, (x, *p.parameters().values()), backward)
-
-
-def _block_chain(x: Tensor, params: TransformerBlockParams, mask: np.ndarray | None) -> Tensor:
-    """transformer_block_forward as a chain of ops, each op a graph node."""
-    at_stage("attention")
-    ln1 = layer_norm(x, params.ln1_scale, params.ln1_bias)
-    attended = causal_attention(ln1 @ params.wq, ln1 @ params.wk, ln1 @ params.wv,
-                                params.n_heads, mask)
-    x = x + attended @ params.wo
-
-    at_stage("ffn")
-    ln2 = layer_norm(x, params.ln2_scale, params.ln2_bias)
-    ffn = (ln2 @ params.w1).relu() @ params.w2
-    return x + ffn
 
 
 def transformer_block_multiplies(d: int, seq_len: int) -> int:

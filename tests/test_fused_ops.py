@@ -1,14 +1,17 @@
-"""The fused ops (layer norm, attention core, predict-and-correct, routed
-partial experts, the transformer block, the loss head) against central
-differences and against the chains of ops they stand for.
+"""The fused ops (predict-and-correct, routed partial experts, the
+transformer block, the loss head) and the numpy parts the block is built of
+(the layer norm and the attention core, each run here as a test-local node)
+against central differences and against the chains of ops they stand for.
 
 Each reference below is the unfused composition the op replaced in the
-model. A fused op runs that chain's numpy forward call for call, so its
-values must match bit for bit; its one backward sums in another order, so
-its gradients must match within 1e-12, except where it makes the chain's
-own calls (the expert op's x and weights gradients; every gradient of the
-block and the loss head), which must match bit for bit. The rows of a
-table that received gradient must match exactly.
+model; the block's and the loss head's chains exist only here, as oracles.
+A fused op runs that chain's numpy forward call for call, so its values
+must match bit for bit; its one backward sums in another order, so its
+gradients must match within 1e-12, except where it makes the chain's own
+calls (the expert op's x and weights gradients; every gradient of the block
+and the loss head), which must match bit for bit. The rows of a table that
+received gradient must match exactly. Inside checked() the block and the
+loss head stay one node each and name themselves in a divergence.
 """
 
 import math
@@ -21,13 +24,15 @@ from hypothesis import strategies as st
 
 from sparse_memory_lab.altup import predict_correct_full, predict_correct_simplified
 from sparse_memory_lab.autodiff import (
+    NonFiniteError,
     Tensor,
-    _cross_entropy_chain,
+    _accumulate_each,
+    _attention,
+    _layer_norm,
     _op_name,
-    causal_attention,
+    at_stage,
     checked,
     cross_entropy,
-    layer_norm,
     no_grad,
 )
 from sparse_memory_lab.config import ExperimentConfig, set_config_value
@@ -35,7 +40,6 @@ from sparse_memory_lab.nn import (
     _NEG_MASK,
     MemoryTable,
     TransformerBlockParams,
-    _block_chain,
     apply_expert,
     finite_diff_check,
     transformer_block_forward,
@@ -43,6 +47,26 @@ from sparse_memory_lab.nn import (
 from sparse_memory_lab.train import DivergenceError, Trainer
 
 GRAD_TOL = 1e-12
+
+
+# -- the numpy parts as nodes -----------------------------------------------------
+
+def as_node(part):
+    """An autodiff part (arrays -> output and gradients function) as one
+    graph node on tensors."""
+    def op(*tensors, **kwargs):
+        out, grads = part(*(t.data for t in tensors), **kwargs)
+
+        def backward(g):
+            _accumulate_each(tensors, grads(g))
+
+        return Tensor._op(out, tensors, backward)
+
+    return op
+
+
+layer_norm = as_node(_layer_norm)
+attention = as_node(_attention)
 
 
 # -- the unfused references ----------------------------------------------------
@@ -101,8 +125,21 @@ def on_one_table(expert):
 
 
 def chain_block(x, params, causal):
+    """The block as a chain of ops: the two layer norms and the attention
+    core as nodes, six matmuls, the relu and two residual adds."""
     seq = x.shape[-2]
-    return _block_chain(x, params, causal_mask(seq) if causal and seq > 1 else None)
+    mask = causal_mask(seq) if causal and seq > 1 else None
+    ln1 = layer_norm(x, params.ln1_scale, params.ln1_bias)
+    attended = attention(ln1 @ params.wq, ln1 @ params.wk, ln1 @ params.wv,
+                         n_heads=params.n_heads, mask=mask)
+    x = x + attended @ params.wo
+    ln2 = layer_norm(x, params.ln2_scale, params.ln2_bias)
+    return x + (ln2 @ params.w1).relu() @ params.w2
+
+
+def chain_loss(logits, targets):
+    flat = np.arange(targets.size) * logits.shape[-1] + targets.reshape(-1)
+    return -logits.log_softmax(axis=-1).reshape(-1).take(flat).mean()
 
 
 def on_block_params(block):
@@ -178,12 +215,12 @@ def loss_case(lead, vocab, seed):
 
 FUSED = {
     "layer_norm": (layer_norm, unfused_layer_norm),
-    "attention": (causal_attention, unfused_attention),
+    "attention": (attention, unfused_attention),
     "simplified": (predict_correct_simplified, unfused_simplified),
     "full": (predict_correct_full, unfused_full),
     "expert": (on_one_table(apply_expert), on_one_table(unfused_expert)),
     "block": (on_block_params(transformer_block_forward), on_block_params(chain_block)),
-    "loss": (cross_entropy, _cross_entropy_chain),
+    "loss": (cross_entropy, chain_loss),
 }
 # inputs whose gradient the fused op computes with its chain's own calls
 EXACT_GRADS = {"expert": {0, 3}, "block": set(range(11)), "loss": {0}}
@@ -348,12 +385,12 @@ def test_cross_entropy_rejects_targets_not_shaped_like_the_logit_rows():
             cross_entropy(logits, targets)
 
 
-def test_attention_rejects_bad_shapes():
-    x = Tensor(np.zeros((3, 6)))
-    with pytest.raises(ValueError, match="must divide"):
-        causal_attention(x, x, x, 4)
-    with pytest.raises(ValueError, match="equal"):
-        causal_attention(x, x, Tensor(np.zeros((3, 4))), 2)
+@pytest.mark.parametrize("targets", [[3, 0], [-1, 0], [0, 7]])
+def test_cross_entropy_rejects_targets_outside_the_logit_columns(targets):
+    # unchecked, 3 reads the next row's column 0 and -1 the last logit
+    bad = next(t for t in targets if not 0 <= t < 3)
+    with pytest.raises(ValueError, match=rf"target {bad} outside \[0, 3\)"):
+        cross_entropy(Tensor(np.zeros((2, 3))), np.array(targets))
 
 
 # -- graph size --------------------------------------------------------------------
@@ -376,40 +413,51 @@ MEMORY = {"memory.rank": "4", "memory.buckets": "64"}
 ALTUP = {"memory.consumption": "altup", "altup.K": "2"}
 
 
-@pytest.mark.parametrize("overrides, limit", [
-    ({}, 5),
-    (ALTUP, 10),
-    ({**ALTUP, "altup.variant": "full"}, 10),
-    ({"memory.lookup": "token_id", "memory.rank": "4"}, 9),
-    ({**MEMORY, "memory.lookup": "softmax", "memory.k": "2"}, 19),
-    ({**MEMORY, "memory.lookup": "hyperplane"}, 9),
-    ({**MEMORY, "memory.lookup": "spherical"}, 9),
-    ({"memory.lookup": "token_id", "memory.rank": "0", "memory.share_table": "true"}, 11),
-    ({**MEMORY, **ALTUP, "memory.lookup": "softmax", "memory.k": "2"}, 24),
-], ids=["baseline", "altup-simplified", "altup-full", "token_id", "softmax", "hyperplane",
-        "spherical", "token_id-rank0-shared", "softmax-altup"])
+# (overrides, the largest op census of a training step) for each cell
+STEP_CELLS = {
+    "baseline": ({}, 5),
+    "altup-simplified": (ALTUP, 10),
+    "altup-full": ({**ALTUP, "altup.variant": "full"}, 10),
+    "token_id": ({"memory.lookup": "token_id", "memory.rank": "4"}, 9),
+    "softmax": ({**MEMORY, "memory.lookup": "softmax", "memory.k": "2"}, 19),
+    "hyperplane": ({**MEMORY, "memory.lookup": "hyperplane"}, 9),
+    "spherical": ({**MEMORY, "memory.lookup": "spherical"}, 9),
+    "token_id-rank0-shared": ({"memory.lookup": "token_id", "memory.rank": "0",
+                               "memory.share_table": "true"}, 11),
+    "softmax-altup": ({**MEMORY, **ALTUP, "memory.lookup": "softmax", "memory.k": "2"}, 24),
+}
+
+
+def trainer_for(overrides):
+    cfg = ExperimentConfig()
+    for key, value in overrides.items():
+        set_config_value(cfg, key, value)
+    return Trainer(cfg.validate())
+
+
+@pytest.mark.parametrize("overrides, limit", list(STEP_CELLS.values()), ids=list(STEP_CELLS))
 def test_training_step_graph_stays_fused(overrides, limit):
     # the default model: 2 layers; a step built 67, 90 and 86 op nodes unfused,
     # and the memory cells 57 (73 for softmax with k=2) with the expert chain.
     # Each block and the loss head are one node (12 and 6 as chains).
     # The head and the router read their weights as stored, with no transpose.
-    cfg = ExperimentConfig()
-    for key, value in overrides.items():
-        set_config_value(cfg, key, value)
-    trainer = Trainer(cfg.validate())
+    trainer = trainer_for(overrides)
     census = op_census(trainer.batch_loss(trainer.sample_batch(), trainer.jitter_rng))
     assert census.total() <= limit
     assert census["swapaxes"] == 0
 
 
-def test_checked_mode_builds_the_block_and_loss_chains():
-    trainer = Trainer(ExperimentConfig().validate())
+@pytest.mark.parametrize("overrides", [cell for cell, _ in STEP_CELLS.values()],
+                         ids=list(STEP_CELLS))
+def test_checked_step_builds_the_fused_graph(overrides):
+    # a divergence replay runs the step that failed: the same nodes, each
+    # scanning its own results
+    trainer = trainer_for(overrides)
     batch = trainer.sample_batch()
+    default = op_census(trainer.batch_loss(batch, trainer.jitter_rng))
     with checked():
-        census = op_census(trainer.batch_loss(batch, None))
-    assert census.total() == 32
-    assert census["transformer_block_forward"] == census["cross_entropy"] == 0
-    assert census["layer_norm"] == 4 and census["log_softmax"] == 1
+        census = op_census(trainer.batch_loss(batch, trainer.jitter_rng))
+    assert census == default
 
 
 # the cells of the benchmark's train-dense and train-memory workloads
@@ -426,8 +474,8 @@ PERFBENCH_CELLS = {
 
 @pytest.mark.parametrize("overrides", list(PERFBENCH_CELLS.values()), ids=list(PERFBENCH_CELLS))
 def test_checked_steps_train_as_the_fused_ones_do(overrides):
-    # a divergence replay reruns a step in checked mode, which builds the
-    # block and loss chains: the two must be the same step bit for bit
+    # a divergence replay reruns a step in checked mode, where the fused
+    # nodes also scan their parts: the two must be the same step bit for bit
     def fingerprint(step_in_checked_mode):
         cfg = ExperimentConfig()
         for key, value in overrides.items():
@@ -459,3 +507,81 @@ def test_checked_replay_names_the_expert_op():
                        r"produced a non-finite value \(NaN or Inf\) in the forward pass at "
                        r"layer 0 memory experts$"):
         trainer.step()
+
+
+# -- what a checked replay names inside the block and the loss head -----------------
+
+def block_diagnostic(pass_, layer, stage):
+    what = "transformer_block_forward" if pass_ == "forward" else \
+        "backward of transformer_block_forward"
+    return (f"{what} produced a non-finite value (NaN or Inf) in the {pass_} pass at "
+            f"layer {layer} {stage}")
+
+
+def zero_the_relu_input_row(block):
+    """w1's row 0 to -inf after an ln2 column 0 of ones: every FFN
+    pre-activation of hidden unit 0 is -inf, which the relu makes 0."""
+    block.ln2_scale.data[0] = 0.0
+    block.ln2_bias.data[0] = 1.0
+    block.w1.data[0, 0] = -np.inf
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("layer", [0, 1])
+@pytest.mark.parametrize("plant, stage", [
+    ("wv", "attention"), ("ln1_scale", "attention"), ("w2", "ffn"), ("ln2_bias", "ffn"),
+    (zero_the_relu_input_row, "ffn"),
+], ids=["wv", "ln1_scale", "w2", "ln2_bias", "relu-input"])
+def test_checked_replay_names_the_block_half_in_the_forward_pass(layer, plant, stage):
+    trainer = trainer_for({})
+    block = trainer.model.blocks[layer]
+    if callable(plant):
+        plant(block)
+    else:
+        getattr(block, plant).data.flat[0] = np.inf
+    with pytest.raises(DivergenceError) as info:
+        trainer.step()
+    assert str(info.value) == ("training diverged at step 0: "
+                               + block_diagnostic("forward", layer, stage))
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("layer", [0, 1])
+@pytest.mark.parametrize("silent, huge, stage", [("wv", "wo", "attention"), ("w1", "w2", "ffn")],
+                         ids=["attention", "ffn"])
+def test_checked_backward_names_the_block_half(layer, silent, huge, stage):
+    # with `silent` zero, the half adds nothing and `huge` never meets a
+    # nonzero in the forward; a scaled loss overflows its backward there
+    trainer = trainer_for({})
+    block = trainer.model.blocks[layer]
+    getattr(block, silent).data[:] = 0.0
+    getattr(block, huge).data[:] = 1e308
+    windows = trainer.sample_batch()
+    with checked():
+        loss = trainer.model.sequence_loss(windows) * 1e10
+        assert np.isfinite(loss.data)
+        with pytest.raises(NonFiniteError) as info:
+            loss.backward()
+    assert str(info.value) == block_diagnostic("backward", layer, stage)
+    assert info.value.pass_ == "backward"
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_checked_replay_names_the_head():
+    trainer = trainer_for({})
+    trainer.model.out_table.data[0, 0] = np.inf
+    with pytest.raises(DivergenceError) as info:
+        trainer.step()
+    assert str(info.value) == ("training diverged at step 0: __matmul__ produced a non-finite "
+                               "value (NaN or Inf) in the forward pass at head")
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_checked_loss_head_names_itself():
+    # finite logits 2e308 apart: the log-softmax of the low one is -inf
+    logits = Tensor(np.array([[1e308, -1e308]]), requires_grad=True)
+    with checked(), pytest.raises(NonFiniteError) as info:
+        at_stage("loss")
+        cross_entropy(logits, np.array([1]))
+    assert str(info.value) == ("cross_entropy produced a non-finite value (NaN or Inf) in the "
+                               "forward pass at loss")

@@ -180,6 +180,25 @@ def test_forward_shapes_and_determinism():
     np.testing.assert_array_equal(a, b)
 
 
+@pytest.mark.parametrize("bad", [-1, 32, 1000])
+@pytest.mark.parametrize("batched", [False, True])
+def test_forward_rejects_token_ids_outside_the_vocabulary(bad, batched):
+    # unchecked, -1 reads the last embedding row and fails only in the backward
+    model = LanguageModel.build(tiny())
+    tokens = np.arange(8) % 32
+    tokens[3] = bad
+    with pytest.raises(ValueError, match=rf"token id {bad} outside the vocabulary \[0, 32\)"):
+        model.forward(np.stack([tokens, tokens]) if batched else tokens)
+
+
+def test_sequence_loss_rejects_a_target_outside_the_vocabulary():
+    model = LanguageModel.build(tiny())
+    window = np.arange(9) % 32
+    window[-1] = 32  # a target only, never an input token
+    with pytest.raises(ValueError, match=r"target 32 outside \[0, 32\)"):
+        model.sequence_loss(window)
+
+
 def test_same_seed_same_model():
     cfg = tiny(seed=5)
     m1 = LanguageModel.build(cfg)

@@ -249,7 +249,7 @@ def test_block_causal_future_positions_do_not_leak():
 
 def test_block_width_mismatch_raises():
     p = TransformerBlockParams.init(8, 2, seed=0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"block expects \(\.\.\., seq, 8\), got \(3, 6\)"):
         transformer_block_forward(Tensor(np.zeros((3, 6))), p)
 
 
@@ -258,6 +258,20 @@ def test_block_params_reject_fewer_than_one_head(n_heads):
     p = TransformerBlockParams.init(8, 2, seed=0).parameters()
     with pytest.raises(ValueError, match="n_heads must be at least 1"):
         TransformerBlockParams(**p, n_heads=n_heads)
+
+
+@pytest.mark.parametrize("n_heads", [3, 5, 16])
+def test_block_params_reject_heads_that_do_not_divide_d(n_heads):
+    p = TransformerBlockParams.init(8, 2, seed=0).parameters()
+    with pytest.raises(ValueError, match=rf"n_heads={n_heads} must divide d=8"):
+        TransformerBlockParams(**p, n_heads=n_heads)
+
+
+@pytest.mark.parametrize("shape", [(8,), ()])
+def test_block_rejects_input_without_a_sequence_axis(shape):
+    p = TransformerBlockParams.init(8, 2, seed=0)
+    with pytest.raises(ValueError, match=r"block expects \(\.\.\., seq, 8\)"):
+        transformer_block_forward(Tensor(np.zeros(shape)), p)
 
 
 @pytest.mark.parametrize("name", ["ln1_scale", "ln1_bias", "ln2_scale", "ln2_bias"])
