@@ -377,8 +377,13 @@ class Tensor:
 
     def take(self, indices) -> "Tensor":
         """Select rows along axis 0 (duplicates allowed); serves embedding
-        lookup, and picks single entries from a flattened tensor."""
+        lookup, and picks single entries from a flattened tensor. Every index
+        must lie in [0, rows)."""
         idx = np.asarray(indices, dtype=np.intp)
+        bad = idx[(idx < 0) | (idx >= self.shape[0])]
+        if bad.size:
+            raise ValueError(f"take index {int(bad[0])} outside [0, {self.shape[0]}), "
+                             f"the rows of the tensor")
 
         def backward(g: np.ndarray) -> None:
             # one bincount over flat positions sums duplicate rows as add.at does

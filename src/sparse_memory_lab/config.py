@@ -81,6 +81,11 @@ class ExperimentConfig:
                 value = getattr(obj, f.name)
                 if isinstance(value, float) and not math.isfinite(value):
                     raise ValueError(f"{section}.{f.name} must be finite, got {value}")
+                # what format_config writes must parse back to the same string
+                if isinstance(value, str) and ("#" in value or value != value.strip()
+                                               or len(value.splitlines()) > 1):
+                    raise ValueError(f"{section}.{f.name} cannot hold a '#', a line break, "
+                                     f"or leading or trailing whitespace, got {value!r}")
         for name, value in (("model.d", m.d), ("model.layers", m.layers),
                             ("model.heads", m.heads), ("model.vocab", m.vocab),
                             ("model.seq_len", m.seq_len), ("training.steps", tr.steps),

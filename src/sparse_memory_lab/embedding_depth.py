@@ -187,11 +187,10 @@ SEPARATION_COLUMNS = ("architecture", "width", "seed", "train_mse", "test_mse",
                       "target_variance")
 
 
-def run_separation_experiment(d: int = 16, u_count: int = 64, depth: int = 2,
-                              seeds: tuple[int, ...] = (0, 1, 2),
-                              steps: int = 1500, train_size: int = 4096,
-                              out_path=None) -> list[dict]:
-    """Both architectures at widths {d, 2d} across seeds; rows sorted stably."""
+def run_separation_experiment(d: int, u_count: int, depth: int, seeds: tuple[int, ...],
+                              steps: int, train_size: int, out_path) -> list[dict]:
+    """Both architectures at widths {d, 2d} across seeds; rows sorted stably
+    and written as a CSV to `out_path`."""
     if not seeds:
         raise ValueError("need at least one seed")
     cells = [
@@ -204,6 +203,5 @@ def run_separation_experiment(d: int = 16, u_count: int = 64, depth: int = 2,
     ]
     rows = [train_separation(cell) for cell in cells]
     rows.sort(key=lambda r: (r["architecture"], r["width"], r["seed"]))
-    if out_path is not None:
-        write_csv(out_path, SEPARATION_COLUMNS, rows)
+    write_csv(out_path, SEPARATION_COLUMNS, rows)
     return rows

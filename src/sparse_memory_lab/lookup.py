@@ -32,11 +32,6 @@ class RouteResult:
     weights: Tensor | None = None
 
 
-def _rows(x) -> np.ndarray:
-    """The (seq, d) values of a Tensor or array, for the non-learnable lookups."""
-    return x.data if isinstance(x, Tensor) else np.asarray(x, dtype=np.float64)
-
-
 def token_id_lookup(tokens, n: int) -> RouteResult:
     """Route each position by its vocabulary index; the table size is the vocabulary size."""
     ids = np.asarray(tokens, dtype=np.intp).reshape(-1)
@@ -47,6 +42,7 @@ def token_id_lookup(tokens, n: int) -> RouteResult:
 
 
 JITTER_EPSILON = 0.01  # the softmax router's training jitter: x times U[1 - eps, 1 + eps]
+ROUTER_INIT_STD = 2e-2  # the softmax router's initial weights: Normal(0, std^2) entries
 
 
 @dataclass(frozen=True)
@@ -75,9 +71,9 @@ class SoftmaxRouterParams:
         return self.W.shape[0]
 
     @classmethod
-    def init(cls, n: int, d_in: int, k: int, seed, std: float = 2e-2) -> "SoftmaxRouterParams":
+    def init(cls, n: int, d_in: int, k: int, seed) -> "SoftmaxRouterParams":
         # drawn (n, d_in) from the seed, stored transposed (see the class docstring)
-        w = np.random.default_rng(seed).standard_normal((n, d_in)) * std
+        w = np.random.default_rng(seed).standard_normal((n, d_in)) * ROUTER_INIT_STD
         return cls(W=Tensor(w.T.copy(), requires_grad=True), k=k)
 
 
@@ -157,14 +153,17 @@ class HyperplaneLshParams:
     n: int
 
     def __post_init__(self) -> None:
-        if self.width <= 0:
-            raise ValueError("bucket width must be positive")
+        if not 0 < self.width < np.inf:  # NaN too
+            raise ValueError(f"bucket width must be positive and finite, got {self.width}")
         if self.n < 1:
             raise ValueError("table size must be at least 1")
         if self.directions.ndim != 2 or self.offsets.shape != (self.directions.shape[0],):
             raise ValueError("directions must be (k, d) with matching offsets")
         self.directions = np.asarray(self.directions, dtype=np.float64)
         self.offsets = np.asarray(self.offsets, dtype=np.float64)
+        for name in ("directions", "offsets"):
+            if not np.isfinite(getattr(self, name)).all():
+                raise ValueError(f"hyperplane {name} must be finite")
         self.directions.setflags(write=False)
         self.offsets.setflags(write=False)
 
@@ -184,9 +183,8 @@ class HyperplaneLshParams:
         )
 
 
-def hyperplane_lsh_lookup(x, params: HyperplaneLshParams) -> RouteResult:
+def hyperplane_lsh_lookup(rows: np.ndarray, params: HyperplaneLshParams) -> RouteResult:
     """Bucket per row = mixed hash of its per-projection grid cells, mod n."""
-    rows = _rows(x)
     if rows.shape[-1] != params.d_in:
         raise ValueError(f"expected (..., {params.d_in}) rows, got {rows.shape}")
     cells = np.floor((rows @ params.directions.T + params.offsets) / params.width)
@@ -204,6 +202,8 @@ class SphericalLshParams:
         self.anchors = np.asarray(self.anchors, dtype=np.float64)
         if self.anchors.ndim != 2:
             raise ValueError("anchors must be (n, d)")
+        if not np.isfinite(self.anchors).all():
+            raise ValueError("anchors must be finite")
         norms = np.linalg.norm(self.anchors, axis=1)
         if np.any(np.abs(norms - 1.0) > 1e-9):
             raise ValueError("anchors must have unit 2-norm within 1e-9")
@@ -225,9 +225,8 @@ class SphericalLshParams:
         return cls(anchors=a)
 
 
-def spherical_lsh_lookup(x, params: SphericalLshParams) -> RouteResult:
+def spherical_lsh_lookup(rows: np.ndarray, params: SphericalLshParams) -> RouteResult:
     """Bucket per row = argmax anchor dot with row/||row||; ties go to the lower index."""
-    rows = _rows(x)
     if rows.shape[-1] != params.d_in:
         raise ValueError(f"expected (..., {params.d_in}) rows, got {rows.shape}")
     norms = np.linalg.norm(rows, axis=-1, keepdims=True)
@@ -292,9 +291,9 @@ def route(x: Tensor, tokens, lookup: LookupParams,
     if isinstance(lookup, SoftmaxRouterParams):
         return softmax_route(x, lookup, jitter=jitter)
     if isinstance(lookup, HyperplaneLshParams):
-        return hyperplane_lsh_lookup(x, lookup)
+        return hyperplane_lsh_lookup(x.data, lookup)
     if isinstance(lookup, SphericalLshParams):
-        return spherical_lsh_lookup(x, lookup)
+        return spherical_lsh_lookup(x.data, lookup)
     raise ValueError(f"unknown lookup kind: {type(lookup).__name__}")
 
 

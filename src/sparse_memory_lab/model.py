@@ -196,11 +196,11 @@ class LanguageModel:
 
         def layer(x: Tensor) -> Tensor:
             if lookup is None:
-                return transformer_block_forward(x, block, causal=True)
+                return transformer_block_forward(x, block)
             # the block is the always-on main expert; each position adds its
             # routed partial experts on the block *input*, per the layer contract
             memory = memory_augmented_forward(x, tokens, lookup, table, jitter=jitter)
-            out = transformer_block_forward(x, block, causal=True)
+            out = transformer_block_forward(x, block)
             at_stage("memory add")
             return out + memory
 

@@ -31,17 +31,12 @@ def as_seedseq(seed) -> np.random.SeedSequence:
     return np.random.SeedSequence(seed)
 
 
-def lecun_normal_init(shape: tuple[int, ...], seed, fan_in: int | None = None) -> Tensor:
-    """Draw a trainable tensor with entries ~ Normal(0, 1/fan_in).
-
-    fan_in defaults to the first dimension; pass it explicitly when the
-    matrix contracts over a different axis.
-    """
+def lecun_normal_init(shape: tuple[int, ...], seed, fan_in: int) -> Tensor:
+    """Draw a trainable tensor with entries ~ Normal(0, 1/fan_in), fan_in
+    being the size of the axis the tensor's product contracts over."""
     shape = tuple(int(s) for s in shape)
     if len(shape) == 0 or any(s <= 0 for s in shape):
         raise ValueError(f"lecun_normal_init needs a nonempty shape, got {shape}")
-    if fan_in is None:
-        fan_in = shape[0]
     if fan_in <= 0:
         raise ValueError(f"fan_in must be positive, got {fan_in}")
     rng = np.random.default_rng(seed)
@@ -199,7 +194,8 @@ def apply_expert(x: Tensor, table: MemoryTable, indices, weights: Tensor | None 
 
 @dataclass
 class TransformerBlockParams:
-    """Pre-layernorm block: x + Attn(LN(x)), then + FFN(LN(.)). ReLU FFN."""
+    """Pre-layernorm block: x + Attn(LN(x)), then + FFN(LN(.)). ReLU FFN,
+    4d wide when drawn by `init`."""
 
     wq: Tensor
     wk: Tensor
@@ -233,17 +229,15 @@ class TransformerBlockParams:
         return self.wq.shape[0]
 
     @classmethod
-    def init(cls, d: int, n_heads: int, seed, d_ff: int | None = None) -> "TransformerBlockParams":
-        if d_ff is None:
-            d_ff = 4 * d
+    def init(cls, d: int, n_heads: int, seed) -> "TransformerBlockParams":
         seeds = as_seedseq(seed).spawn(6)
         return cls(
             wq=lecun_normal_init((d, d), seeds[0], fan_in=d),
             wk=lecun_normal_init((d, d), seeds[1], fan_in=d),
             wv=lecun_normal_init((d, d), seeds[2], fan_in=d),
             wo=lecun_normal_init((d, d), seeds[3], fan_in=d),
-            w1=lecun_normal_init((d, d_ff), seeds[4], fan_in=d),
-            w2=lecun_normal_init((d_ff, d), seeds[5], fan_in=d_ff),
+            w1=lecun_normal_init((d, 4 * d), seeds[4], fan_in=d),
+            w2=lecun_normal_init((4 * d, d), seeds[5], fan_in=4 * d),
             ln1_scale=Tensor(np.ones(d), requires_grad=True),
             ln1_bias=Tensor(np.zeros(d), requires_grad=True),
             ln2_scale=Tensor(np.ones(d), requires_grad=True),
@@ -263,9 +257,9 @@ class TransformerBlockParams:
 _NEG_MASK = -1e30  # additive attention mask; exp() underflows to exactly 0
 
 
-def transformer_block_forward(x: Tensor, params: TransformerBlockParams,
-                              causal: bool = False) -> Tensor:
-    """Run one block on a (..., seq, d) tensor; deterministic given params.
+def transformer_block_forward(x: Tensor, params: TransformerBlockParams) -> Tensor:
+    """Run one causal block on a (..., seq, d) tensor: position t attends to
+    positions 0..t only. Deterministic given params.
 
     Leading axes are independent sequences; the heads run as one
     (..., h, seq, d/h) batch inside the attention core. The block is one
@@ -282,7 +276,7 @@ def transformer_block_forward(x: Tensor, params: TransformerBlockParams,
     if x.ndim < 2 or x.shape[-1] != params.d:
         raise ValueError(f"block expects (..., seq, {params.d}), got {x.shape}")
     seq = x.shape[-2]
-    mask = np.triu(np.full((seq, seq), _NEG_MASK), k=1) if causal and seq > 1 else None
+    mask = np.triu(np.full((seq, seq), _NEG_MASK), k=1) if seq > 1 else None
     p = params
     scan = scanner("transformer_block_forward")
     ln1, ln1_grads = _layer_norm(x.data, p.ln1_scale.data, p.ln1_bias.data)

@@ -18,7 +18,7 @@ from typing import Callable, Iterable
 
 import numpy as np
 
-from .autodiff import NonFiniteError, Tensor, checked, no_grad
+from .autodiff import NonFiniteError, Tensor, _log_softmax, checked, no_grad
 from .checkpoint import save_checkpoint
 from .config import ExperimentConfig, format_config
 from .lookup import partial_expert_param_count
@@ -118,10 +118,8 @@ class AdamState:
         self.rowwise = frozenset(rowwise)
         self._a, self._b = np.empty(size), np.empty(size)
 
-    def step(self, params: dict[str, Tensor] | None = None) -> None:
-        """Update the parameters given at construction from their gradients;
-        `params`, when given, must be those same tensors."""
-        _check_same(self.flat, params)
+    def step(self) -> None:
+        """Update the parameters given at construction from their gradients."""
         self.t += 1
         b1, b2 = _BETA1, _BETA2
         scale = self.lr * math.sqrt(1 - b2 ** self.t) / (1 - b1 ** self.t)
@@ -150,16 +148,10 @@ class SgdState:
         self.flat = FlatParameters(params)
         self._a = np.empty(self.flat.data.size)
 
-    def step(self, params: dict[str, Tensor] | None = None) -> None:
+    def step(self) -> None:
         """As AdamState.step: p - lr*g for each parameter that got a gradient."""
-        _check_same(self.flat, params)
         np.multiply(self.flat.grad, self.lr, out=self._a)
         np.subtract(self.flat.data, self._a, out=self.flat.data, where=self.flat.update_mask())
-
-
-def _check_same(flat: FlatParameters, params: dict[str, Tensor] | None) -> None:
-    if params is not None and [id(t) for t in params.values()] != list(map(id, flat.tensors)):
-        raise ValueError("an optimizer steps the parameters it was built over")
 
 
 def checked_step(opt: AdamState | SgdState, loss_fn: Callable[[], Tensor], step: int) -> float:
@@ -314,7 +306,7 @@ class Trainer:
         prefix = f"training diverged: eval after step {self.step_count}"
         with no_grad():
             logits = self.model.forward(windows[:, :-1])
-            logprobs = logits.log_softmax(axis=-1).data
+            logprobs = _log_softmax(logits.data, -1)
             if not np.isfinite(logprobs).all():
                 try:
                     with checked():

@@ -133,6 +133,13 @@ def test_take_of_a_0d_index_is_a_copy():
     assert not np.shares_memory(out.data, table)
 
 
+@pytest.mark.parametrize("idx, bad", [([-1, 0], -1), ([3], 3), ([[0, 2], [1, 7]], 7)])
+def test_take_rejects_an_index_outside_the_rows(idx, bad):
+    t = Tensor(np.arange(6.0).reshape(3, 2), requires_grad=True)
+    with pytest.raises(ValueError, match=rf"take index {bad} outside \[0, 3\)"):
+        t.take(idx)
+
+
 def test_take_records_gradient_rows_until_a_dense_contribution():
     t = Tensor(np.ones((4, 2)), requires_grad=True)
     (t.take([2, 0, 2]) * 0.0).sum().backward()

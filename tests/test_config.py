@@ -4,6 +4,8 @@ import re
 from pathlib import Path
 
 import pytest
+from hypothesis import assume, given
+from hypothesis import strategies as st
 
 from sparse_memory_lab import config
 from sparse_memory_lab.config import (
@@ -38,6 +40,33 @@ memory.share_table = true
     assert cfg.training.learning_rate == 0.005
     again = parse_config(format_config(cfg))
     assert again == cfg
+
+
+@given(out_dir=st.text(), corpus_file=st.text(),
+       learning_rate=st.floats(min_value=1e-300, max_value=1e300),
+       seed=st.integers(0, 2 ** 63 - 1))
+def test_format_config_round_trips_every_valid_config(out_dir, corpus_file, learning_rate,
+                                                      seed):
+    cfg = ExperimentConfig()
+    cfg.io.out_dir, cfg.training.corpus_file = out_dir, corpus_file
+    cfg.training.learning_rate, cfg.training.seed = learning_rate, seed
+    try:
+        cfg.validate()
+    except ValueError:
+        assume(False)
+    assert parse_config(format_config(cfg)) == cfg
+
+
+@pytest.mark.parametrize("key", ["io.out_dir", "training.corpus_file"])
+@pytest.mark.parametrize("value", ["runs/a#1", "a\nmodel.d = 8", "a\rb", "a\u2028b",
+                                   " runs", "runs\t"])
+def test_string_that_config_txt_cannot_carry_is_error(key, value):
+    cfg = ExperimentConfig()
+    section, name = key.split(".")
+    setattr(getattr(cfg, section), name, value)
+    with pytest.raises(ValueError, match=rf"{key} cannot hold a '#', a line break, or "
+                                         r"leading or trailing whitespace"):
+        cfg.validate()
 
 
 def test_unknown_key_is_error():

@@ -124,11 +124,11 @@ def on_one_table(expert):
     return op
 
 
-def chain_block(x, params, causal):
-    """The block as a chain of ops: the two layer norms and the attention
-    core as nodes, six matmuls, the relu and two residual adds."""
+def chain_block(x, params):
+    """The block as a chain of ops: the two layer norms and the causal
+    attention core as nodes, six matmuls, the relu and two residual adds."""
     seq = x.shape[-2]
-    mask = causal_mask(seq) if causal and seq > 1 else None
+    mask = causal_mask(seq) if seq > 1 else None
     ln1 = layer_norm(x, params.ln1_scale, params.ln1_bias)
     attended = attention(ln1 @ params.wq, ln1 @ params.wk, ln1 @ params.wv,
                          n_heads=params.n_heads, mask=mask)
@@ -146,8 +146,8 @@ def on_block_params(block):
     """`block` on the parameters given as arrays, as op(x, wq, ..., ln2_bias),
     after x * 0.5: that product's gradient reaches x ahead of the block's
     two, so their order and grouping show in x's gradient."""
-    def op(x, *weights, n_heads, causal):
-        return x * 0.5 + block(x, TransformerBlockParams(*weights, n_heads=n_heads), causal)
+    def op(x, *weights, n_heads):
+        return x * 0.5 + block(x, TransformerBlockParams(*weights, n_heads=n_heads))
 
     return op
 
@@ -197,7 +197,7 @@ def expert_case(rows, k, d, r, n, weighted, twice, seed):
     return [x, U, V, *weights], {"idx": idx, "idx2": idx2}
 
 
-def block_case(lead, seq, n_heads, dh, causal, seed):
+def block_case(lead, seq, n_heads, dh, seed):
     rng = np.random.default_rng(seed)
     d = n_heads * dh
     shapes = [(d, d)] * 4 + [(d, 4 * d), (4 * d, d)]
@@ -205,7 +205,7 @@ def block_case(lead, seq, n_heads, dh, causal, seed):
     norms = [1.0 + 0.3 * rng.standard_normal(d) if i % 2 == 0 else 0.3 * rng.standard_normal(d)
              for i in range(4)]
     x = rng.standard_normal((*lead, seq, d))
-    return [x, *weights, *norms], {"n_heads": n_heads, "causal": causal}
+    return [x, *weights, *norms], {"n_heads": n_heads}
 
 
 def loss_case(lead, vocab, seed):
@@ -235,8 +235,7 @@ expert_cases = st.builds(expert_case, st.integers(1, 6), st.integers(1, 4), st.i
                          seeds)
 # (seq, d) and (B, seq, d) activations
 block_cases = st.builds(block_case, st.lists(st.integers(1, 3), max_size=1).map(tuple),
-                        st.integers(1, 5), st.sampled_from([1, 2, 4]), st.integers(1, 3),
-                        st.booleans(), seeds)
+                        st.integers(1, 5), st.sampled_from([1, 2, 4]), st.integers(1, 3), seeds)
 loss_cases = st.builds(loss_case, st.lists(st.integers(1, 4), min_size=1, max_size=2).map(tuple),
                        st.integers(1, 6), seeds)
 
@@ -328,19 +327,18 @@ def test_fused_op_matches_central_differences(name):
     check()
 
 
-@pytest.mark.parametrize("causal", [True, False])
-def test_block_node_passes_finite_diff_check(causal):
-    arrays, kwargs = block_case((2,), 3, 2, 2, causal, 11)
+def test_block_node_passes_finite_diff_check():
+    arrays, kwargs = block_case((2,), 3, 2, 2, 11)
     names = ["x", *TransformerBlockParams.init(4, 2, 0).parameters()]
     tensors = {name: Tensor(a, requires_grad=True) for name, a in zip(names, arrays)}
     weights = np.random.default_rng(1).standard_normal(arrays[0].shape)
     x, *params = tensors.values()
     block = TransformerBlockParams(*params, n_heads=2)
-    out = transformer_block_forward(x, block, causal=causal)
+    out = transformer_block_forward(x, block)
     assert _op_name(out._backward) == "transformer_block_forward"
 
     def loss_fn():
-        return (transformer_block_forward(x, block, causal=causal) * weights).sum()
+        return (transformer_block_forward(x, block) * weights).sum()
 
     report = finite_diff_check(loss_fn, tensors)
     assert report.passed, report.per_param

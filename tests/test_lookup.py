@@ -108,7 +108,8 @@ def test_top_k_rows_equals_stable_argsort(k):
 
 
 def test_softmax_jitter_routes_the_premultiplied_input():
-    params = SoftmaxRouterParams.init(4, 3, k=2, seed=0, std=0.5)
+    w = 0.5 * np.random.default_rng(0).standard_normal((4, 3))
+    params = SoftmaxRouterParams(W=Tensor(w.T.copy(), requires_grad=True), k=2)
     x_data = np.random.default_rng(2).standard_normal((2, 5, 3))
     eval_a = softmax_route(Tensor(x_data), params)
     eval_b = softmax_route(Tensor(x_data), params)
@@ -186,6 +187,21 @@ def test_hyperplane_near_pairs_collide_more_than_far_pairs():
     assert near / trials > far / trials
 
 
+@pytest.mark.parametrize("field", ["directions", "offsets", "width"])
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_hyperplane_params_must_be_finite(field, value):
+    params = dataclasses.asdict(HyperplaneLshParams.init(4, 3, 1.0, 16, seed=0))
+    if field == "width":
+        params["width"] = value
+        match = "bucket width must be positive and finite"
+    else:
+        params[field] = params[field].copy()
+        params[field].flat[1] = value
+        match = f"hyperplane {field} must be finite"
+    with pytest.raises(ValueError, match=match):
+        HyperplaneLshParams(**params)
+
+
 # -- spherical LSH ---------------------------------------------------------------
 
 def test_spherical_self_anchor():
@@ -232,6 +248,14 @@ def test_spherical_zero_vector_rejected():
 def test_spherical_anchor_norm_validated():
     with pytest.raises(ValueError):
         SphericalLshParams(anchors=np.ones((2, 3)))
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+def test_spherical_anchors_must_be_finite(value):
+    anchors = SphericalLshParams.init(4, 3, seed=0).anchors.copy()
+    anchors[2, 1] = value
+    with pytest.raises(ValueError, match="anchors must be finite"):
+        SphericalLshParams(anchors=anchors)
 
 
 # -- min-hash ----------------------------------------------------------------------

@@ -79,10 +79,16 @@ def reference_layer(layer, x: Tensor, tokens, lookup, table, train_mode, rng):
     return layer(x) + concat(rows, axis=0), routed
 
 
+def peaked_router(n: int, k: int, seed: int) -> SoftmaxRouterParams:
+    """A router drawn 25 times wider than the model's: its routing is far from uniform."""
+    w = 0.5 * np.random.default_rng(seed).standard_normal((n, D))
+    return SoftmaxRouterParams(W=Tensor(w.T.copy(), requires_grad=True), k=k)
+
+
 LOOKUPS = {
     "token_id": lambda: TokenIdLookup(n=VOCAB),
-    "softmax_k1": lambda: SoftmaxRouterParams.init(5, D, 1, seed=1, std=0.5),
-    "softmax_k2": lambda: SoftmaxRouterParams.init(5, D, 2, seed=2, std=0.5),
+    "softmax_k1": lambda: peaked_router(5, 1, seed=1),
+    "softmax_k2": lambda: peaked_router(5, 2, seed=2),
     "hyperplane": lambda: HyperplaneLshParams.init(D, 4, 1.0, 16, seed=3),
     "spherical": lambda: SphericalLshParams.init(12, D, seed=4),
 }

@@ -199,6 +199,45 @@ def test_sequence_loss_rejects_a_target_outside_the_vocabulary():
         model.sequence_loss(window)
 
 
+CAUSAL_CELLS = {
+    "baseline": {},
+    "altup_k2_simplified": {"memory": MemoryConfig(consumption="altup"),
+                            "altup": AltUpConfig(K=2)},
+    "altup_k2_full": {"memory": MemoryConfig(consumption="altup"),
+                      "altup": AltUpConfig(K=2, variant="full")},
+    "altup_k3_e8_mean": {"memory": MemoryConfig(consumption="altup"),
+                         "altup": AltUpConfig(K=3, e=8, head="mean")},
+    "token_id": {"memory": MemoryConfig(lookup="token_id", rank=4)},
+    "softmax_k2": {"memory": MemoryConfig(lookup="softmax", rank=4, buckets=64, k=2)},
+    "hyperplane": {"memory": MemoryConfig(lookup="hyperplane", rank=4, buckets=64)},
+    "spherical": {"memory": MemoryConfig(lookup="spherical", rank=4, buckets=64)},
+}
+
+
+@pytest.mark.parametrize("cell", CAUSAL_CELLS)
+def test_logits_never_see_later_tokens(cell):
+    # a next-token loss is only meaningful if position t reads tokens 0..t
+    cfg = tiny(seq=16, **CAUSAL_CELLS[cell])
+    model = LanguageModel.build(cfg)
+
+    def logits(toks, jitter_seed):
+        """Eval routing for None, else training's routing with seeded jitter."""
+        jitter = None if jitter_seed is None else np.random.default_rng(jitter_seed)
+        with no_grad():
+            return model.forward(toks, rng=jitter).data
+
+    rng = np.random.default_rng(0)
+    tokens = rng.integers(0, cfg.model.vocab, (4, 16))
+    for jitter_seed in (None, 1):
+        base = logits(tokens, jitter_seed)
+        for t in (0, 5, 14):
+            redrawn = tokens.copy()
+            redrawn[:, t + 1:] = rng.integers(0, cfg.model.vocab, (4, 15 - t))
+            assert (redrawn[:, t + 1:] != tokens[:, t + 1:]).any()
+            out = logits(redrawn, jitter_seed)
+            assert out[:, :t + 1].tobytes() == base[:, :t + 1].tobytes(), (t, jitter_seed)
+
+
 def test_same_seed_same_model():
     cfg = tiny(seed=5)
     m1 = LanguageModel.build(cfg)
@@ -390,8 +429,8 @@ def test_adam_rowwise_matches_one_adam_per_expert():
             t.zero_grad()
         (stacked.take(picks) * weights).sum().backward()
         sum((rows[i] * w).sum() for i, w in zip(picks, weights)).backward()
-        opt_stacked.step({"t": stacked})
-        opt_rows.step({f"r{i}": r for i, r in enumerate(rows)})
+        opt_stacked.step()
+        opt_rows.step()
         np.testing.assert_array_equal(stacked.data, np.stack([r.data for r in rows]))
 
 
