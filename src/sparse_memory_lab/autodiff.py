@@ -48,6 +48,13 @@ def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     return grad
 
 
+def _row_sums(g: np.ndarray, idx: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
+    """The `shape` array whose row i sums, as add.at does, each g[p] with idx[p] == i."""
+    width = math.prod(shape[1:])
+    flat = (idx[..., None] * width + np.arange(width)).reshape(-1)
+    return np.bincount(flat, weights=g.reshape(-1), minlength=shape[0] * width).reshape(shape)
+
+
 def _softmax(x: np.ndarray, axis: int) -> np.ndarray:
     shifted = x - x.max(axis=axis, keepdims=True)
     e = np.exp(shifted)
@@ -190,8 +197,8 @@ class Tensor:
         # where the first gradient contribution is written (a view into a
         # flat gradient vector, see train.FlatParameters), or None for a copy
         self._grad_out: np.ndarray | None = None
-        # axis-0 rows that received gradient while every contribution came
-        # through take(); None once any other op contributed
+        # axis-0 rows that received gradient while every contribution named
+        # its rows (nn.apply_expert's to a table do); None once any other came
         self.grad_rows: np.ndarray | None = None
         self.requires_grad = bool(requires_grad)
         self._parents: tuple[Tensor, ...] = ()
@@ -232,7 +239,7 @@ class Tensor:
         self.grad_rows = None
 
     def _accumulate(self, grad: np.ndarray, rows: np.ndarray | None = None) -> None:
-        """Add grad; `rows`, when given, are the only axis-0 rows it touches."""
+        """Add grad; `rows`, when given, are the only axis-0 rows it touches and go to grad_rows."""
         if self.grad is None:
             # a fresh C-ordered copy (keeping grad's layout, say a transposed
             # view, would change later GEMMs' sums); + 0.0 maps -0.0 to 0.0
@@ -386,11 +393,7 @@ class Tensor:
                              f"the rows of the tensor")
 
         def backward(g: np.ndarray) -> None:
-            # one bincount over flat positions sums duplicate rows as add.at does
-            width = self.data[0].size
-            flat = (idx[..., None] * width + np.arange(width)).reshape(-1)
-            full = np.bincount(flat, weights=g.reshape(-1), minlength=self.data.size)
-            self._accumulate(full.reshape(self.data.shape), rows=idx)
+            self._accumulate(_row_sums(g, idx, self.data.shape))
 
         # one copy (indexing plus .copy() made two), and never a view of the table
         return Tensor._op(np.take(self.data, idx, axis=0), (self,), backward)

@@ -53,7 +53,10 @@ def load_checkpoint(path: str | Path) -> dict[str, np.ndarray]:
     if len(raw) < 16 + man_len:
         raise ValueError(f"checkpoint is truncated: manifest needs {man_len} bytes, "
                          f"file holds {len(raw) - 16} after the header")
-    manifest = json.loads(raw[16:16 + man_len].decode("utf-8"))
+    try:
+        manifest = json.loads(raw[16:16 + man_len].decode("utf-8"))
+    except ValueError as exc:  # a UnicodeDecodeError or a JSONDecodeError
+        raise ValueError(f"checkpoint manifest is not valid UTF-8 JSON: {exc}") from exc
     payload = raw[16 + man_len:]
     if not isinstance(manifest, dict) or not isinstance(manifest.get("tensors"), list):
         raise ValueError("checkpoint manifest holds no list of tensors")

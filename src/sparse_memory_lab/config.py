@@ -100,6 +100,8 @@ class ExperimentConfig:
         if tr.corpus_length < m.seq_len + 1 or tr.eval_tokens < m.seq_len + 1:
             raise ValueError("corpus_length and eval_tokens must cover at least "
                              "one (seq_len + 1)-token window")
+        if tr.seed < 0:
+            raise ValueError(f"training.seed must be non-negative, got {tr.seed}")
         if tr.learning_rate <= 0:
             raise ValueError("training.learning_rate must be positive")
         if mem.lookup not in LOOKUP_KINDS:

@@ -157,10 +157,10 @@ class HyperplaneLshParams:
             raise ValueError(f"bucket width must be positive and finite, got {self.width}")
         if self.n < 1:
             raise ValueError("table size must be at least 1")
-        if self.directions.ndim != 2 or self.offsets.shape != (self.directions.shape[0],):
-            raise ValueError("directions must be (k, d) with matching offsets")
         self.directions = np.asarray(self.directions, dtype=np.float64)
         self.offsets = np.asarray(self.offsets, dtype=np.float64)
+        if self.directions.ndim != 2 or self.offsets.shape != (self.directions.shape[0],):
+            raise ValueError("directions must be (k, d) with matching offsets")
         for name in ("directions", "offsets"):
             if not np.isfinite(getattr(self, name)).all():
                 raise ValueError(f"hyperplane {name} must be finite")

@@ -18,6 +18,7 @@ from .autodiff import (
     _accumulate_each,
     _attention,
     _layer_norm,
+    _row_sums,
     _unbroadcast,
     no_grad,
     scanner,
@@ -109,13 +110,13 @@ def apply_expert(x: Tensor, table: MemoryTable, indices, weights: Tensor | None 
     slots j of expert indices[t, j] evaluated on it, times weights[t, j] when
     `weights` (one entry per index, row-major) is given; `indices` is (..., k).
 
-    For rank >= 1 this is one graph node. Its forward runs the numpy calls
-    of the chain U.take, matmul, relu, V.take, matmul, times the weights, sum
-    over the slots, so its values are that chain's bit for bit, and so are
-    the gradients of x and the weights. The U and V gradients group the
-    (t, j) pairs by expert and run one (d_in, m) @ (m, rank) product per used
-    expert, zero-padded to the largest load m; only their summation order
-    differs.
+    Either rank is one graph node, which records the table rows it routed to
+    (Tensor.grad_rows). It runs the numpy calls of the chain b.take (rank 0)
+    or U.take, matmul, relu, V.take, matmul, then the weighting and the slot
+    sum, so its values and the gradients of x, the weights and b are that
+    chain's bit for bit. The U and V gradients group the (t, j) pairs by
+    expert and run one (d_in, m) @ (m, rank) product per used expert,
+    zero-padded to the largest load m; only their summation order differs.
     """
     idx = np.asarray(indices, dtype=np.intp)
     if x.shape[-1:] != (table.d_in,) or idx.ndim != x.ndim or idx.shape[:-1] != x.shape[:-1]:
@@ -124,22 +125,20 @@ def apply_expert(x: Tensor, table: MemoryTable, indices, weights: Tensor | None 
     bad = idx[(idx < 0) | (idx >= table.n)]
     if bad.size:
         raise ValueError(f"routed index {int(bad[0])} outside table of size {table.n}")
-    if table.b is not None:
-        out = table.b.take(idx)
-        if weights is not None:
-            out = out * weights.reshape(*idx.shape, 1)
-        return out.sum(axis=-2)
-    U, V = table.U, table.V
+    b, U, V = table.b, table.U, table.V
     seq, d, k, r = math.prod(x.shape[:-1]), table.d_in, idx.shape[-1], table.rank
     idx = idx.reshape(seq, k)
-    # (1, d_in) @ U_j, then V_j @ (rank, 1), one small GEMM per (t, j)
-    u = np.take(U.data, idx, axis=0)
-    pre = np.matmul(x.data.reshape(seq, 1, 1, d), u)
-    if not x.requires_grad:
-        u = None  # only x's gradient reads it; an eval pass frees it before the V gather
-    hidden = np.maximum(pre, 0.0)
-    v = np.take(V.data, idx, axis=0)
-    out = np.matmul(v, hidden.reshape(seq, k, r, 1)).reshape(seq, k, d)
+    if b is not None:
+        out = np.take(b.data, idx, axis=0)
+    else:
+        # (1, d_in) @ U_j, then V_j @ (rank, 1), one small GEMM per (t, j)
+        u = np.take(U.data, idx, axis=0)
+        pre = np.matmul(x.data.reshape(seq, 1, 1, d), u)
+        if not x.requires_grad:
+            u = None  # only x's gradient reads it; an eval pass frees it before the V gather
+        hidden = np.maximum(pre, 0.0)
+        v = np.take(V.data, idx, axis=0)
+        out = np.matmul(v, hidden.reshape(seq, k, r, 1)).reshape(seq, k, d)
     w = None if weights is None else weights.data.reshape(seq, k, 1)
 
     def backward(g: np.ndarray) -> None:
@@ -148,7 +147,10 @@ def apply_expert(x: Tensor, table: MemoryTable, indices, weights: Tensor | None 
         if w is not None and weights.requires_grad:
             weights._accumulate(_unbroadcast(g * out, w.shape).reshape(weights.shape))
         g_out = g if w is None else g * w
-        g_pre = None
+        if b is not None:
+            if b.requires_grad:
+                b._accumulate(_row_sums(g_out, idx, b.shape), rows=idx)
+            return
         if x.requires_grad or U.requires_grad:
             g_hidden = np.matmul(np.swapaxes(v, -1, -2), g_out.reshape(seq, k, d, 1))
             g_pre = g_hidden.reshape(seq, k, 1, r) * (pre > 0)
@@ -172,13 +174,13 @@ def apply_expert(x: Tensor, table: MemoryTable, indices, weights: Tensor | None 
         def per_expert(left: np.ndarray, right: np.ndarray) -> np.ndarray:
             """(n, d_in, rank): each used expert's sum over its pairs of
             left[t, j] ⊗ right[t, j], as one batched GEMM; zero elsewhere."""
-            a = np.zeros((used.size * m, d))
-            a[slot] = left
-            b = np.zeros((used.size * m, r))
-            b[slot] = right
+            lhs = np.zeros((used.size * m, d))
+            lhs[slot] = left
+            rhs = np.zeros((used.size * m, r))
+            rhs[slot] = right
             full = np.zeros((table.n, d, r))
-            full[used] = np.matmul(np.swapaxes(a.reshape(used.size, m, d), 1, 2),
-                                   b.reshape(used.size, m, r))
+            full[used] = np.matmul(np.swapaxes(lhs.reshape(used.size, m, d), 1, 2),
+                                   rhs.reshape(used.size, m, r))
             return full
 
         if U.requires_grad:
@@ -188,7 +190,8 @@ def apply_expert(x: Tensor, table: MemoryTable, indices, weights: Tensor | None 
             V._accumulate(per_expert(g_out, hidden.reshape(seq, k, r)), rows=used)
 
     data = out if w is None else out * w
-    parents = (x, U, V) if weights is None else (x, U, V, weights)
+    # rank 0 keeps the chain's parents, so a shared table sums its layers in the chain's order
+    parents = ((x, U, V) if b is None else (b,)) + (() if weights is None else (weights,))
     return Tensor._op(data.sum(axis=1).reshape(x.shape), parents, backward)
 
 

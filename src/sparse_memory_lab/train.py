@@ -14,7 +14,7 @@ import math
 import time
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Iterable
+from typing import Callable
 
 import numpy as np
 
@@ -80,23 +80,19 @@ class FlatParameters:
         for t in self.tensors:
             t.zero_grad()
 
-    def update_mask(self, rowwise: frozenset[str] = frozenset()) -> np.ndarray | bool:
+    def update_mask(self) -> np.ndarray | bool:
         """The entries an optimizer step writes: those of each parameter that
-        got a gradient, but of a `rowwise` one only the axis-0 rows that got
-        one (see Tensor.grad_rows); True when that is every entry."""
-        if not rowwise and all(t.grad is not None for t in self.tensors):
+        got a gradient, but of one with grad_rows (an expert table) only the
+        rows named there; True when that is every entry."""
+        if all(t.grad is not None and t.grad_rows is None for t in self.tensors):
             return True
-        mask, full = self._mask, True
-        for name, t, sl in zip(self.names, self.tensors, self.slices):
-            if t.grad is None:
-                mask[sl] = False
-            elif name in rowwise and t.grad_rows is not None:
-                mask[sl].reshape(t.grad_rows.size, -1)[...] = t.grad_rows[:, None]
+        mask = self._mask
+        for t, sl in zip(self.tensors, self.slices):
+            if t.grad_rows is None:
+                mask[sl] = t.grad is not None
             else:
-                mask[sl] = True
-                continue
-            full = False
-        return True if full else mask
+                mask[sl].reshape(t.grad_rows.size, -1)[...] = t.grad_rows[:, None]
+        return mask
 
 
 _BETA1, _BETA2, _ADAM_EPS = 0.9, 0.999, 1e-8  # Adam's decay rates and denominator floor
@@ -105,17 +101,16 @@ _BETA1, _BETA2, _ADAM_EPS = 0.9, 0.999, 1e-8  # Adam's decay rates and denominat
 class AdamState:
     """Adam over the flat vector of every parameter. It leaves an entry, and
     its moments, alone when its parameter got no gradient, or when it lies in
-    a row of a `rowwise` parameter (a stack of independent experts) that got
-    none. `m` and `v` map each name to its view of the flat moments."""
+    an expert table's row that no token was routed to (see update_mask).
+    `m` and `v` map each name to its view of the flat moments."""
 
-    def __init__(self, params: dict[str, Tensor], lr: float, rowwise: Iterable[str] = ()):
+    def __init__(self, params: dict[str, Tensor], lr: float):
         self.lr = lr
         self.t = 0
         self.flat = FlatParameters(params)
         size = self.flat.data.size
         self._m, self._v = np.zeros(size), np.zeros(size)
         self.m, self.v = self.flat.views(self._m), self.flat.views(self._v)
-        self.rowwise = frozenset(rowwise)
         self._a, self._b = np.empty(size), np.empty(size)
 
     def step(self) -> None:
@@ -123,7 +118,7 @@ class AdamState:
         self.t += 1
         b1, b2 = _BETA1, _BETA2
         scale = self.lr * math.sqrt(1 - b2 ** self.t) / (1 - b1 ** self.t)
-        keep = self.flat.update_mask(self.rowwise)
+        keep = self.flat.update_mask()
         p, g, m, v, a, b = self.flat.data, self.flat.grad, self._m, self._v, self._a, self._b
         # per entry, the IEEE ops of b1*m + (1-b1)*g, b2*v + ((1-b2)*g)*g and
         # p - (scale*m)/(sqrt(v)+eps); entries outside `keep` are computed
@@ -205,7 +200,10 @@ def _replay(flat: FlatParameters, loss_fn: Callable[[], Tensor], prefix: str) ->
 
 def load_token_file(path: str | Path, vocab: int) -> np.ndarray:
     """Whitespace-separated token ids; values must lie in [0, vocab)."""
-    tokens = np.loadtxt(path, dtype=np.int64).reshape(-1)
+    try:
+        tokens = np.loadtxt(path, dtype=np.int64).reshape(-1)
+    except ValueError as exc:
+        raise ValueError(f"corpus file {path} holds a non-integer token id: {exc}") from exc
     if tokens.size == 0:
         raise ValueError(f"corpus file {path} holds no tokens")
     if tokens.min() < 0 or tokens.max() >= vocab:
@@ -259,11 +257,8 @@ class Trainer:
                 np.random.SeedSequence(entropy=seed, spawn_key=(12,)))
         self.model = LanguageModel.build(config)
         self.params = self.model.parameters()
-        if tr.optimizer == "adam":
-            self.opt = AdamState(self.params, tr.learning_rate,
-                                 rowwise=self.model.memory_parameters())
-        else:
-            self.opt = SgdState(self.params, tr.learning_rate)
+        optimizer = AdamState if tr.optimizer == "adam" else SgdState
+        self.opt = optimizer(self.params, tr.learning_rate)
         self.batch_rng = np.random.default_rng(
             np.random.SeedSequence(entropy=seed, spawn_key=(13,)))
         self.jitter_rng = np.random.default_rng(

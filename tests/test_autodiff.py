@@ -16,6 +16,7 @@ from sparse_memory_lab.autodiff import (
     concat,
     no_grad,
 )
+from sparse_memory_lab.nn import MemoryTable, apply_expert
 
 
 def numeric_grad(fn, arrays, index, eps=1e-6):
@@ -140,13 +141,17 @@ def test_take_rejects_an_index_outside_the_rows(idx, bad):
         t.take(idx)
 
 
-def test_take_records_gradient_rows_until_a_dense_contribution():
+def test_expert_node_records_gradient_rows_until_a_dense_contribution():
     t = Tensor(np.ones((4, 2)), requires_grad=True)
-    (t.take([2, 0, 2]) * 0.0).sum().backward()
+    table, x = MemoryTable(b=t), Tensor(np.zeros((3, 2)))
+    (apply_expert(x, table, [[2], [0], [2]]) * 0.0).sum().backward()
     np.testing.assert_array_equal(t.grad_rows, [True, False, True, False])
     t.zero_grad()
     assert t.grad is None and t.grad_rows is None
-    (t.take([1]).sum() + t.sum()).backward()
+    (apply_expert(x, table, [[1], [1], [1]]).sum() + t.sum()).backward()
+    assert t.grad is not None and t.grad_rows is None
+    t.zero_grad()
+    t.take([1]).sum().backward()  # a plain gather names no rows
     assert t.grad is not None and t.grad_rows is None
 
 
@@ -444,7 +449,6 @@ def test_take_backward_equals_add_at_bitwise(table_shape, idx):
     expected = np.zeros(table_shape)
     np.add.at(expected, idx, w)
     assert t.grad.tobytes() == expected.tobytes()
-    np.testing.assert_array_equal(t.grad_rows, np.isin(np.arange(table_shape[0]), idx))
 
 
 def test_first_gradient_is_a_c_contiguous_copy():

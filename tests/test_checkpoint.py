@@ -123,6 +123,17 @@ def test_missing_entry_field_rejected(two_tensors, key):
         load_checkpoint(two_tensors)
 
 
+@pytest.mark.parametrize("manifest", [b'{"tensors": [\xff]}', b"not json"],
+                         ids=["not-utf8", "not-json"])
+def test_manifest_that_is_not_utf8_json_rejected(two_tensors, manifest):
+    raw = two_tensors.read_bytes()
+    man_len = struct.unpack("<Q", raw[8:16])[0]
+    two_tensors.write_bytes(raw[:8] + struct.pack("<Q", len(manifest)) + manifest
+                            + raw[16 + man_len:])
+    with pytest.raises(ValueError, match="^checkpoint manifest is not valid UTF-8 JSON: "):
+        load_checkpoint(two_tensors)
+
+
 def test_saved_bytes_unchanged(two_tensors):
     manifest = (b'{"tensors":[{"name":"a","shape":[2,3],"offset":0},'
                 b'{"name":"b","shape":[4],"offset":48}]}')

@@ -112,6 +112,7 @@ def test_route_bench_without_a_lookup_is_a_clean_error(tmp_path, capsys):
     (["gradcheck", "--epsilon", "nan"], "epsilon must be positive"),
     (["gradcheck", "--epsilon", "inf"], "epsilon must be finite"),
     (["gradcheck", "--tolerance", "nan"], "tolerance must be positive"),
+    (["train", "--seed", "-1"], "training.seed must be non-negative, got -1"),
 ])
 def test_failed_run_is_a_clean_error_and_leaves_no_directory(tmp_path, capsys, argv, message):
     out = tmp_path / "out"

@@ -97,6 +97,12 @@ def test_validation_errors():
         parse_config("memory.consumption = altup\naltup.K = 4\naltup.e = 100\n")
 
 
+def test_negative_seed_is_error():
+    # numpy's seeding would reject it later, naming neither the key nor the value
+    with pytest.raises(ValueError, match="^training.seed must be non-negative, got -1$"):
+        parse_config("training.seed = -1\n")
+
+
 @pytest.mark.parametrize("key", ["training.learning_rate", "memory.width"])
 @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
 def test_non_finite_float_is_error(key, value):

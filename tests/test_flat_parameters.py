@@ -13,7 +13,7 @@ from sparse_memory_lab.checkpoint import load_checkpoint, save_checkpoint
 from sparse_memory_lab.config import ExperimentConfig, MemoryConfig
 from sparse_memory_lab.gradcheck import altup_full_scenario, memory_softmax_scenario
 from sparse_memory_lab.model import LanguageModel
-from sparse_memory_lab.nn import finite_diff_check
+from sparse_memory_lab.nn import MemoryTable, apply_expert, finite_diff_check
 from sparse_memory_lab.train import AdamState, FlatParameters, SgdState, Trainer
 
 
@@ -75,14 +75,14 @@ def test_layout_rejects_a_repeated_tensor_and_foreign_parameters():
 
 # -- property test: flat optimizers against the per-tensor reference --------------
 
-def reference_adam_step(state, grads, rowwise, t, lr, b1=0.9, b2=0.999, eps=1e-8):
+def reference_adam_step(state, grads, t, lr, b1=0.9, b2=0.999, eps=1e-8):
     """The per-tensor Adam the flat one replaced, kept here as the oracle."""
     scale = lr * math.sqrt(1 - b2 ** t) / (1 - b1 ** t)
     for name, (p, m, v) in state.items():
         g, grad_rows = grads[name]
         if g is None:
             continue
-        rows = grad_rows if name in rowwise and grad_rows is not None else slice(None)
+        rows = slice(None) if grad_rows is None else grad_rows
         g = g[rows]
         m[rows] = b1 * m[rows] + (1 - b1) * g
         v[rows] = b2 * v[rows] + (1 - b2) * g * g
@@ -96,14 +96,15 @@ def reference_sgd_step(params, grads, lr):
             p -= lr * g
 
 
-# per parameter and step: no gradient, a dense one, rows picked by take()
-# (duplicates allowed, some weights zero), or both in one step
-KINDS = ("none", "dense", "take", "both")
+# per parameter and step: no gradient, a dense one, picked rows (duplicates
+# allowed, some weights zero), or both in one step. A 2-D parameter's rows
+# are picked as a rank-0 expert table's, whose node records them; any
+# other's by take(), which records none.
+KINDS = ("none", "dense", "rows", "both")
 
 problems = st.fixed_dictionaries({
     "shapes": st.lists(st.lists(st.integers(1, 4), min_size=1, max_size=3).map(tuple),
                        min_size=1, max_size=4),
-    "rowwise": st.lists(st.booleans(), min_size=4, max_size=4),
     "plan": st.lists(st.lists(st.tuples(st.sampled_from(KINDS),
                                         st.lists(st.integers(0, 3), min_size=1, max_size=5),
                                         st.booleans()),
@@ -121,12 +122,17 @@ def backward_for(tensors, step_plan, rng):
         if kind in ("dense", "both"):
             terms.append((t * (rng.standard_normal(t.shape)
                                * 10.0 ** rng.integers(-6, 6, t.shape))).sum())
-        if kind in ("take", "both"):
+        if kind in ("rows", "both"):
             idx = np.asarray(picks) % t.shape[0]
             w = rng.standard_normal(idx.shape + t.shape[1:])
             if zero_rows:
                 w[: len(idx) // 2 + 1] = 0.0
-            terms.append((t.take(idx) * w).sum())
+            if t.ndim == 2:
+                x = Tensor(np.zeros((idx.size, t.shape[1])))
+                picked = apply_expert(x, MemoryTable(b=t), idx[:, None])
+            else:
+                picked = t.take(idx)
+            terms.append((picked * w).sum())
     if not terms:
         return False
     total = terms[0]
@@ -143,10 +149,9 @@ def test_flat_adam_and_sgd_match_per_tensor_reference(problem):
     shapes = problem["shapes"]
     inits = [rng.standard_normal(s) for s in shapes]
     names = [f"p{i}" for i in range(len(shapes))]
-    rowwise = [n for n, flag in zip(names, problem["rowwise"]) if flag]
     adam_params = {n: Tensor(x.copy(), requires_grad=True) for n, x in zip(names, inits)}
     sgd_params = {n: Tensor(x.copy(), requires_grad=True) for n, x in zip(names, inits)}
-    adam = AdamState(adam_params, 0.05, rowwise=rowwise)
+    adam = AdamState(adam_params, 0.05)
     sgd = SgdState(sgd_params, 0.05)
     ref_adam = {n: (x.copy(), np.zeros_like(x), np.zeros_like(x)) for n, x in zip(names, inits)}
     ref_sgd = {n: x.copy() for n, x in zip(names, inits)}
@@ -161,7 +166,7 @@ def test_flat_adam_and_sgd_match_per_tensor_reference(problem):
                  for n, p in adam_params.items()}
         adam.step()
         sgd.step()
-        reference_adam_step(ref_adam, grads, set(rowwise), t, 0.05)
+        reference_adam_step(ref_adam, grads, t, 0.05)
         reference_sgd_step(ref_sgd, grads, 0.05)
         for n in names:
             p, m, v = ref_adam[n]

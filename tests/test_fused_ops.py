@@ -8,10 +8,11 @@ model; the block's and the loss head's chains exist only here, as oracles.
 A fused op runs that chain's numpy forward call for call, so its values
 must match bit for bit; its one backward sums in another order, so its
 gradients must match within 1e-12, except where it makes the chain's own
-calls (the expert op's x and weights gradients; every gradient of the block
-and the loss head), which must match bit for bit. The rows of a table that
-received gradient must match exactly. Inside checked() the block and the
-loss head stay one node each and name themselves in a divergence.
+calls (the expert op's x and weights gradients, and every gradient at rank
+0; every gradient of the block and the loss head), which must match bit for
+bit. The expert op records as a table's gradient rows exactly the rows its
+indices routed to. Inside checked() the block and the loss head stay one
+node each and name themselves in a divergence.
 """
 
 import math
@@ -22,6 +23,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sparse_memory_lab import lookup
 from sparse_memory_lab.altup import predict_correct_full, predict_correct_simplified
 from sparse_memory_lab.autodiff import (
     NonFiniteError,
@@ -113,11 +115,28 @@ def unfused_expert(x, table, idx, weights=None):
     return out.sum(axis=1)
 
 
+def unfused_expert_rank0(x, table, idx, weights=None):
+    out = table.b.take(idx)
+    out = out if weights is None else out * weights.reshape(*idx.shape, 1)
+    return out.sum(axis=-2)
+
+
 def on_one_table(expert):
     """`expert` on the table (U, V) as op(x, U, V[, weights]); with `idx2`,
     a second call on (x, idx2) is added, so one table serves two nodes."""
     def op(x, U, V, *weights, idx, idx2=None):
         table = MemoryTable(U=U, V=V)
+        out = expert(x, table, idx, *weights)
+        return out if idx2 is None else out + expert(x, table, idx2)
+
+    return op
+
+
+def on_one_rank0_table(expert):
+    """As on_one_table, on the rank-0 table b as op(b[, weights]); the rows
+    x, which a rank-0 expert does not read, come as a keyword."""
+    def op(b, *weights, x, idx, idx2=None):
+        table, x = MemoryTable(b=b), Tensor(x)
         out = expert(x, table, idx, *weights)
         return out if idx2 is None else out + expert(x, table, idx2)
 
@@ -197,6 +216,16 @@ def expert_case(rows, k, d, r, n, weighted, twice, seed):
     return [x, U, V, *weights], {"idx": idx, "idx2": idx2}
 
 
+def expert_rank0_case(rows, k, d, n, weighted, twice, seed):
+    rng = np.random.default_rng(seed)
+    b = rng.standard_normal((n, d))
+    idx = rng.integers(0, n, (rows, k))
+    idx[0] = idx[0, 0]  # row 0 routes to one expert k times
+    weights = [rng.standard_normal(rows * k)] if weighted else []
+    idx2 = rng.integers(0, n, (rows, k)) if twice else None
+    return [b, *weights], {"x": np.zeros((rows, d)), "idx": idx, "idx2": idx2}
+
+
 def block_case(lead, seq, n_heads, dh, seed):
     rng = np.random.default_rng(seed)
     d = n_heads * dh
@@ -219,11 +248,14 @@ FUSED = {
     "simplified": (predict_correct_simplified, unfused_simplified),
     "full": (predict_correct_full, unfused_full),
     "expert": (on_one_table(apply_expert), on_one_table(unfused_expert)),
+    "expert_rank0": (on_one_rank0_table(apply_expert), on_one_rank0_table(unfused_expert_rank0)),
     "block": (on_block_params(transformer_block_forward), on_block_params(chain_block)),
     "loss": (cross_entropy, chain_loss),
 }
 # inputs whose gradient the fused op computes with its chain's own calls
-EXACT_GRADS = {"expert": {0, 3}, "block": set(range(11)), "loss": {0}}
+EXACT_GRADS = {"expert": {0, 3}, "expert_rank0": {0, 1}, "block": set(range(11)), "loss": {0}}
+# the inputs that are expert tables, whose routed rows the fused op records
+TABLES = {"expert": (1, 2), "expert_rank0": (0,)}
 
 leads = st.lists(st.integers(1, 3), min_size=0, max_size=2).map(tuple)
 seeds = st.integers(0, 2 ** 32 - 1)
@@ -233,6 +265,9 @@ attention_cases = st.builds(attention_case, leads, st.integers(1, 4), st.integer
 expert_cases = st.builds(expert_case, st.integers(1, 6), st.integers(1, 4), st.integers(1, 5),
                          st.integers(1, 3), st.integers(1, 6), st.booleans(), st.booleans(),
                          seeds)
+expert_rank0_cases = st.builds(expert_rank0_case, st.integers(1, 6), st.integers(1, 4),
+                               st.integers(1, 5), st.integers(1, 6), st.booleans(),
+                               st.booleans(), seeds)
 # (seq, d) and (B, seq, d) activations
 block_cases = st.builds(block_case, st.lists(st.integers(1, 3), max_size=1).map(tuple),
                         st.integers(1, 5), st.sampled_from([1, 2, 4]), st.integers(1, 3), seeds)
@@ -253,6 +288,7 @@ CASES = {
     "simplified": pcc_cases("simplified"),
     "full": pcc_cases("full"),
     "expert": expert_cases,
+    "expert_rank0": expert_rank0_cases,
     "block": block_cases,
     "loss": loss_cases,
 }
@@ -307,10 +343,12 @@ def check_against_reference(name, arrays, kwargs):
             assert a.grad.tobytes() == b.grad.tobytes(), f"input {i}"
         else:
             assert np.abs(a.grad - b.grad).max() <= GRAD_TOL, f"input {i}"
-        if b.grad_rows is None:
-            assert a.grad_rows is None, f"input {i}"
+        if i in TABLES.get(name, ()):
+            routed = [kwargs["idx"]] if kwargs["idx2"] is None else [kwargs["idx"], kwargs["idx2"]]
+            rows = np.isin(np.arange(a.shape[0]), np.concatenate(routed, axis=None))
+            assert a.grad_rows.tobytes() == rows.tobytes(), f"input {i}"
         else:
-            assert a.grad_rows.tobytes() == b.grad_rows.tobytes(), f"input {i}"
+            assert a.grad_rows is None, f"input {i}"
 
 
 # -- central differences ------------------------------------------------------------
@@ -376,6 +414,34 @@ def test_expert_matches_its_unfused_chain_at_zero_pre_activations():
     check_against_reference("expert", arrays, kwargs)
 
 
+@pytest.mark.parametrize("weighted", [False, True])
+@pytest.mark.parametrize("twice", [False, True])
+def test_rank0_expert_matches_its_take_chain(weighted, twice):
+    check_against_reference("expert_rank0", *expert_rank0_case(5, 3, 4, 6, weighted, twice, 9))
+
+
+def chain_apply_expert(x, table, indices, weights=None):
+    """apply_expert, with a rank-0 table run as its take, mul and sum chain."""
+    if table.b is None:
+        return apply_expert(x, table, indices, weights)
+    return unfused_expert_rank0(x, table, np.asarray(indices), weights)
+
+
+@pytest.mark.parametrize("layers", [3, 4])
+def test_shared_rank0_table_gets_its_take_chains_gradient(monkeypatch, layers):
+    # the node's parents are the chain's, so the layers' contributions reach
+    # the shared table in the chain's order; with x among them they do not
+    def table_grad():
+        trainer = trainer_for({"memory.lookup": "token_id", "memory.rank": "0",
+                               "memory.share_table": "true", "model.layers": str(layers)})
+        trainer.batch_loss(trainer.sample_batch(), trainer.jitter_rng).backward()
+        return trainer.model.tables[0].b.grad.tobytes()
+
+    fused = table_grad()
+    monkeypatch.setattr(lookup, "apply_expert", chain_apply_expert)
+    assert table_grad() == fused
+
+
 def test_cross_entropy_rejects_targets_not_shaped_like_the_logit_rows():
     logits = Tensor(np.zeros((2, 3, 5)))
     for targets in (np.zeros(6, dtype=int), np.zeros((2, 3, 1), dtype=int)):
@@ -421,7 +487,8 @@ STEP_CELLS = {
     "hyperplane": ({**MEMORY, "memory.lookup": "hyperplane"}, 9),
     "spherical": ({**MEMORY, "memory.lookup": "spherical"}, 9),
     "token_id-rank0-shared": ({"memory.lookup": "token_id", "memory.rank": "0",
-                               "memory.share_table": "true"}, 11),
+                               "memory.share_table": "true"}, 9),
+    "softmax-rank0": ({"memory.buckets": "64", "memory.lookup": "softmax", "memory.k": "2"}, 19),
     "softmax-altup": ({**MEMORY, **ALTUP, "memory.lookup": "softmax", "memory.k": "2"}, 24),
 }
 
@@ -436,7 +503,8 @@ def trainer_for(overrides):
 @pytest.mark.parametrize("overrides, limit", list(STEP_CELLS.values()), ids=list(STEP_CELLS))
 def test_training_step_graph_stays_fused(overrides, limit):
     # the default model: 2 layers; a step built 67, 90 and 86 op nodes unfused,
-    # and the memory cells 57 (73 for softmax with k=2) with the expert chain.
+    # and the memory cells 57 (73 for softmax with k=2) with the expert chain;
+    # the rank-0 cells built 11 and 25 with the take, mul and sum chain.
     # Each block and the loss head are one node (12 and 6 as chains).
     # The head and the router read their weights as stored, with no transpose.
     trainer = trainer_for(overrides)

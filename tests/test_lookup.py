@@ -202,6 +202,15 @@ def test_hyperplane_params_must_be_finite(field, value):
         HyperplaneLshParams(**params)
 
 
+def test_hyperplane_params_accept_lists():
+    listed = HyperplaneLshParams(directions=[[1.0, 0.0]], offsets=[0.5], width=1.0, n=4)
+    arrays = HyperplaneLshParams(np.array([[1.0, 0.0]]), np.array([0.5]), 1.0, 4)
+    assert listed.directions.shape == (1, 2) and listed.offsets.shape == (1,)
+    x = np.array([[0.7, 3.0], [-2.2, 1.0]])
+    assert (hyperplane_lsh_lookup(x, listed).indices.tolist()
+            == hyperplane_lsh_lookup(x, arrays).indices.tolist())
+
+
 # -- spherical LSH ---------------------------------------------------------------
 
 def test_spherical_self_anchor():

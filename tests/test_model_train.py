@@ -2,6 +2,7 @@
 
 import os
 import platform
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -20,10 +21,12 @@ from sparse_memory_lab.config import (
 )
 from sparse_memory_lab.autodiff import Tensor, no_grad
 from sparse_memory_lab.model import LanguageModel, count_params
+from sparse_memory_lab.nn import MemoryTable, apply_expert
 from sparse_memory_lab.train import (
     AdamState,
     DivergenceError,
     Trainer,
+    load_token_file,
     run_lookup_benchmark,
     train_model,
 )
@@ -420,14 +423,16 @@ def test_adam_rowwise_matches_one_adam_per_expert():
     rng = np.random.default_rng(3)
     init = rng.standard_normal((4, 3))
     stacked = Tensor(init.copy(), requires_grad=True)
+    table = MemoryTable(b=stacked)  # rank 0: expert i is the constant row i
     rows = [Tensor(init[i].copy(), requires_grad=True) for i in range(4)]
-    opt_stacked = AdamState({"t": stacked}, 0.1, rowwise=["t"])
+    opt_stacked = AdamState({"t": stacked}, 0.1)
     opt_rows = AdamState({f"r{i}": r for i, r in enumerate(rows)}, 0.1)
     for picks, scale in (([0, 1], 1.0), ([1, 2], 0.0), ([3, 3], 1.0), ([0, 2], 1.0)):
         weights = scale * rng.standard_normal((len(picks), 3))
         for t in [stacked, *rows]:
             t.zero_grad()
-        (stacked.take(picks) * weights).sum().backward()
+        x = Tensor(np.zeros((len(picks), 3)))
+        (apply_expert(x, table, np.reshape(picks, (-1, 1))) * weights).sum().backward()
         sum((rows[i] * w).sum() for i, w in zip(picks, weights)).backward()
         opt_stacked.step()
         opt_rows.step()
@@ -489,6 +494,14 @@ def test_file_corpus_reader(tmp_path):
     cfg.training.corpus_file = str(bad)
     with pytest.raises(ValueError, match="outside"):
         Trainer(cfg)
+
+
+def test_corpus_file_with_a_non_integer_id_names_the_file(tmp_path):
+    path = tmp_path / "corpus.txt"
+    path.write_text("1 2 3.5 4")
+    with pytest.raises(ValueError, match=f"^corpus file {re.escape(str(path))} holds a "
+                                         f"non-integer token id: "):
+        load_token_file(path, 16)
 
 
 @pytest.mark.slow
