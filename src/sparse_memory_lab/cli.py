@@ -86,8 +86,17 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _parse_list(raw: str, typ, flag: str) -> list:
-    """The comma-separated values of a list flag; at least one is required."""
-    values = [typ(tok) for tok in raw.split(",") if tok.strip()]
+    """The comma-separated values of a list flag: at least one, none repeated."""
+    values = []
+    for tok in filter(str.strip, raw.split(",")):
+        try:
+            value = typ(tok)
+        except ValueError:
+            raise ValueError(f"{flag} takes comma-separated {typ.__name__} values, "
+                             f"got {tok.strip()!r}") from None
+        if value in values:
+            raise ValueError(f"{flag} repeats the value {tok.strip()}")
+        values.append(value)
     if not values:
         raise ValueError(f"{flag} needs at least one value")
     return values

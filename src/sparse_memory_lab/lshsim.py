@@ -17,18 +17,18 @@ Two mixed sentence averages only interact with a random hash function
 through their 2-D span, so the spherical and hyperplane estimators sample
 (direction . u, direction . v) pairs directly (exactly bivariate normal for
 Gaussian directions) instead of materializing d-dimensional hash
-parameters per trial. A spherical anchor takes two normals (w1, w2): its
-products with the rows come from their direction, and its radial factor,
-the Beta(1, (d-2)/2) squared projection on the rows' plane, from their
-norm R as -expm1(-R^2/(d-2)), since exp(-R^2/2) is uniform and independent
-of the direction. Both shortcuts are equal in law to the literal
-construction; the cell-to-bucket mixing hash is shared verbatim with the
-lookup ops, and the test suite cross-checks both routes.
+parameters per trial. A spherical trial visits its anchors in decreasing
+order of their projection's norm r on the rows' plane and stops once no
+anchor left can win either argmax: about 16 of n = 1024 at d = 64.
+Both shortcuts are equal in law to the literal construction; the
+cell-to-bucket mixing hash is shared verbatim with the lookup ops, and the
+test suite cross-checks both routes.
 
-Every sampler draws its trials in blocks through one helper; a spherical
-block holds at most 4 MiB per (rows, n) array. `collision_grid`,
-`estimate_collision` and `estimate_mixing_dot` reject an unknown family and
-an out-of-range f, n, l, d or trial count before any draw.
+The pair, hyperplane and min-hash samplers draw their trials in blocks
+through one helper; the spherical one draws (live trials, 8) arrays per
+round. `collision_grid`, `estimate_collision` and `estimate_mixing_dot`
+reject an unknown family and an out-of-range f, n, l, d or trial count
+before any draw.
 """
 
 from __future__ import annotations
@@ -52,8 +52,9 @@ _CALIBRATION_TRIALS = 20000
 _CALIBRATION_SEED = 20240917
 
 _PAIR_BATCH = 2048
-# float64s per (rows, n) spherical block array: 4 MiB
-_SPHERICAL_BLOCK = 1 << 19
+# spherical anchors visited per live trial per round: chunks of 4-8 ran
+# fastest, larger or doubling chunks slower at n = 1024
+_SPHERICAL_CHUNK = 8
 # min-hash keys (doubles) drawn per block: 128 KiB, under glibc's default
 # mmap threshold, so each block reuses heap memory instead of mapping and
 # faulting in fresh pages, and stays in cache
@@ -270,54 +271,75 @@ def default_num_projections(n: int) -> int:
     return max(1, round(n ** 0.85))
 
 
-def _anchor_products(t: np.ndarray, w1: np.ndarray, w2: np.ndarray,
-                     d: int) -> tuple[np.ndarray, np.ndarray]:
-    """Products of uniform unit anchors in R^d with two unit rows of cosine t,
-    one anchor per entry of w1 and w2, iid N(0, 1) arrays that are
-    overwritten with the products with the first and the second row; d >= 2.
+def _descending_radii(log_v: np.ndarray, u: np.ndarray, n: int, k: int,
+                      d: int) -> tuple[np.ndarray, np.ndarray]:
+    """The next u.shape[1] of n descending radii per row, after k visited; d > 2.
 
-    In an orthonormal basis of the rows' plane whose first vector is the
-    first row, an anchor's projection has direction (w1, w2) / R, with
-    R^2 = w1^2 + w2^2, and squared norm r^2 ~ Beta(1, (d-2)/2), independent
-    of the direction. R is independent of (w1, w2) / R and exp(-R^2/2) is
-    uniform, so r^2 = -expm1(-R^2/(d-2)) has that law (r = 1 at d = 2), and
-    the products are r (w1, t w1 + sqrt(1 - t^2) w2) / R.
+    An anchor's squared projection on the rows' plane is Beta(1, a) with
+    a = (d-2)/2, whose quantile at v is 1 - (1-v)^(1/a). log_v (rows,) holds
+    the log of the last uniform order statistic visited (0 before the
+    first); the j-th largest of n uniforms is the (j-1)-th times U^(1/(n-j+1))
+    for a fresh uniform U, drawn as the columns of u. Returns the last log
+    order statistic per row and the (rows, c) radii.
     """
-    scale = w1 * w1
-    scale += w2 * w2  # R^2
-    if d > 2:
-        r2 = scale * (-1.0 / (d - 2))
-        np.expm1(r2, out=r2)
-        r2 /= scale  # -(r/R)^2
-        np.negative(r2, out=r2)
-        scale = np.sqrt(r2, out=r2)
-    else:
-        np.sqrt(scale, out=scale)
-        np.reciprocal(scale, out=scale)
-    w2 *= np.sqrt(np.maximum(0.0, 1.0 - t * t))
-    w2 += t * w1
-    w1 *= scale
-    w2 *= scale
-    return w1, w2
+    c = u.shape[1]
+    steps = np.log(u)
+    steps /= np.arange(n - k, n - k - c, -1)
+    np.cumsum(steps, axis=1, out=steps)
+    steps += log_v[:, None]  # log V of each visited anchor
+    r = np.log(-np.expm1(steps))  # log(1 - V)
+    r /= 0.5 * (d - 2)
+    np.expm1(r, out=r)
+    np.negative(r, out=r)  # r^2
+    return steps[:, -1], np.sqrt(r, out=r)
 
 
 def _spherical_collisions(cosines: np.ndarray, n: int, d: int,
                           rng: np.random.Generator) -> np.ndarray:
     """Same-argmax indicator per trial over n fresh uniform anchors; d >= 2.
 
-    Each anchor takes two normal draws, (w1, w2): its products with the two
-    rows come from their direction, and its radial factor, a Beta(1, (d-2)/2)
-    squared projection on the rows' plane, from their norm
-    (`_anchor_products`).
+    An anchor's products with two unit rows of cosine t = cos(phi) are
+    r cos(theta) and r cos(theta - phi): r^2 ~ Beta(1, (d-2)/2) is its
+    squared projection on the rows' plane (r = 1 at d = 2) and theta, the
+    projection's angle, is uniform and independent of r. The hit depends on
+    the n pairs (r, theta) only as a set, so the anchors are visited in
+    decreasing r (`_descending_radii`), each with a fresh uniform direction,
+    a chunk of anchors per live trial per round. A trial is decided once the
+    last r visited is below both running maxima: no anchor left, whose
+    products are at most its r, can win either argmax.
     """
-    def draw(start: int, stop: int) -> np.ndarray:
-        b = stop - start
-        w1 = rng.standard_normal((b, n))
-        w2 = rng.standard_normal((b, n))
-        p1, p2 = _anchor_products(cosines[start:stop, None], w1, w2, d)
-        return np.argmax(p1, axis=1) == np.argmax(p2, axis=1)
-
-    return _batched(cosines.size, max(1, _SPHERICAL_BLOCK // n), draw)
+    t = cosines
+    s = np.sqrt(np.maximum(0.0, 1.0 - t * t))
+    hits = np.zeros(t.size, dtype=bool)
+    live = np.arange(t.size)
+    log_v = np.zeros(t.size)
+    best = np.full((2, t.size), -np.inf)  # running maximum product with each row
+    arg = np.zeros((2, t.size), dtype=np.intp)  # and the visit index of its anchor
+    r = last_r = 1.0  # at d = 2 every r is 1, so only k = n decides a trial
+    k = 0
+    while live.size:
+        c = min(_SPHERICAL_CHUNK, n - k)
+        if d > 2:
+            log_v, r = _descending_radii(log_v, rng.random((live.size, c)), n, k, d)
+            last_r = r[:, -1]
+        p = rng.standard_normal((2, live.size, c))
+        scale = np.hypot(p[0], p[1])
+        np.divide(r, scale, out=scale)
+        p[1] *= s[:, None]
+        p[1] += t[:, None] * p[0]
+        p *= scale  # the anchors' products with the two rows
+        j = np.argmax(p, axis=2)
+        top = p.max(axis=2)
+        wins = top > best
+        best[wins] = top[wins]
+        arg[wins] = k + j[wins]
+        k += c
+        done = (last_r < best.min(axis=0)) | (k == n)
+        hits[live[done]] = arg[0, done] == arg[1, done]
+        keep = ~done
+        live, t, s, log_v = live[keep], t[keep], s[keep], log_v[keep]
+        best, arg = best[:, keep], arg[:, keep]
+    return hits
 
 
 def _hyperplane_collisions(cosines: np.ndarray, n: int, k: int, width: float,

@@ -199,16 +199,19 @@ def _replay(flat: FlatParameters, loss_fn: Callable[[], Tensor], prefix: str) ->
 
 
 def load_token_file(path: str | Path, vocab: int) -> np.ndarray:
-    """Whitespace-separated token ids; values must lie in [0, vocab)."""
+    """Whitespace-separated token ids, any number per line, with text after a
+    `#` on a line ignored; values must lie in [0, vocab)."""
+    with open(path) as fh:
+        words = [w for line in fh for w in line.split("#", 1)[0].split()]
     try:
-        tokens = np.loadtxt(path, dtype=np.int64).reshape(-1)
+        ids = [int(w) for w in words]
     except ValueError as exc:
         raise ValueError(f"corpus file {path} holds a non-integer token id: {exc}") from exc
-    if tokens.size == 0:
+    if not ids:
         raise ValueError(f"corpus file {path} holds no tokens")
-    if tokens.min() < 0 or tokens.max() >= vocab:
+    if min(ids) < 0 or max(ids) >= vocab:
         raise ValueError(f"corpus file {path} has ids outside [0, {vocab})")
-    return tokens
+    return np.array(ids, dtype=np.int64)
 
 
 def _keep_heap() -> None:

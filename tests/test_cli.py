@@ -191,3 +191,20 @@ def test_empty_list_flag_is_a_clean_error(tmp_path, capsys, argv, flag):
     err = capsys.readouterr().err
     assert err == f"error: {flag} needs at least one value\n"
     assert not any(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["lshsim", "--n", "16,16"], "--n repeats the value 16"),
+    (["lshsim", "--f", "0.5,0.25,0.50"], "--f repeats the value 0.50"),
+    (["route-bench", "--ranks", "1,1"], "--ranks repeats the value 1"),
+    (["route-bench", "--ranks", "0", "--buckets", "8,4,8"], "--buckets repeats the value 8"),
+    (["lshsim", "--n", "1e3"], "--n takes comma-separated int values, got '1e3'"),
+    (["lshsim", "--f", "0.5, half"], "--f takes comma-separated float values, got 'half'"),
+    (["route-bench", "--ranks", "4,x"], "--ranks takes comma-separated int values, got 'x'"),
+])
+def test_repeated_or_malformed_list_value_is_a_clean_error(tmp_path, capsys, argv, message):
+    out = tmp_path / "out"
+    code = cli_main([*argv, "--out", str(out)])
+    assert code == 2
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+    assert not out.exists()

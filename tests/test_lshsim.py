@@ -176,13 +176,13 @@ def test_random_stream_is_pinned():
     # changes them
     rows = collision_grid(list(lshsim.FAMILIES), [0.25, 0.75], [16, 300], 8, 8, 2000, 3)
     assert [(r["family"], r["f"], r["n"], r["p_hat"]) for r in rows] == [
-        ("token_id", 0.25, 16, 0.25), ("spherical", 0.25, 16, 0.121),
+        ("token_id", 0.25, 16, 0.25), ("spherical", 0.25, 16, 0.134),
         ("hyperplane", 0.25, 16, 0.8495), ("minhash", 0.25, 16, 0.1415),
         ("token_id", 0.25, 300, 0.25), ("spherical", 0.25, 300, 0.0095),
         ("hyperplane", 0.25, 300, 0.156), ("minhash", 0.25, 300, 0.1335),
-        ("token_id", 0.75, 16, 0.75), ("spherical", 0.75, 16, 0.389),
+        ("token_id", 0.75, 16, 0.75), ("spherical", 0.75, 16, 0.4135),
         ("hyperplane", 0.75, 16, 0.908), ("minhash", 0.75, 16, 0.5855),
-        ("token_id", 0.75, 300, 0.75), ("spherical", 0.75, 300, 0.123),
+        ("token_id", 0.75, 300, 0.75), ("spherical", 0.75, 300, 0.129),
         ("hyperplane", 0.75, 300, 0.329), ("minhash", 0.75, 300, 0.5815),
     ]
     # more pairs than one batch of sentence draws
@@ -190,7 +190,7 @@ def test_random_stream_is_pinned():
                                                        0.0069912939553428005)
     p_hats = [estimate_collision(fam, 0.5, 16, 8, 8, 5000, 4, width=2.0).p_hat
               for fam in ("spherical", "hyperplane", "minhash")]
-    assert p_hats == [0.2312, 0.0702, 0.3356]
+    assert p_hats == [0.2256, 0.0702, 0.3356]
 
 
 # -- dual-route consistency: span samplers vs literal lookup ops --------------------
@@ -325,29 +325,163 @@ def test_pair_cosines_below_d3_are_the_literal_sums(d):
 
 
 class RecordingGenerator:
-    """A numpy Generator that records the byte size of every array it draws."""
+    """A numpy Generator that records every array it draws, by method name."""
 
     def __init__(self, seed):
         self.rng = np.random.default_rng(seed)
-        self.nbytes = []
+        self.draws = []
 
     def __getattr__(self, name):
         method = getattr(self.rng, name)
 
         def draw(*args, **kwargs):
             out = method(*args, **kwargs)
-            self.nbytes.append(np.asarray(out).nbytes)
+            self.draws.append((name, np.array(out)))  # a copy: samplers work in place
             return out
         return draw
 
 
-@pytest.mark.parametrize("n, d", [(1024, 64), (300, 8), (4096, 3)])
-def test_spherical_blocks_stay_under_4_mib(n, d):
-    cosines = np.random.default_rng(75).uniform(-1.0, 1.0, 3000)
+def anchor_products(t, w1, w2, d):
+    """Products of uniform unit anchors in R^d with two unit rows of cosine t,
+    one anchor per entry of w1 and w2, iid N(0, 1) arrays that are
+    overwritten with the products with the first and the second row; d >= 2.
+
+    In an orthonormal basis of the rows' plane whose first vector is the
+    first row, an anchor's projection has direction (w1, w2) / R, with
+    R^2 = w1^2 + w2^2, and squared norm r^2 ~ Beta(1, (d-2)/2), independent
+    of the direction. R is independent of (w1, w2) / R and exp(-R^2/2) is
+    uniform, so r^2 = -expm1(-R^2/(d-2)) has that law (r = 1 at d = 2), and
+    the products are r (w1, t w1 + sqrt(1 - t^2) w2) / R.
+    """
+    scale = w1 * w1
+    scale += w2 * w2  # R^2
+    if d > 2:
+        r2 = scale * (-1.0 / (d - 2))
+        np.expm1(r2, out=r2)
+        r2 /= scale  # -(r/R)^2
+        np.negative(r2, out=r2)
+        scale = np.sqrt(r2, out=r2)
+    else:
+        np.sqrt(scale, out=scale)
+        np.reciprocal(scale, out=scale)
+    w2 *= np.sqrt(np.maximum(0.0, 1.0 - t * t))
+    w2 += t * w1
+    w1 *= scale
+    w2 *= scale
+    return w1, w2
+
+
+def two_normal_spherical_collisions(cosines, n, d, rng):
+    """The spherical sampler that scores all n anchors of every trial, each
+    from two normals (`anchor_products`), in blocks of at most 4 MiB per
+    (rows, n) array."""
+    def draw(start, stop):
+        b = stop - start
+        w1 = rng.standard_normal((b, n))
+        w2 = rng.standard_normal((b, n))
+        p1, p2 = anchor_products(cosines[start:stop, None], w1, w2, d)
+        return np.argmax(p1, axis=1) == np.argmax(p2, axis=1)
+
+    return lshsim._batched(cosines.size, max(1, (1 << 19) // n), draw)
+
+
+@pytest.mark.parametrize("n, d, t", [(1024, 64, 0.5), (1024, 64, 0.9), (300, 8, 0.75),
+                                     (16, 8, 0.3), (64, 3, 0.95), (32, 2, 0.99)])
+def test_spherical_sampler_matches_the_two_normal_oracle(n, d, t):
+    trials = 20_000 if n >= 1024 else 60_000
+    cosines = np.full(trials, t)
+    got = lshsim._spherical_collisions(cosines, n, d, np.random.default_rng(81)).mean()
+    want = two_normal_spherical_collisions(cosines, n, d, np.random.default_rng(82)).mean()
+    pooled = math.sqrt((got * (1 - got) + want * (1 - want)) / trials)
+    assert 0 < want < 1
+    assert abs(got - want) <= 4 * pooled, (got, want)
+
+
+def uniform_ks_distance(u):
+    """Kolmogorov-Smirnov distance of a sample's empirical law from U(0, 1)."""
+    u = np.sort(u)
+    m = u.size
+    return max((np.arange(1, m + 1) / m - u).max(), (u - np.arange(m) / m).max())
+
+
+@pytest.mark.parametrize("n, d", [(1024, 64), (12, 8), (300, 3)])
+def test_descending_radii_are_the_order_statistics_of_n_beta_draws(n, d):
+    # r^2 ~ Beta(1, a), a = (d-2)/2, has CDF F(x) = 1 - (1-x)^a; the largest
+    # of n has F^n, and the n visited radii, as a set, are n iid draws
+    rows = 4000
+    a = 0.5 * (d - 2)
+    rng = np.random.default_rng(83)
+    log_v, r = lshsim._descending_radii(np.zeros(rows), rng.random((rows, min(n, 8))), n, 0, d)
+    first = 1.0 - (1.0 - r[:, 0] ** 2) ** a
+    assert uniform_ks_distance(first ** n) <= 1.95 / math.sqrt(rows)  # 0.1% level
+    assert np.all(np.diff(r, axis=1) <= 0)
+    if n == 12:
+        _, rest = lshsim._descending_radii(log_v, rng.random((rows, 4)), n, 8, d)
+        assert np.all(rest[:, 0] <= r[:, -1])
+        cdf = 1.0 - (1.0 - np.concatenate([r, rest], axis=1) ** 2) ** a
+        assert uniform_ks_distance(cdf.ravel()) <= 1.95 / math.sqrt(cdf.size)
+
+
+def test_early_stop_agrees_with_a_visit_of_all_anchors():
+    # replay the recorded draws trial by trial, visit each trial's anchors
+    # left unvisited with fresh draws, and take both argmaxes over all n
+    n, d = 64, 8
+    cosines = np.concatenate([np.random.default_rng(84).uniform(-1.0, 1.0, 300),
+                              np.full(100, 0.97)])
+    rng = RecordingGenerator(85)
+    hits = lshsim._spherical_collisions(cosines, n, d, rng)
+    live = list(range(cosines.size))
+    log_v = np.zeros(cosines.size)
+    anchors = [[] for _ in live]  # (r, p1, p2) per visited anchor, in visit order
+    draws = iter(rng.draws)
+    for (name_u, u), (name_g, g) in zip(draws, draws):
+        assert (name_u, name_g) == ("random", "standard_normal")
+        assert u.shape == g.shape[1:] == (len(live), u.shape[1])
+        k = len(anchors[live[0]])
+        log_v[live], r = lshsim._descending_radii(log_v[live], u, n, k, d)
+        for row, trial in enumerate(live):
+            t = cosines[trial]
+            for rj, g1, g2 in zip(r[row], g[0, row], g[1, row]):
+                h = math.hypot(g1, g2)
+                anchors[trial].append((rj, rj * g1 / h, rj * (t * g1 + math.sqrt(1 - t * t) * g2) / h))
+        live = [trial for trial in live if len(anchors[trial]) < n
+                and anchors[trial][-1][0] >= min(max(a[1] for a in anchors[trial]),
+                                                 max(a[2] for a in anchors[trial]))]
+    assert not live
+    visits = np.array([len(a) for a in anchors])
+    assert visits.min() < visits.max() < n  # trials stop at different rounds
+    fresh = np.random.default_rng(86)
+    for trial, visited in enumerate(anchors):
+        k = len(visited)
+        _, r = lshsim._descending_radii(np.array([log_v[trial]]), fresh.random((1, n - k)), n, k, d)
+        theta = fresh.uniform(0.0, 2.0 * math.pi, n - k)
+        phi = math.acos(cosines[trial])
+        p1 = np.concatenate([[a[1] for a in visited], r[0] * np.cos(theta)])
+        p2 = np.concatenate([[a[2] for a in visited], r[0] * np.cos(theta - phi)])
+        assert (np.argmax(p1) == np.argmax(p2)) == hits[trial], trial
+        assert np.argmax(p1) < k and np.argmax(p2) < k
+
+
+@pytest.mark.parametrize("n, d", [(1024, 64), (16, 8), (32, 2)])
+def test_spherical_pair_of_equal_rows_always_collides(n, d):
+    hits = lshsim._spherical_collisions(np.ones(500), n, d, np.random.default_rng(87))
+    assert hits.all()
+
+
+@pytest.mark.parametrize("d", [2, 3, 64])
+def test_spherical_table_of_one_anchor_always_collides(d):
+    cosines = np.random.default_rng(88).uniform(-1.0, 1.0, 500)
+    assert lshsim._spherical_collisions(cosines, 1, d, np.random.default_rng(89)).all()
+
+
+@pytest.mark.parametrize("n, d", [(4096, 64), (4096, 3), (300, 8)])
+def test_spherical_draws_stay_at_eight_anchors_per_trial(n, d):
+    trials = 3000
+    cosines = np.random.default_rng(75).uniform(-1.0, 1.0, trials)
     rng = RecordingGenerator(76)
     lshsim._spherical_collisions(cosines, n, d, rng)
-    assert len(rng.nbytes) > 3  # several blocks
-    assert max(rng.nbytes) <= 4 << 20
+    assert max(x.shape[-1] for _, x in rng.draws) == 8
+    assert max(x.size for _, x in rng.draws) <= 2 * trials * 8
 
 
 @pytest.mark.parametrize("d", [3, 8, 64])
@@ -357,7 +491,7 @@ def test_anchor_products_have_the_uniform_anchor_moments(d):
     t = 0.6
     rng = np.random.default_rng(79)
     w1, w2 = rng.standard_normal((2, 400, 500))
-    p1, p2 = lshsim._anchor_products(np.full((400, 1), t), w1, w2, d)
+    p1, p2 = anchor_products(np.full((400, 1), t), w1, w2, d)
     for sample, expected in ((p1 ** 2, 1 / d), (p1 ** 4, 3 / (d * (d + 2))),
                              (p1 * p2, t / d)):
         stderr = sample.std(ddof=1) / math.sqrt(sample.size)
@@ -368,7 +502,7 @@ def test_anchor_products_at_d2_lie_on_the_unit_circle():
     rng = np.random.default_rng(80)
     t = rng.uniform(-0.99, 0.99, (300, 1))
     w1, w2 = rng.standard_normal((2, 300, 64))
-    p1, p2 = lshsim._anchor_products(t, w1, w2, 2)
+    p1, p2 = anchor_products(t, w1, w2, 2)
     # (p1, (p2 - t p1) / s) is the anchor in an orthonormal basis of the plane
     second = (p2 - t * p1) / np.sqrt(1.0 - t * t)
     np.testing.assert_allclose(p1 * p1 + second * second, 1.0, rtol=0, atol=1e-12)

@@ -504,6 +504,17 @@ def test_corpus_file_with_a_non_integer_id_names_the_file(tmp_path):
         load_token_file(path, 16)
 
 
+def test_corpus_file_lines_may_hold_any_number_of_ids(tmp_path):
+    path = tmp_path / "corpus.txt"
+    path.write_text("1 2 3\n4 5\n\n  6\t7 8 9 # a comment\n10\n")
+    np.testing.assert_array_equal(load_token_file(path, 16), np.arange(1, 11))
+    for text, match in (("1 2\n3 x\n", "non-integer token id"), ("\n \n# 1 2\n", "no tokens"),
+                        ("1 2 3\n-1\n", "outside"), ("1\n99999999999999999999\n", "outside")):
+        path.write_text(text)
+        with pytest.raises(ValueError, match=f"^corpus file {re.escape(str(path))} .*{match}"):
+            load_token_file(path, 16)
+
+
 @pytest.mark.slow
 def test_wide_stack_keeps_most_of_baseline_speed(tmp_path):
     # the K=2 stack adds only prediction/correction work on top of the same
