@@ -4,9 +4,10 @@ A K*d-wide representation is kept at every layer while each layer transforms
 only one d-wide block; a linear predictor guesses all blocks and a gain
 matrix folds the computed block's innovation back into the prediction. The
 representation is one flat (..., K*d) tensor, block j in columns
-[j*d, (j+1)*d). The full form uses dense P (Kd x Kd) and G (Kd x d) on that
-flat tensor; the simplified form treats blocks as atoms, with a scalar grid
-p_ij and gains g_i applied over the K axis of its (..., K, d) view.
+[j*d, (j+1)*d). One step, `pcc_forward`, serves both forms: the full one
+with dense P (Kd x Kd) and G (Kd x d) on the flat tensor, the simplified one
+treating blocks as atoms, with a scalar grid p_ij and gains g_i over the K
+axis of its (..., K, d) view.
 """
 
 from __future__ import annotations
@@ -184,32 +185,31 @@ def predict_correct_simplified(flat: Tensor, computed: Tensor, p: Tensor, g: Ten
     return Tensor._op(out_data, (flat, computed, p, g), backward)
 
 
-def pcc_forward_full(x_old: WideRepresentation, params: PccFullParams,
-                     layer: Callable[[Tensor], Tensor], j_star: int) -> WideRepresentation:
-    """Compute block j* with the layer, predict with P, correct with G."""
+PccParams = PccFullParams | PccSimplifiedParams
+
+
+def pcc_forward(x_old: WideRepresentation, params: PccParams,
+                layer: Callable[[Tensor], Tensor], j_star: int) -> WideRepresentation:
+    """Compute block j* with the layer, then predict every block and correct it
+    by the computed block's innovation: with dense P, G or with scalar p_ij, g_i."""
     K, d = x_old.K, x_old.d
-    if params.P.shape != (K * d, K * d) or params.G.shape != (K * d, d):
-        raise ValueError("predictor/gain shapes inconsistent with the representation")
+    if isinstance(params, PccSimplifiedParams):
+        fits = params.K == K
+        node, weights = predict_correct_simplified, (params.p, params.g)
+    else:
+        fits = params.P.shape == (K * d, K * d) and params.G.shape == (K * d, d)
+        node, weights = predict_correct_full, (params.P, params.G)
+    if not fits:
+        raise ValueError(f"{type(params).__name__} does not fit K={K}, d={d}")
     if not (0 <= j_star < K):
         raise ValueError(f"j_star {j_star} outside [0, {K})")
     computed = layer(x_old.block(j_star))
     at_stage("pcc")
-    flat = predict_correct_full(x_old.to_flat(), computed, params.P, params.G, j_star)
-    return WideRepresentation(flat=flat, K=K)
+    return WideRepresentation(flat=node(x_old.to_flat(), computed, *weights, j_star), K=K)
 
 
-def pcc_forward_simplified(x_old: WideRepresentation, params: PccSimplifiedParams,
-                           layer: Callable[[Tensor], Tensor], j_star: int) -> WideRepresentation:
-    """Blockwise scalar form: x_new^i = sum_j p_ij x^j + g_i (computed - predicted j*)."""
-    K = x_old.K
-    if params.K != K:
-        raise ValueError(f"params built for K={params.K}, representation has K={K}")
-    if not (0 <= j_star < K):
-        raise ValueError(f"j_star {j_star} outside [0, {K})")
-    computed = layer(x_old.block(j_star))
-    at_stage("pcc")
-    flat = predict_correct_simplified(x_old.to_flat(), computed, params.p, params.g, j_star)
-    return WideRepresentation(flat=flat, K=K)
+# The names each form's step once had; the acceptance battery and tests import both.
+pcc_forward_full = pcc_forward_simplified = pcc_forward
 
 
 def divide_and_project(aug: Tensor, proj: Tensor) -> Tensor:
@@ -227,16 +227,6 @@ def divide_and_project(aug: Tensor, proj: Tensor) -> Tensor:
     return projected.reshape(*lead, seq, km1 * d)
 
 
-PccParams = PccFullParams | PccSimplifiedParams
-
-
-def pcc_forward(x_old: WideRepresentation, params: PccParams,
-                layer: Callable[[Tensor], Tensor], j_star: int) -> WideRepresentation:
-    if isinstance(params, PccSimplifiedParams):
-        return pcc_forward_simplified(x_old, params, layer, j_star)
-    return pcc_forward_full(x_old, params, layer, j_star)
-
-
 def altup_stack_forward(x0: WideRepresentation,
                         layers: Sequence[Callable[[Tensor], Tensor]],
                         selection: str,
@@ -252,21 +242,17 @@ def altup_stack_forward(x0: WideRepresentation,
     if pcc_params is None:
         if K != 1:
             raise ValueError("K > 1 requires predictor/gain parameters per layer")
-        x = x0.to_flat()
-        for i, layer in enumerate(layers):
-            at_layer(i)
-            x = layer(x)
-        at_layer(None)
-        return WideRepresentation(flat=x), [0] * len(layers)
-    if len(pcc_params) != len(layers):
+    elif len(pcc_params) != len(layers):
         raise ValueError("one predictor/gain parameter set per layer required")
-    x = x0
-    trace = []
-    for i, (layer, params) in enumerate(zip(layers, pcc_params)):
+    x, trace = x0, []
+    for i, layer in enumerate(layers):
         j_star = 0 if selection == "same" else i % K
         trace.append(j_star)
         at_layer(i)
-        x = pcc_forward(x, params, layer, j_star)
+        if pcc_params is None:
+            x = WideRepresentation(flat=layer(x.to_flat()))
+        else:
+            x = pcc_forward(x, pcc_params[i], layer, j_star)
     at_layer(None)
     return x, trace
 

@@ -25,7 +25,7 @@ from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
-_NORM_EPS = 1e-6  # normalize()'s variance floor
+_NORM_EPS = 1e-6  # _normalize's variance floor
 
 
 class NonFiniteError(ValueError):
@@ -441,15 +441,6 @@ class Tensor:
             self._accumulate(_log_softmax_grad(g, out_data, axis))
 
         return Tensor._op(out_data, (self,), backward)
-
-    def normalize(self) -> "Tensor":
-        """Zero-mean unit-variance rescale along the last axis (layer-norm core)."""
-        y, inv = _normalize(self.data)
-
-        def backward(g: np.ndarray) -> None:
-            self._accumulate(_normalize_grad(g, y, inv))
-
-        return Tensor._op(y, (self,), backward)
 
 
 def concat(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:

@@ -95,6 +95,9 @@ class ExperimentConfig:
                             ("io.checkpoint_interval", io.checkpoint_interval)):
             if value < 1:
                 raise ValueError(f"{name} must be positive, got {value}")
+        if m.vocab < 2 and not tr.corpus_file:
+            raise ValueError(f"model.vocab must be at least 2 for the generated corpus, "
+                             f"got {m.vocab}")
         if m.d % m.heads != 0:
             raise ValueError(f"model.heads={m.heads} must divide model.d={m.d}")
         if tr.corpus_length < m.seq_len + 1 or tr.eval_tokens < m.seq_len + 1:
@@ -172,7 +175,7 @@ def _parse_value(raw: str, typ: str) -> object:
             return True
         if low in ("false", "0", "no"):
             return False
-        raise ValueError(f"expected a boolean, got {raw!r}")
+        raise ValueError
     if typ == "int":
         return int(raw)
     if typ == "float":
@@ -191,7 +194,12 @@ def set_config_value(config: ExperimentConfig, key: str, raw: str) -> None:
     matching = {f.name: f for f in fields(_SECTIONS[section_name])}
     if field_name not in matching:
         raise ValueError(f"unknown config key {key!r}")
-    value = _parse_value(raw, matching[field_name].type)
+    typ = matching[field_name].type
+    try:
+        value = _parse_value(raw, typ)
+    except ValueError:
+        article = "an" if typ == "int" else "a"
+        raise ValueError(f"{key} takes {article} {typ} value, got {raw.strip()!r}") from None
     setattr(section, field_name, value)
 
 

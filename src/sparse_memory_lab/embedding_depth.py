@@ -12,13 +12,14 @@ has to carry both streams through the same width-d trunk.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .autodiff import Tensor, no_grad
 from .reporting import write_csv
-from .train import AdamState, checked_step
+from .train import AdamState, DivergenceError, checked_step
 
 ARCHITECTURES = ("input_only", "per_layer")
 
@@ -176,6 +177,9 @@ def train_separation(config: SeparationConfig) -> dict:
     with no_grad():
         train_mse = float(net.mse(u_tr, q_tr, y_tr).data)
         test_mse = float(net.mse(u_te, q_te, y_te).data)
+    if not (math.isfinite(train_mse) and math.isfinite(test_mse)):
+        raise DivergenceError(f"training diverged: readout after step {config.steps}: "
+                              f"train MSE {train_mse}, test MSE {test_mse}")
     return {
         "architecture": config.architecture, "width": config.width,
         "seed": config.seed, "train_mse": train_mse, "test_mse": test_mse,

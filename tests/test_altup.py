@@ -9,6 +9,7 @@ from sparse_memory_lab.altup import (
     WideRepresentation,
     altup_stack_forward,
     divide_and_project,
+    pcc_forward,
     pcc_forward_full,
     pcc_forward_simplified,
     pcc_simplified_multiplies,
@@ -212,6 +213,38 @@ def test_pcc_graph_size_does_not_grow_with_k(variant):
             out = pcc_forward_full(x, PccFullParams.identity_init(K, d), lambda b: b, 1)
         sizes.append(graph_size(out.to_flat()))
     assert sizes[0] == sizes[1], sizes
+
+
+# -- the one step's input checks ------------------------------------------------
+
+def test_both_forms_share_one_step():
+    assert pcc_forward_full is pcc_forward
+    assert pcc_forward_simplified is pcc_forward
+
+
+@pytest.mark.parametrize("params", [
+    PccSimplifiedParams.identity_init(3),
+    PccFullParams.identity_init(3, 4),
+    PccFullParams.identity_init(2, 3),
+], ids=["simplified-K3", "full-K3", "full-d3"])
+def test_pcc_forward_rejects_params_built_for_another_shape(params):
+    x = wide([np.zeros((3, 4)), np.zeros((3, 4))])
+    calls = []
+    with pytest.raises(ValueError, match=f"^{type(params).__name__} does not fit K=2, d=4$"):
+        pcc_forward(x, params, calls.append, 0)
+    assert not calls
+
+
+@pytest.mark.parametrize("params", [PccSimplifiedParams.identity_init(2),
+                                    PccFullParams.identity_init(2, 4)],
+                         ids=["simplified", "full"])
+@pytest.mark.parametrize("j_star", [2, -1])
+def test_pcc_forward_rejects_a_block_outside_the_representation(params, j_star):
+    x = wide([np.zeros((3, 4)), np.zeros((3, 4))])
+    calls = []
+    with pytest.raises(ValueError, match=rf"^j_star {j_star} outside \[0, 2\)$"):
+        pcc_forward(x, params, calls.append, j_star)
+    assert not calls
 
 
 # -- divide and project ----------------------------------------------------------------

@@ -28,6 +28,8 @@ from sparse_memory_lab.lookup import (
 from sparse_memory_lab.nn import _NEG_MASK
 from sparse_memory_lab.train import Trainer
 
+from oracles import normalize
+
 B, SEQ = 8, 8
 TOL = 1e-12
 
@@ -75,7 +77,7 @@ def reference_block(x, p, causal=True):
     seq, d = x.shape
     h = p.n_heads
     dh = d // h
-    ln1 = x.normalize() * p.ln1_scale + p.ln1_bias
+    ln1 = normalize(x) * p.ln1_scale + p.ln1_bias
     q, k, v = ln1 @ p.wq, ln1 @ p.wk, ln1 @ p.wv
     outs = []
     for i in range(h):
@@ -85,7 +87,7 @@ def reference_block(x, p, causal=True):
             scores = scores + np.triu(np.full((seq, seq), _NEG_MASK), k=1)
         outs.append(scores.softmax(axis=1) @ vi)
     x = x + concat(outs, axis=1) @ p.wo
-    ln2 = x.normalize() * p.ln2_scale + p.ln2_bias
+    ln2 = normalize(x) * p.ln2_scale + p.ln2_bias
     return x + (ln2 @ p.w1).relu() @ p.w2
 
 

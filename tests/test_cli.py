@@ -208,3 +208,34 @@ def test_repeated_or_malformed_list_value_is_a_clean_error(tmp_path, capsys, arg
     assert code == 2
     assert capsys.readouterr() == ("", f"error: {message}\n")
     assert not out.exists()
+
+
+@pytest.mark.parametrize("key, value, kind", [
+    ("model.d", "1e3", "an int"),
+    ("model.layers", "two", "an int"),
+    ("training.learning_rate", "fast", "a float"),
+    ("memory.share_table", "maybe", "a bool"),
+])
+def test_malformed_config_value_names_its_key(tmp_path, capsys, key, value, kind):
+    message = f"{key} takes {kind} value, got {value!r}"
+    out = tmp_path / "out"
+    assert cli_main(["train", f"--{key}", value, "--out", str(out)]) == 2
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(f"training.steps = 1\n{key} = {value}\n")
+    assert cli_main(["train", "--config", str(cfg), "--out", str(out)]) == 2
+    assert capsys.readouterr() == ("", f"error: line 2: {message}\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["train", "--model.vocab", "1"],
+    ["route-bench", "--model.vocab", "1", "--ranks", "0", "--buckets", "1"],
+], ids=["train", "route-bench"])
+def test_one_symbol_vocabulary_is_a_clean_error_and_leaves_no_directory(tmp_path, capsys,
+                                                                       argv):
+    out = tmp_path / "out"
+    assert cli_main([*argv, "--out", str(out)]) == 2
+    assert capsys.readouterr() == (
+        "", "error: model.vocab must be at least 2 for the generated corpus, got 1\n")
+    assert not out.exists()

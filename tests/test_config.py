@@ -110,6 +110,14 @@ def test_non_finite_float_is_error(key, value):
         parse_config(f"{key} = {value}\n")
 
 
+def test_one_symbol_vocabulary_needs_a_corpus_file():
+    # the Markov generator needs two symbols; a corpus file of zeros does not
+    with pytest.raises(ValueError, match="^model.vocab must be at least 2 for the generated "
+                                         "corpus, got 1$"):
+        parse_config("model.vocab = 1\n")
+    assert parse_config("model.vocab = 1\ntraining.corpus_file = zeros.txt\n").model.vocab == 1
+
+
 def test_altup_k1_is_allowed():
     parse_config("memory.consumption = altup\naltup.K = 1\n")
 

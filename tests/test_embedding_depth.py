@@ -94,3 +94,13 @@ def test_divergent_step_raises_before_the_optimizer_writes(monkeypatch):
     assert opt.flat.data.tobytes() == data.tobytes()
     assert opt._m.tobytes() == m.tobytes() and opt._v.tobytes() == v.tobytes()
     assert opt.t == 1
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_non_finite_readout_raises_instead_of_reporting_nan():
+    # one step at this rate leaves finite weights whose readout overflows to NaN;
+    # run_separation_experiment would otherwise write the NaN into separation.csv
+    cfg = SeparationConfig(steps=1, learning_rate=1e100, train_size=64, test_size=64)
+    with pytest.raises(DivergenceError, match=r"^training diverged: readout after step 1: "
+                       r"train MSE nan, test MSE nan$"):
+        train_separation(cfg)

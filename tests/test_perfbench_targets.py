@@ -13,6 +13,7 @@ import pytest
 from sparse_memory_lab import lookup
 from sparse_memory_lab.config import ExperimentConfig, set_config_value
 from sparse_memory_lab.model import LanguageModel
+from sparse_memory_lab.train import Trainer
 
 TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
 
@@ -52,3 +53,36 @@ def test_built_lookups_expose_their_table_size(kind):
     for lk, table in zip(model.lookups, model.tables):
         assert tracing.LOOKUP_KINDS[type(lk).__name__] == kind
         assert type(lk.n) is int and lk.n == table.n
+
+
+# the spans of a training step; a step that stops calling one of these
+# names (an inlined call, a call through a local alias) drops its span
+TRAINING_SPANS = ("altup.pcc", "nn.block_forward", "lookup.memory_forward",
+                  "lookup.route", "nn.expert")
+SMALL = {"model.d": "16", "model.vocab": "32", "model.seq_len": "8", "training.batch": "2",
+         "training.corpus_length": "512", "training.eval_tokens": "64"}
+
+
+@pytest.mark.parametrize("overrides, spans", [
+    ({"memory.consumption": "altup", "altup.K": "2"}, {"altup.pcc", "nn.block_forward"}),
+    ({"memory.lookup": "softmax", "memory.rank": "4", "memory.buckets": "16", "memory.k": "2"},
+     {"nn.block_forward", "lookup.memory_forward", "lookup.route", "nn.expert"}),
+], ids=["altup-K2", "softmax"])
+def test_training_step_calls_each_traced_name(monkeypatch, overrides, spans):
+    calls = dict.fromkeys(TRAINING_SPANS, 0)
+
+    def counting(fn, span):
+        def wrapper(*args, **kwargs):
+            calls[span] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for module_name, path, span in tracing.TARGETS:
+        if span in TRAINING_SPANS:
+            owner, attr, fn = tracing._resolve(module_name, path)
+            monkeypatch.setattr(owner, attr, counting(fn, span))
+    cfg = ExperimentConfig()
+    for key, value in {**SMALL, **overrides}.items():
+        set_config_value(cfg, key, value)
+    Trainer(cfg.validate()).step()
+    assert {span for span, n in calls.items() if n} == spans, calls
