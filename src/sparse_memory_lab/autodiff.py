@@ -434,14 +434,6 @@ class Tensor:
 
         return Tensor._op(p, (self,), backward)
 
-    def log_softmax(self, axis: int = -1) -> "Tensor":
-        out_data = _log_softmax(self.data, axis)
-
-        def backward(g: np.ndarray) -> None:
-            self._accumulate(_log_softmax_grad(g, out_data, axis))
-
-        return Tensor._op(out_data, (self,), backward)
-
 
 def concat(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
     """Concatenate along an axis; gradient splits back to the inputs."""

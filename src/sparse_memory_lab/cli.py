@@ -27,10 +27,18 @@ def _add_config_overrides(parser: argparse.ArgumentParser) -> None:
         parser.add_argument(f"--{key}", dest=f"cfg::{key}", metavar="VALUE")
 
 
-def _apply_overrides(config: ExperimentConfig, args: argparse.Namespace) -> None:
+def _config(args: argparse.Namespace) -> ExperimentConfig:
+    """A train or route-bench run's config, unvalidated: the --config file or
+    the defaults, then each key flag, --seed and --out (as io.out_dir)."""
+    config = load_config(args.config) if args.config else ExperimentConfig()
     for name, value in vars(args).items():
         if name.startswith("cfg::") and value is not None:
             set_config_value(config, name.removeprefix("cfg::"), value)
+    if args.seed is not None:
+        config.training.seed = args.seed
+    if args.out is not None:
+        config.io.out_dir = args.out
+    return config
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -111,13 +119,7 @@ def cli_main(argv: list[str] | None = None) -> int:
 
     try:
         if args.command == "train":
-            config = load_config(args.config) if args.config else ExperimentConfig()
-            _apply_overrides(config, args)
-            if args.seed is not None:
-                config.training.seed = args.seed
-            if args.out is not None:
-                config.io.out_dir = args.out
-            config.validate()
+            config = _config(args)
             rows, trainer = train_model(config)
             last = rows[-1]
             print(f"trained {config.training.steps} steps: "
@@ -146,15 +148,11 @@ def cli_main(argv: list[str] | None = None) -> int:
             return 0
 
         if args.command == "route-bench":
-            config = load_config(args.config) if args.config else ExperimentConfig()
-            _apply_overrides(config, args)
-            if args.seed is not None:
-                config.training.seed = args.seed
-            out = args.out if args.out is not None else config.io.out_dir
+            config = _config(args)
             grid = [(args.lookup, r, b)
                     for r in _parse_list(args.ranks, int, "--ranks")
                     for b in _parse_list(args.buckets, int, "--buckets")]
-            rows = run_lookup_benchmark(grid, config, out)
+            rows = run_lookup_benchmark(grid, config, config.io.out_dir)
             for r in rows:
                 print(f"{r['lookup']} rank={r['rank']} buckets={r['buckets']} "
                       f"eval_loss={r['final_eval_loss']:.4f}")
@@ -181,7 +179,7 @@ def cli_main(argv: list[str] | None = None) -> int:
                 print(f"{r['check']:>40}: max rel err {r['max_rel_error']:.3e} [{status}]")
             return 0 if ok else 1
 
-    except (FileNotFoundError, ValueError, DivergenceError) as exc:
+    except (OSError, ValueError, DivergenceError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -149,13 +149,7 @@ class ExperimentConfig:
         return self
 
 
-_SECTIONS = {
-    "model": ModelConfig,
-    "memory": MemoryConfig,
-    "altup": AltUpConfig,
-    "training": TrainingConfig,
-    "io": IoConfig,
-}
+_SECTIONS = {f.name: f.default_factory for f in fields(ExperimentConfig)}
 
 
 def config_keys() -> list[tuple[str, str]]:

@@ -19,6 +19,7 @@ from typing import Iterable
 import numpy as np
 
 from .autodiff import Tensor, at_stage
+from .config import MemoryConfig
 from .nn import MemoryTable, apply_expert
 
 
@@ -280,6 +281,23 @@ class TokenIdLookup:
 
 
 LookupParams = TokenIdLookup | SoftmaxRouterParams | HyperplaneLshParams | SphericalLshParams
+
+
+def init_lookup(memory: MemoryConfig, vocab: int, d: int, seed) -> LookupParams:
+    """One layer's lookup of kind `memory.lookup` on (..., d) rows, drawn
+    from `seed`: token_id's table is the vocabulary, every other kind's has
+    `memory.buckets` entries."""
+    if memory.lookup == "token_id":
+        return TokenIdLookup(n=vocab)
+    n = memory.buckets
+    if memory.lookup == "softmax":
+        return SoftmaxRouterParams.init(n, d, memory.k, seed)
+    if memory.lookup == "hyperplane":
+        k_proj = max(1, int(np.ceil(np.log2(max(n, 2)))))  # ceil(log2 n) projections
+        return HyperplaneLshParams.init(d, k_proj, memory.width, n, seed)
+    if memory.lookup == "spherical":
+        return SphericalLshParams.init(n, d, seed)
+    raise ValueError(f"unknown lookup kind: {memory.lookup!r}")
 
 
 def route(x: Tensor, tokens, lookup: LookupParams,

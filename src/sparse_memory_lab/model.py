@@ -25,12 +25,9 @@ from .autodiff import Tensor, at_stage, concat, cross_entropy
 from .config import ExperimentConfig
 from .lookup import (
     JITTER_EPSILON,
-    HyperplaneLshParams,
     LookupParams,
     MemoryTable,
-    SoftmaxRouterParams,
-    SphericalLshParams,
-    TokenIdLookup,
+    init_lookup,
     memory_augmented_forward,
 )
 from .nn import TransformerBlockParams, lecun_normal_init, transformer_block_forward
@@ -38,6 +35,15 @@ from .nn import TransformerBlockParams, lecun_normal_init, transformer_block_for
 
 def _seed(master: int, *key: int) -> np.random.SeedSequence:
     return np.random.SeedSequence(entropy=master, spawn_key=key)
+
+
+def _token_ids(tokens) -> np.ndarray:
+    """tokens as an int64 array; a float or bool dtype raises rather than
+    being truncated to ids."""
+    ids = np.asarray(tokens)
+    if ids.dtype.kind not in "iu":
+        raise ValueError(f"token ids must have an integer dtype, got {ids.dtype}")
+    return ids.astype(np.int64, copy=False)
 
 
 @dataclass
@@ -113,28 +119,11 @@ class LanguageModel:
         lookups: list[LookupParams] | None = None
         tables: list[MemoryTable] | None = None
         if mem.lookup != "none":
-            n = V if mem.lookup == "token_id" else mem.buckets
-            lookups = []
-            tables = []
-            shared_table: MemoryTable | None = None
-            for i in range(m.layers):
-                if mem.lookup == "token_id":
-                    lookups.append(TokenIdLookup(n=n))
-                elif mem.lookup == "softmax":
-                    lookups.append(SoftmaxRouterParams.init(
-                        n, d, mem.k, _seed(master, 5, i)))
-                elif mem.lookup == "hyperplane":
-                    k_proj = max(1, int(np.ceil(np.log2(max(n, 2)))))
-                    lookups.append(HyperplaneLshParams.init(
-                        d, k_proj, mem.width, n, _seed(master, 5, i)))
-                else:
-                    lookups.append(SphericalLshParams.init(n, d, _seed(master, 5, i)))
-                if mem.share_table:  # validate() allows it for token_id only
-                    if shared_table is None:
-                        shared_table = MemoryTable.init(n, d, mem.rank, _seed(master, 4, 0))
-                    tables.append(shared_table)
-                else:
-                    tables.append(MemoryTable.init(n, d, mem.rank, _seed(master, 4, i)))
+            lookups = [init_lookup(mem, V, d, _seed(master, 5, i)) for i in range(m.layers)]
+            tables = [MemoryTable.init(lk.n, d, mem.rank, _seed(master, 4, i))
+                      for i, lk in enumerate(lookups[:1] if mem.share_table else lookups)]
+            if mem.share_table:  # validate() allows it for token_id only
+                tables *= m.layers
 
         selection = "same" if mem.consumption == "sameup" else alt.selection
 
@@ -165,10 +154,9 @@ class LanguageModel:
         if self.dp_proj is not None:
             out["dp_proj"] = self.dp_proj
         out.update(self.memory_parameters())
-        if self.lookups is not None:
-            for i, lk in enumerate(self.lookups):
-                if isinstance(lk, SoftmaxRouterParams):
-                    out[f"router{i}_W"] = lk.W
+        if self.config.memory.lookup == "softmax":
+            for i, router in enumerate(self.lookups):
+                out[f"router{i}_W"] = router.W
         return out
 
     def memory_parameters(self) -> dict[str, Tensor]:
@@ -215,7 +203,7 @@ class LanguageModel:
         per sequence would draw layer by layer, so a batch routes each
         sequence exactly as running it alone would.
         """
-        if rng is None or not (self.lookups and isinstance(self.lookups[0], SoftmaxRouterParams)):
+        if rng is None or self.config.memory.lookup != "softmax":
             return None
         *lead, seq = tokens.shape
         return rng.uniform(1.0 - JITTER_EPSILON, 1.0 + JITTER_EPSILON,
@@ -233,7 +221,7 @@ class LanguageModel:
     def forward(self, tokens: np.ndarray, rng: np.random.Generator | None = None) -> Tensor:
         """Logits (..., seq, vocab) for a (seq,) token sequence or a (B, seq) batch;
         a given `rng` draws the router's training jitter, None routes as eval does."""
-        tokens = np.asarray(tokens, dtype=np.int64)
+        tokens = _token_ids(tokens)
         if tokens.ndim not in (1, 2):
             raise ValueError("forward expects a (seq,) sequence or a (B, seq) batch of tokens")
         vocab = self.config.model.vocab
@@ -260,7 +248,7 @@ class LanguageModel:
                       rng: np.random.Generator | None = None) -> Tensor:
         """Mean next-token cross-entropy (nats) over one (seq+1)-token window,
         or over every token of a (B, seq+1) batch of windows; `rng` as in forward."""
-        window = np.asarray(window, dtype=np.int64)
+        window = _token_ids(window)
         logits = self.forward(window[..., :-1], rng=rng)
         at_stage("loss")
         return cross_entropy(logits, window[..., 1:])

@@ -170,25 +170,30 @@ def checked_step(opt: AdamState | SgdState, loss_fn: Callable[[], Tensor], step:
     except NonFiniteError as exc:  # a non-finite constant the loss wrapped
         raise DivergenceError(f"{prefix}: {exc}") from exc
     if not finite:
-        raise _replay(flat, loss_fn, prefix)
+        raise _replay(loss_fn, prefix, flat)
     opt.step()
     return float(loss.data)
 
 
-def _replay(flat: FlatParameters, loss_fn: Callable[[], Tensor], prefix: str) -> DivergenceError:
-    """The DivergenceError for a step whose check failed, from a checked replay."""
-    bad = [name for name, t in zip(flat.names, flat.tensors)
-           if t.grad is not None and not np.isfinite(t.grad).all()]
-    flat.zero_grad()
+def _replay(loss_fn: Callable[[], Tensor], prefix: str,
+            flat: FlatParameters | None = None) -> DivergenceError:
+    """The DivergenceError for a step or an eval pass whose check failed, from
+    a checked replay; a step's replay, given `flat`, runs the backward too."""
+    bad = []
+    if flat is not None:
+        bad = [name for name, t in zip(flat.names, flat.tensors)
+               if t.grad is not None and not np.isfinite(t.grad).all()]
+        flat.zero_grad()
     try:
         with checked():
             loss = loss_fn()
-            if np.isfinite(loss.data).all():
+            if flat is not None and np.isfinite(loss.data).all():
                 loss.backward()
         cause = None
     except NonFiniteError as exc:
         cause = exc
-    flat.grad.fill(0.0)  # so no stale non-finite entry fails a later check
+    if flat is not None:
+        flat.grad.fill(0.0)  # so no stale non-finite entry fails a later check
     if bad and cause is not None and cause.pass_ == "backward":
         return DivergenceError(f"{prefix}: the gradient of {', '.join(bad)} holds a "
                                f"non-finite value (NaN or Inf); {cause}")
@@ -201,8 +206,11 @@ def _replay(flat: FlatParameters, loss_fn: Callable[[], Tensor], prefix: str) ->
 def load_token_file(path: str | Path, vocab: int) -> np.ndarray:
     """Whitespace-separated token ids, any number per line, with text after a
     `#` on a line ignored; values must lie in [0, vocab)."""
-    with open(path) as fh:
-        words = [w for line in fh for w in line.split("#", 1)[0].split()]
+    try:
+        with open(path) as fh:
+            words = [w for line in fh for w in line.split("#", 1)[0].split()]
+    except OSError as exc:
+        raise ValueError(f"corpus file {path} cannot be read: {exc.strerror}") from exc
     try:
         ids = [int(w) for w in words]
     except ValueError as exc:
@@ -242,8 +250,10 @@ class Trainer:
         seed = tr.seed
         if tr.corpus_file:
             stream = load_token_file(tr.corpus_file, config.model.vocab)
-            if stream.size < tr.eval_tokens + config.model.seq_len + 1:
-                raise ValueError("corpus file too short for the eval split")
+            need = tr.eval_tokens + config.model.seq_len + 1
+            if stream.size < need:
+                raise ValueError(f"corpus file {tr.corpus_file} holds {stream.size} tokens; "
+                                 f"the eval split and one training window need {need}")
             self.entropy_rate = float("nan")  # unknown for external corpora
             self.train_tokens = stream[: stream.size - tr.eval_tokens]
             self.eval_tokens = stream[stream.size - tr.eval_tokens:]
@@ -296,34 +306,29 @@ class Trainer:
 
     def evaluate(self) -> tuple[float, float, float]:
         """(loss, accuracy, loss stderr) on fixed held-out windows, jitter-free;
-        all windows run as one batch, with no gradient graph."""
+        all windows run as one batch, with no gradient graph. A non-finite
+        per-token loss is replayed as `sequence_loss`, as a step's loss is."""
         window = self.config.model.seq_len + 1
         count = len(self.eval_tokens) // window
         windows = self.eval_tokens[: count * window].reshape(count, window)
         targets = windows[:, 1:]
-        prefix = f"training diverged: eval after step {self.step_count}"
         with no_grad():
             logits = self.model.forward(windows[:, :-1])
             logprobs = _log_softmax(logits.data, -1)
-            if not np.isfinite(logprobs).all():
-                try:
-                    with checked():
-                        self.model.forward(windows[:, :-1]).log_softmax(axis=-1)
-                except NonFiniteError as exc:
-                    raise DivergenceError(f"{prefix}: {exc}") from exc
-                raise DivergenceError(f"{prefix}: the log-probs hold a non-finite value")
-        losses = -np.take_along_axis(logprobs, targets[..., None], axis=-1).reshape(-1)
+            losses = -np.take_along_axis(logprobs, targets[..., None], axis=-1).reshape(-1)
+            if not np.isfinite(losses).all():
+                raise _replay(lambda: self.model.sequence_loss(windows),
+                              f"training diverged: eval after step {self.step_count}")
         correct = int(np.sum(np.argmax(logits.data, axis=-1) == targets))
         stderr = float(losses.std(ddof=1) / math.sqrt(losses.size)) if losses.size > 1 else 0.0
         return float(losses.mean()), correct / losses.size, stderr
 
 
-def train_model(config: ExperimentConfig, out_dir: str | Path | None = None,
-                ) -> tuple[list[MetricsRow], Trainer]:
-    """Train one config to completion, emitting metrics CSV and a checkpoint."""
+def train_model(config: ExperimentConfig) -> tuple[list[MetricsRow], Trainer]:
+    """Train one config to completion, emitting metrics CSV and a checkpoint
+    into `config.io.out_dir`, which the first of them creates."""
     trainer = Trainer(config)
-    out = Path(out_dir if out_dir is not None else config.io.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    out = Path(config.io.out_dir)
     emb, non_emb = count_params(trainer.model)
     interval = config.io.checkpoint_interval
     rows: list[MetricsRow] = []
@@ -372,19 +377,19 @@ def run_lookup_benchmark(grid: list[tuple[str, int, int]],
     """Train one model per (lookup, rank, buckets) cell; rows sorted by the key."""
     if any(kind == "none" for kind, _, _ in grid):
         raise ValueError("route-bench needs a lookup: 'none' attaches no table to count")
+    out = Path(out_dir)
     configs = []
     for kind, rank, buckets in grid:  # every cell is checked before any output is made
         cfg = copy.deepcopy(base_config)
         cfg.memory.lookup = kind
         cfg.memory.rank = rank
         cfg.memory.buckets = buckets
+        cfg.io.out_dir = str(out / f"{kind}_r{rank}_b{buckets}")
         configs.append(cfg.validate())
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
 
     def run_cell(cfg: ExperimentConfig) -> dict:
         kind, rank, buckets = cfg.memory.lookup, cfg.memory.rank, cfg.memory.buckets
-        rows, trainer = train_model(cfg, out / f"{kind}_r{rank}_b{buckets}")
+        rows, trainer = train_model(cfg)
         table = trainer.model.tables[0]
         comparison, full = partial_expert_param_count(table.rank, table.n, table.d_in)
         last = rows[-1]

@@ -28,7 +28,7 @@ from sparse_memory_lab.lookup import (
 from sparse_memory_lab.nn import _NEG_MASK
 from sparse_memory_lab.train import Trainer
 
-from oracles import normalize
+from oracles import log_softmax, normalize
 
 B, SEQ = 8, 8
 TOL = 1e-12
@@ -72,8 +72,8 @@ class RecordingRng:
         return out
 
 
-def reference_block(x, p, causal=True):
-    """The transformer block on one (seq, d) sequence, head by head."""
+def reference_block(x, p):
+    """The causal transformer block on one (seq, d) sequence, head by head."""
     seq, d = x.shape
     h = p.n_heads
     dh = d // h
@@ -83,7 +83,7 @@ def reference_block(x, p, causal=True):
     for i in range(h):
         qi, ki, vi = (t.narrow(1, i * dh, dh) for t in (q, k, v))
         scores = (qi @ ki.swapaxes(-2, -1)) * (1.0 / math.sqrt(dh))
-        if causal and seq > 1:
+        if seq > 1:
             scores = scores + np.triu(np.full((seq, seq), _NEG_MASK), k=1)
         outs.append(scores.softmax(axis=1) @ vi)
     x = x + concat(outs, axis=1) @ p.wo
@@ -132,7 +132,7 @@ def pick_targets(logits, targets):
     """Log-probability of each target under (seq, vocab) logits, taken from
     the flattened log-probs."""
     flat = np.arange(targets.size) * logits.shape[1] + targets
-    return logits.log_softmax(axis=1).reshape(-1).take(flat)
+    return log_softmax(logits, axis=1).reshape(-1).take(flat)
 
 
 def reference_batch_loss(model, batch, rng):

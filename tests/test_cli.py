@@ -1,5 +1,6 @@
 """CLI surface: subcommands run, write the pinned schemas, and fail cleanly."""
 
+import errno
 import os
 import subprocess
 import sys
@@ -9,6 +10,7 @@ import pytest
 
 import sparse_memory_lab
 from sparse_memory_lab.cli import cli_main
+from sparse_memory_lab.config import ExperimentConfig, load_config, set_config_value
 
 
 def read_header(path):
@@ -80,15 +82,26 @@ def test_lshsim_single_family(tmp_path):
 
 def test_route_bench_runs(tmp_path):
     out = tmp_path / "bench"
-    code = cli_main(["route-bench", "--model.d", "16", "--model.vocab", "16",
-                     "--model.seq_len", "4", "--training.steps", "3",
-                     "--io.checkpoint_interval", "3",
+    flags = {"model.d": "16", "model.vocab": "16", "model.seq_len": "4",
+             "training.steps": "3", "io.checkpoint_interval": "3"}
+    code = cli_main(["route-bench", *(a for key, value in flags.items()
+                                      for a in (f"--{key}", value)),
                      "--lookup", "softmax", "--ranks", "0,2", "--buckets", "4",
                      "--out", str(out), "--seed", "0"])
     assert code == 0
     header = read_header(out / "route_bench.csv")
     assert header.startswith("lookup,rank,buckets,added_params")
     assert len((out / "route_bench.csv").read_text().splitlines()) == 3
+    # each cell's config.txt parses back to the config it ran, its directory included
+    for rank in (0, 2):
+        cell = out / f"softmax_r{rank}_b4"
+        want = ExperimentConfig()
+        for key, value in flags.items():
+            set_config_value(want, key, value)
+        want.training.seed = 0
+        want.memory.lookup, want.memory.rank, want.memory.buckets = "softmax", rank, 4
+        want.io.out_dir = str(cell)
+        assert load_config(cell / "config.txt") == want
 
 
 def test_route_bench_without_a_lookup_is_a_clean_error(tmp_path, capsys):
@@ -178,6 +191,7 @@ def test_divergence_is_a_clean_error(tmp_path):
     assert proc.stderr.startswith("error: training diverged at step ")
     assert "non-finite value" in proc.stderr
     assert "Traceback" not in proc.stderr
+    assert not (tmp_path / "run").exists()
 
 
 @pytest.mark.parametrize("argv, flag", [
@@ -239,3 +253,36 @@ def test_one_symbol_vocabulary_is_a_clean_error_and_leaves_no_directory(tmp_path
     assert capsys.readouterr() == (
         "", "error: model.vocab must be at least 2 for the generated corpus, got 1\n")
     assert not out.exists()
+
+
+def test_out_that_is_a_file_is_a_clean_error(tmp_path, capsys):
+    taken = tmp_path / "taken"
+    taken.write_text("not a directory\n")
+    code = cli_main(["lshsim", "--f", "0.5", "--n", "16", "--l", "4", "--d", "4",
+                     "--trials", "10", "--out", str(taken)])
+    assert code == 2
+    eexist, enotdir = (f"[Errno {e}] {os.strerror(e)}" for e in (errno.EEXIST, errno.ENOTDIR))
+    assert capsys.readouterr().err == f"error: {eexist}: '{taken}'\n"
+    code = cli_main(["train", "--model.d", "8", "--model.vocab", "8", "--model.seq_len", "4",
+                     "--training.steps", "1", "--out", str(taken / "run")])
+    assert code == 2
+    assert capsys.readouterr().err == f"error: {enotdir}: '{taken / 'run'}'\n"
+    assert taken.read_text() == "not a directory\n"
+
+
+@pytest.mark.parametrize("command", [
+    ["train"], ["route-bench", "--ranks", "0", "--buckets", "8"],
+], ids=["train", "route-bench"])
+def test_corpus_file_errors_name_the_file_and_leave_no_directory(tmp_path, capsys, command):
+    out = tmp_path / "out"
+    missing = tmp_path / "missing.txt"
+    short = tmp_path / "short.txt"
+    short.write_text("0 1 2 3 4 5 6 7 8 9\n")
+    for corpus, message in (
+            (missing, f"corpus file {missing} cannot be read: No such file or directory"),
+            (short, f"corpus file {short} holds 10 tokens; the eval split and one training "
+                    f"window need 4113")):
+        code = cli_main([*command, "--training.corpus_file", str(corpus), "--out", str(out)])
+        assert code == 2
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+        assert not out.exists()

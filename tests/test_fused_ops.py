@@ -48,7 +48,7 @@ from sparse_memory_lab.nn import (
 )
 from sparse_memory_lab.train import DivergenceError, Trainer
 
-from oracles import normalize
+from oracles import log_softmax, normalize
 
 GRAD_TOL = 1e-12
 
@@ -160,7 +160,7 @@ def chain_block(x, params):
 
 def chain_loss(logits, targets):
     flat = np.arange(targets.size) * logits.shape[-1] + targets.reshape(-1)
-    return -logits.log_softmax(axis=-1).reshape(-1).take(flat).mean()
+    return -log_softmax(logits, axis=-1).reshape(-1).take(flat).mean()
 
 
 def on_block_params(block):

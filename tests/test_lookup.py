@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from sparse_memory_lab.autodiff import Tensor
+from sparse_memory_lab.config import MemoryConfig
 from sparse_memory_lab.lookup import (
     HyperplaneLshParams,
     MemoryTable,
@@ -16,6 +17,7 @@ from sparse_memory_lab.lookup import (
     TokenIdLookup,
     fold_cells,
     hyperplane_lsh_lookup,
+    init_lookup,
     memory_augmented_forward,
     minhash_lookup,
     partial_expert_param_count,
@@ -25,6 +27,25 @@ from sparse_memory_lab.lookup import (
     token_id_lookup,
     top_k_rows,
 )
+
+
+# -- construction ------------------------------------------------------------
+
+@pytest.mark.parametrize("kind, cls, n", [
+    ("token_id", TokenIdLookup, 32), ("softmax", SoftmaxRouterParams, 8),
+    ("hyperplane", HyperplaneLshParams, 8), ("spherical", SphericalLshParams, 8),
+])
+def test_init_lookup_builds_each_kind_with_its_table_size(kind, cls, n):
+    # token_id's table is the vocabulary, whatever memory.buckets says
+    lookup = init_lookup(MemoryConfig(lookup=kind, buckets=8), 32, 4, np.random.SeedSequence(0))
+    assert type(lookup) is cls and lookup.n == n
+    if kind == "hyperplane":
+        assert lookup.directions.shape == (3, 4)  # ceil(log2 8) projections
+
+
+def test_init_lookup_rejects_no_lookup():
+    with pytest.raises(ValueError, match="unknown lookup kind: 'none'"):
+        init_lookup(MemoryConfig(), 32, 4, np.random.SeedSequence(0))
 
 
 # -- token-id ---------------------------------------------------------------

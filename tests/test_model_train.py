@@ -5,6 +5,7 @@ import platform
 import re
 import subprocess
 import sys
+import typing
 from pathlib import Path
 
 import numpy as np
@@ -369,6 +370,85 @@ def test_eval_divergence_names_the_step():
     with pytest.raises(DivergenceError,
                        match=r"eval after step 1: __matmul__ produced a non-finite value"):
         trainer.evaluate()
+
+
+def eval_windows(trainer):
+    """The (count, seq+1) held-out windows an eval pass scores."""
+    window = trainer.config.model.seq_len + 1
+    count = len(trainer.eval_tokens) // window
+    return trainer.eval_tokens[: count * window].reshape(count, window)
+
+
+def push_logits_apart(monkeypatch, model, low):
+    """Make the model's logits 1e308 in every column but `low`, which gets
+    -1e308: finite logits whose log-softmax is -inf in column `low` alone."""
+    offset = np.full(model.config.model.vocab, 1e308)
+    offset[low] = -1e308
+    forward = model.forward
+    monkeypatch.setattr(model, "forward", lambda tokens, rng=None: forward(tokens, rng=rng)
+                        + offset)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_eval_and_step_name_the_same_cause_for_a_log_softmax_overflow(monkeypatch):
+    trainer = Trainer(tiny(d=8, layers=1, heads=1, vocab=16, seq=4, batch=2))
+    windows = eval_windows(trainer)
+    push_logits_apart(monkeypatch, trainer.model, low=int(windows[0, 1]))
+    cause = ("cross_entropy produced a non-finite value (NaN or Inf) in the forward pass "
+             "at loss")
+    with pytest.raises(DivergenceError) as eval_info:
+        trainer.evaluate()
+    assert str(eval_info.value) == f"training diverged: eval after step 0: {cause}"
+    with pytest.raises(DivergenceError) as step_info:
+        trainer.step(windows)
+    assert str(step_info.value) == f"training diverged at step 0: {cause}"
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_non_finite_log_probs_off_the_targets_do_not_stop_an_eval(monkeypatch):
+    # an eval pass checks the per-token losses it reports, as a step checks its loss
+    cfg = tiny(d=8, layers=1, heads=1, vocab=16, seq=4, batch=2)
+    cfg.training.eval_tokens = 10
+    trainer = Trainer(cfg)
+    windows = eval_windows(trainer)
+    unused = np.setdiff1d(np.arange(16), windows[:, 1:])[0]
+    push_logits_apart(monkeypatch, trainer.model, low=unused)
+    loss, accuracy, stderr = trainer.evaluate()
+    assert np.isfinite([loss, accuracy, stderr]).all()
+    assert np.isfinite(trainer.step(windows))
+
+
+@pytest.mark.parametrize("tokens", [
+    np.array([1.9, 2.2, 3.7]), np.array([1.0, 2.0, 3.0], dtype=np.float32),
+    np.array([True, False, True]), [1.9, 2.2, 3.7],
+], ids=["float64", "float32", "bool", "float-list"])
+def test_non_integer_token_ids_are_rejected(tokens):
+    model = LanguageModel.build(tiny())
+    dtype = np.asarray(tokens).dtype
+    with pytest.raises(ValueError, match=f"^token ids must have an integer dtype, got {dtype}$"):
+        model.forward(tokens)
+    with pytest.raises(ValueError, match=f"^token ids must have an integer dtype, got {dtype}$"):
+        model.sequence_loss(tokens)
+
+
+def test_integer_token_ids_of_any_width_give_the_same_logits():
+    model = LanguageModel.build(tiny())
+    ids = [1, 2, 3, 0]
+    want = model.forward(ids).data
+    for dtype in (np.int8, np.uint8, np.int32, np.uint16, np.int64):
+        np.testing.assert_array_equal(model.forward(np.array(ids, dtype=dtype)).data, want)
+    assert model.sequence_loss(np.array(ids, dtype=np.uint8)).data == \
+        model.sequence_loss(ids).data
+
+
+def test_model_imports_no_lookup_parameter_class():
+    # lookup.init_lookup alone decides which class each lookup kind builds
+    from sparse_memory_lab import lookup, model
+
+    classes = typing.get_args(lookup.LookupParams)
+    assert len(classes) == 4
+    assert not [name for name, value in vars(model).items()
+                if any(value is cls for cls in classes)]
 
 
 def test_train_model_writes_deterministic_metrics(tmp_path):
