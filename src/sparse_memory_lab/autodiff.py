@@ -517,8 +517,11 @@ def cross_entropy(logits: Tensor, targets: np.ndarray) -> Tensor:
     logits and integer targets in [0, V) shaped like their leading axes, as
     one node: the numpy forward of the chain log_softmax, a take of each
     target's entry, the mean and the negation, call for call, and that
-    chain's backward."""
+    chain's backward. A float or bool dtype raises rather than being read
+    as columns."""
     targets = np.asarray(targets)
+    if targets.dtype.kind not in "iu":
+        raise ValueError(f"targets must have an integer dtype, got {targets.dtype}")
     if targets.shape != logits.shape[:-1]:
         raise ValueError(f"targets {targets.shape} must match the leading axes of logits "
                          f"{logits.shape}")
@@ -526,7 +529,8 @@ def cross_entropy(logits: Tensor, targets: np.ndarray) -> Tensor:
     if bad.size:
         raise ValueError(f"target {int(bad[0])} outside [0, {logits.shape[-1]}), the logit "
                          f"columns")
-    flat = np.arange(targets.size) * logits.shape[-1] + targets.reshape(-1)
+    flat = np.arange(targets.size) * logits.shape[-1]
+    flat += targets.reshape(-1).astype(np.intp, copy=False)
     out = _log_softmax(logits.data, -1)
     scale = 1.0 / flat.size
 

@@ -13,6 +13,7 @@ by the caller and passed in.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -124,24 +125,40 @@ def fold_cells(cells: np.ndarray, seed: int) -> np.ndarray:
     """Reduce integer cell tuples (..., k) to 64-bit bucket hashes.
 
     Splitmix-style mixing folded left to right; trailing axis is the tuple.
-    The same function serves the lookup op and the vectorized collision
-    simulation, so the two routes share bucket math exactly. uint64
-    arithmetic wraps modulo 2**64, so the state is mixed in place.
+    Cells are integers or integer-valued floats (a floor's output), each
+    hashed by the two's-complement bits an astype to int64 gives it. The
+    same function serves the lookup op and the vectorized collision
+    simulation, so the two routes share bucket math exactly.
+
+    Each column xors its cells into the rows' states, then mixes every
+    state. Xor with 0 is the identity, so the nonzero cells are found once,
+    grouped by column (a stable sort keeps each column's rows in order) and
+    cast; the mixing runs over the contiguous (rows,) state and never reads
+    a column of the cells. uint64 arithmetic wraps modulo 2**64, so the
+    state is mixed in place.
     """
-    # the int64 cells' two's-complement bits, as an astype to uint64 gives them
-    bits = np.asarray(cells, dtype=np.int64).view(np.uint64)
-    state = np.full(bits.shape[:-1], np.uint64(seed), dtype=np.uint64)
+    cells = np.asarray(cells)
+    *lead, k = cells.shape
+    state = np.full(math.prod(lead), np.uint64(seed), dtype=np.uint64)
+    flat = cells.reshape(-1)
+    nonzero = np.flatnonzero(flat != 0)
+    rows = nonzero // k
+    column = (nonzero - rows * k).astype(np.min_scalar_type(k))
+    order = np.argsort(column, kind="stable")  # a radix sort for k < 2**16
+    rows = rows[order]
+    bits = flat[nonzero[order]].astype(np.int64, copy=False).view(np.uint64)
     shifted = np.empty_like(state)
-    with np.errstate(over="ignore"):
-        for j in range(bits.shape[-1]):
-            state ^= bits[..., j]
-            state += _MIX_A
-            state ^= np.right_shift(state, np.uint64(30), out=shifted)
-            state *= _MIX_B
-            state ^= np.right_shift(state, np.uint64(27), out=shifted)
-            state *= _MIX_C
-            state ^= np.right_shift(state, np.uint64(31), out=shifted)
-    return state
+    start = 0
+    for end in np.bincount(column, minlength=k).cumsum().tolist():
+        state[rows[start:end]] ^= bits[start:end]
+        start = end
+        state += _MIX_A
+        state ^= np.right_shift(state, np.uint64(30), out=shifted)
+        state *= _MIX_B
+        state ^= np.right_shift(state, np.uint64(27), out=shifted)
+        state *= _MIX_C
+        state ^= np.right_shift(state, np.uint64(31), out=shifted)
+    return state.reshape(lead)
 
 
 @dataclass
@@ -189,7 +206,7 @@ def hyperplane_lsh_lookup(rows: np.ndarray, params: HyperplaneLshParams) -> Rout
     if rows.shape[-1] != params.d_in:
         raise ValueError(f"expected (..., {params.d_in}) rows, got {rows.shape}")
     cells = np.floor((rows @ params.directions.T + params.offsets) / params.width)
-    buckets = fold_cells(cells.astype(np.int64), MIX_SEED) % np.uint64(params.n)
+    buckets = fold_cells(cells, MIX_SEED) % np.uint64(params.n)
     return RouteResult(indices=buckets.reshape(-1).astype(np.intp))
 
 

@@ -22,7 +22,10 @@ order of their projection's norm r on the rows' plane and stops once no
 anchor left can win either argmax: about 16 of n = 1024 at d = 64.
 Both shortcuts are equal in law to the literal construction; the
 cell-to-bucket mixing hash is shared verbatim with the lookup ops, and the
-test suite cross-checks both routes.
+test suite cross-checks both routes. A hyperplane block draws both rows'
+projections into one array, then its offsets per chunk of rows, and makes
+the cells in place; one `fold_cells` call hashes both rows, so about two
+(trials, k) arrays are alive at once.
 
 The pair, hyperplane and min-hash samplers draw their trials in blocks
 through one helper; the spherical one draws (live trials, 8) arrays per
@@ -59,31 +62,12 @@ _SPHERICAL_CHUNK = 8
 # mmap threshold, so each block reuses heap memory instead of mapping and
 # faulting in fresh pages, and stays in cache
 _KEY_BLOCK = 1 << 14
+# hyperplane offsets (doubles) drawn per chunk of rows, so that no third
+# (trials, k) block is alive; chunks of 2**12 to 2**18 ran alike at n = 1024
+_OFFSET_CHUNK = 1 << 15
 # hyperplane_collision_width(64, 32), pinned so that a process at `sml lshsim`'s
 # default d and l skips the bisection; a slow test re-derives it.
 _width_cache: dict[tuple[int, int], float] = {(64, 32): 55.29777863700906}
-
-
-@dataclass(frozen=True)
-class SentencePairSpec:
-    """Two synthetic length-l sentences sharing round(f*l) wordpiece ids."""
-
-    l: int
-    f: float
-    d: int
-    seed: int
-
-    def __post_init__(self) -> None:
-        if self.l < 1:
-            raise ValueError("sentence length must be at least 1")
-        if not (0.0 <= self.f <= 1.0):
-            raise ValueError("overlap fraction must lie in [0, 1]")
-        if self.d < 1:
-            raise ValueError("embedding dimension must be at least 1")
-
-    @property
-    def shared(self) -> int:
-        return round(self.f * self.l)
 
 
 @dataclass(frozen=True)
@@ -98,47 +82,6 @@ class CollisionEstimate:
     trials: int
     l: int
     d: int
-
-
-def make_sentence_pair(spec: SentencePairSpec) -> tuple[list[int], list[int], dict[int, np.ndarray]]:
-    """Two token-id lists sharing exactly round(f*l) ids, plus unit embeddings.
-
-    Ids are structural: shared ids come first, then each sentence's own ids;
-    only the embeddings are random.
-    """
-    s = spec.shared
-    own = spec.l - s
-    ids1 = list(range(s)) + list(range(s, s + own))
-    ids2 = list(range(s)) + list(range(s + own, s + 2 * own))
-    rng = np.random.default_rng(spec.seed)
-    emb: dict[int, np.ndarray] = {}
-    for token in range(s + 2 * own):
-        v = rng.standard_normal(spec.d)
-        emb[token] = v / np.linalg.norm(v)
-    return ids1, ids2, emb
-
-
-def mix_average(embeddings: Sequence[np.ndarray]) -> np.ndarray:
-    """Arithmetic mean of a sentence's wordpiece embeddings."""
-    if len(embeddings) == 0:
-        raise ValueError("cannot average an empty sentence")
-    return np.mean(np.asarray(embeddings, dtype=np.float64), axis=0)
-
-
-def mixing_dot(ids1: Sequence[int], ids2: Sequence[int],
-               emb: dict[int, np.ndarray]) -> float:
-    """Dot product of the two averages, each rescaled to unit expected norm.
-
-    A sentence average of l random unit vectors has expected squared norm
-    1/l, so both averages are multiplied by sqrt(l); the result is an
-    unbiased estimate of the overlap fraction f.
-    """
-    if len(ids1) != len(ids2):
-        raise ValueError("sentences must have equal length")
-    l = len(ids1)
-    a1 = mix_average([emb[t] for t in ids1])
-    a2 = mix_average([emb[t] for t in ids2])
-    return float(l * np.dot(a1, a2))
 
 
 def estimate_mixing_dot(f: float, l: int, d: int, pairs: int, seed) -> tuple[float, float]:
@@ -344,23 +287,33 @@ def _spherical_collisions(cosines: np.ndarray, n: int, d: int,
 
 def _hyperplane_collisions(cosines: np.ndarray, n: int, k: int, width: float,
                            rng: np.random.Generator) -> np.ndarray:
-    """Same-bucket indicator per trial: k fresh projections, real mixing hash."""
+    """Same-bucket indicator per trial: k fresh projections, real mixing hash.
+
+    A block's two (b, k) normal draws fill one (2, b, k) array, which
+    becomes both rows' cells in place. The offsets come per chunk of rows:
+    they are the block's last draw and the generator fills row by row, so
+    the stream is that of one (b, k) draw. One fold hashes both rows.
+    """
     def draw(start: int, stop: int) -> np.ndarray:
         t = cosines[start:stop, None]
-        b = stop - start
-        w1 = rng.standard_normal((b, k))
-        w2 = rng.standard_normal((b, k))
-        offs = rng.uniform(0.0, width, (b, k))
-        # the two rows' projections, in place: w1 is the first's, w2 the second's
-        w2 *= np.sqrt(np.maximum(0.0, 1.0 - t * t))
-        w2 += t * w1
-        for proj in (w1, w2):
-            proj += offs
-            proj /= width
-            np.floor(proj, out=proj)
-        bu = fold_cells(w1.astype(np.int64), MIX_SEED) % np.uint64(n)
-        bv = fold_cells(w2.astype(np.int64), MIX_SEED) % np.uint64(n)
-        return bu == bv
+        s = np.sqrt(np.maximum(0.0, 1.0 - t * t))
+        w = np.empty((2, stop - start, k))
+        rng.standard_normal(out=w[0])
+        rng.standard_normal(out=w[1])
+        rows = max(1, _OFFSET_CHUNK // k)
+        for lo in range(0, stop - start, rows):
+            chunk = slice(lo, lo + rows)
+            w1, w2 = w[0, chunk], w[1, chunk]
+            # the two rows' projections, in place: w1 is the first's, w2 the second's
+            w2 *= s[chunk]
+            w2 += t[chunk] * w1
+            offs = rng.uniform(0.0, width, w1.shape)
+            for proj in (w1, w2):
+                proj += offs
+                proj /= width
+                np.floor(proj, out=proj)
+        h = fold_cells(w, MIX_SEED) % np.uint64(n)
+        return h[0] == h[1]
 
     return _batched(cosines.size, max(1, int(2e7 / k)), draw)
 

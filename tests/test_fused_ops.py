@@ -459,6 +459,22 @@ def test_cross_entropy_rejects_targets_outside_the_logit_columns(targets):
         cross_entropy(Tensor(np.zeros((2, 3))), np.array(targets))
 
 
+@pytest.mark.parametrize("dtype", [np.int8, np.uint8, np.int32, np.uint32, np.uint64])
+def test_cross_entropy_scores_every_integer_target_dtype(dtype):
+    logits = np.random.default_rng(31).standard_normal((2, 3, 5))
+    targets = np.array([[4, 0, 2], [1, 3, 4]])
+    expected = cross_entropy(Tensor(logits), targets)
+    got = cross_entropy(Tensor(logits), targets.astype(dtype))
+    assert got.data.tobytes() == expected.data.tobytes()
+
+
+@pytest.mark.parametrize("targets", [np.array([1.0, 2.0]), np.array([True, False])])
+def test_cross_entropy_rejects_float_and_bool_targets(targets):
+    # a bool target would otherwise score column 0 or 1
+    with pytest.raises(ValueError, match=f"targets must have an integer dtype, got {targets.dtype}"):
+        cross_entropy(Tensor(np.zeros((2, 3))), targets)
+
+
 # -- graph size --------------------------------------------------------------------
 
 def op_census(root):

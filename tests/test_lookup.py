@@ -1,10 +1,12 @@
 """Routing functions against brute-force oracles, plus the augmented layer."""
 
 import dataclasses
+import math
 
 import numpy as np
 import pytest
 
+from sparse_memory_lab import lookup
 from sparse_memory_lab.autodiff import Tensor
 from sparse_memory_lab.config import MemoryConfig
 from sparse_memory_lab.lookup import (
@@ -230,6 +232,67 @@ def test_hyperplane_params_accept_lists():
     x = np.array([[0.7, 3.0], [-2.2, 1.0]])
     assert (hyperplane_lsh_lookup(x, listed).indices.tolist()
             == hyperplane_lsh_lookup(x, arrays).indices.tolist())
+
+
+def splitmix_fold(cells, seed):
+    """fold_cells of one cell tuple, in Python ints masked to 64 bits."""
+    mask = (1 << 64) - 1
+    a, b, c = (int(m) for m in (lookup._MIX_A, lookup._MIX_B, lookup._MIX_C))
+    state = seed & mask
+    for cell in cells:
+        state ^= int(cell) & mask  # a cell's two's-complement bits
+        state = (state + a) & mask
+        state ^= state >> 30
+        state = (state * b) & mask
+        state ^= state >> 27
+        state = (state * c) & mask
+        state ^= state >> 31
+    return state
+
+
+def fold_cases():
+    rng = np.random.default_rng(90)
+    sparse = np.zeros((40, 50), dtype=np.int64)
+    sparse.flat[rng.choice(sparse.size, 20, replace=False)] = rng.integers(-9, 10, 20)
+    floats = np.floor(rng.standard_normal((6, 9)) * 2.0)
+    floats[floats == 0.0] = -0.0
+    floats[0, :3] = [-0.0, 0.0, -0.0]
+    return {
+        "dense": rng.integers(-2**63, 2**63 - 1, (5, 7), dtype=np.int64, endpoint=True),
+        "sparse": sparse,
+        "negative": -rng.integers(1, 2**40, (3, 4, 6)),
+        "floats": floats,
+        "k0": np.zeros((3, 0), dtype=np.int64),
+        "one_row": np.array([2, -1, 7]),
+        "zero_rows": np.zeros((0, 5)),
+    }
+
+
+@pytest.mark.parametrize("name", list(fold_cases()))
+@pytest.mark.parametrize("seed", [MIX_SEED, 1, 2**64 - 1])
+def test_fold_cells_matches_a_python_splitmix_reference(name, seed):
+    cells = fold_cases()[name]
+    got = fold_cells(cells, seed)
+    assert got.dtype == np.uint64 and got.shape == cells.shape[:-1]
+    rows = cells.reshape(math.prod(cells.shape[:-1]), cells.shape[-1])
+    expected = [splitmix_fold(row, seed) for row in rows]
+    assert got.reshape(-1).tolist() == expected
+
+
+def test_fold_cells_hashes_a_nan_cell_by_its_int64_cast():
+    cells = np.array([[np.nan, 2.0], [1.0, np.nan], [0.0, 0.0]])
+    with np.errstate(invalid="ignore"):
+        expected = [splitmix_fold(row, MIX_SEED) for row in cells.astype(np.int64)]
+        got = fold_cells(cells, MIX_SEED)
+    assert got.tolist() == expected
+
+
+def test_fold_cells_hashes_a_stack_of_blocks_as_each_block():
+    rng = np.random.default_rng(91)
+    cells = np.floor(rng.standard_normal((2, 30, 40)) / 3.0)  # about 12% nonzero
+    stacked = fold_cells(cells, MIX_SEED)
+    np.testing.assert_array_equal(stacked[0], fold_cells(cells[0], MIX_SEED))
+    np.testing.assert_array_equal(stacked[1], fold_cells(cells[1], MIX_SEED))
 
 
 # -- spherical LSH ---------------------------------------------------------------

@@ -2,6 +2,7 @@
 cross-checks between the vectorized span samplers and the literal lookup ops."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -18,17 +19,15 @@ from sparse_memory_lab.lookup import (
     spherical_lsh_lookup,
 )
 from sparse_memory_lab.lshsim import (
-    SentencePairSpec,
     collision_grid,
     default_num_projections,
     estimate_collision,
     estimate_mixing_dot,
     hyperplane_collision_width,
     jaccard,
-    make_sentence_pair,
-    mix_average,
-    mixing_dot,
 )
+
+from oracles import SentencePairSpec, make_sentence_pair, mix_average, mixing_dot
 
 
 # -- sentence pairs ------------------------------------------------------------
@@ -538,6 +537,35 @@ def test_in_place_hyperplane_block_equals_reference(n):
     expected = reference_hyperplane_collisions(cosines, n, k, width, np.random.default_rng(78))
     np.testing.assert_array_equal(got, expected)
     assert 0 < got.sum() < got.size
+
+
+@pytest.mark.parametrize("rows", [1, 7, 400])
+def test_hyperplane_offset_chunks_keep_the_stream(monkeypatch, rows):
+    # 300 trials: 7 rows leave a short last chunk, 400 is more than the block
+    n = 256
+    k = default_num_projections(n)
+    rng = np.random.default_rng(83)
+    cosines = np.concatenate([rng.uniform(-1.0, 1.0, 250), np.ones(50)])
+    width = hyperplane_collision_width(64, 32)
+    monkeypatch.setattr(lshsim, "_OFFSET_CHUNK", rows * k)
+    got = lshsim._hyperplane_collisions(cosines, n, k, width, np.random.default_rng(84))
+    expected = reference_hyperplane_collisions(cosines, n, k, width, np.random.default_rng(84))
+    np.testing.assert_array_equal(got, expected)
+
+
+def test_hyperplane_sampler_keeps_two_blocks_alive():
+    trials, n = 2000, 1024
+    k = default_num_projections(n)
+    cosines = np.random.default_rng(85).uniform(-1.0, 1.0, trials)
+    width = hyperplane_collision_width(64, 32)
+    tracemalloc.start()
+    try:
+        lshsim._hyperplane_collisions(cosines, n, k, width, np.random.default_rng(86))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # the two rows' projections, plus the fold's mask and nonzero cells
+    assert peak <= 2.5 * trials * k * 8, peak / (trials * k * 8)
 
 
 # -- rho ---------------------------------------------------------------------------
