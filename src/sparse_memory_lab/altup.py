@@ -255,8 +255,3 @@ def altup_stack_forward(x0: WideRepresentation,
             x = pcc_forward(x, pcc_params[i], layer, j_star)
     at_layer(None)
     return x, trace
-
-
-def pcc_simplified_multiplies(K: int, d: int) -> int:
-    """Per-token scalar multiply count of one simplified predict+correct step."""
-    return K * K * d + 2 * K * d + d

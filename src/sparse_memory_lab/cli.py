@@ -152,7 +152,7 @@ def cli_main(argv: list[str] | None = None) -> int:
             grid = [(args.lookup, r, b)
                     for r in _parse_list(args.ranks, int, "--ranks")
                     for b in _parse_list(args.buckets, int, "--buckets")]
-            rows = run_lookup_benchmark(grid, config, config.io.out_dir)
+            rows = run_lookup_benchmark(grid, config)
             for r in rows:
                 print(f"{r['lookup']} rank={r['rank']} buckets={r['buckets']} "
                       f"eval_loss={r['final_eval_loss']:.4f}")

@@ -135,21 +135,6 @@ class SeparationNet:
         diff = self.forward(u, q) - Tensor(target)
         return (diff * diff).mean()
 
-    def copy_oracle(self, truth: GroundTruth) -> None:
-        """Install the exact solution (per_layer at width d only)."""
-        cfg = self.config
-        if cfg.architecture != "per_layer" or cfg.width != cfg.d:
-            raise ValueError("oracle weights exist only for per_layer at width d")
-        if len(truth.weights) != cfg.depth:
-            raise ValueError("depth mismatch with the ground truth")
-        self.gate_u.data[:] = 0.0
-        self.gate_q.data[:] = 1.0
-        self.q_proj.data[:] = np.eye(cfg.d)
-        for w, b, tw, tb in zip(self.weights, self.biases, truth.weights, truth.biases):
-            w.data[:] = tw
-            b.data[:] = tb
-        self.out_table.data[:] = truth.table
-
 
 def make_dataset(truth: GroundTruth, size: int, d: int, u_count: int,
                  seed) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

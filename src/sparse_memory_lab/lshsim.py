@@ -6,12 +6,13 @@ A pair's cosine is drawn from its law rather than from its (s + 2 own) d
 embedding coordinates. The two sentence sums are S + A and S + B, where S
 sums the s shared unit embeddings and A and B each sentence's own ones; the
 three sums have independent uniform directions, independent of their norms.
-So a trial needs three unit-walk norms (one Beta draw per step) and the
-three pairwise cosines of three uniform directions (a Bartlett factor of a
-d x 3 Gaussian matrix): about 3l draws in place of (s + 2 own) d. Below
-d = 3, where the Bartlett factor has no chi-square(d - 2) term, and for the
-hyperplane width calibration, whose pinned width is a root over its own
-draws, the embeddings are summed literally.
+So a trial needs three unit-walk norms (two uniforms per step, which give
+the step's cosine with the sum so far) and the three pairwise cosines of
+three uniform directions (a Bartlett factor of a d x 3 Gaussian matrix):
+about 3l draws in place of (s + 2 own) d. Below d = 3, where the Bartlett
+factor has no chi-square(d - 2) term, and for the hyperplane width
+calibration, whose pinned width is a root over its own draws, the
+embeddings are summed literally.
 
 Two mixed sentence averages only interact with a random hash function
 through their 2-D span, so the spherical and hyperplane estimators sample
@@ -19,19 +20,20 @@ through their 2-D span, so the spherical and hyperplane estimators sample
 Gaussian directions) instead of materializing d-dimensional hash
 parameters per trial. A spherical trial visits its anchors in decreasing
 order of their projection's norm r on the rows' plane and stops once no
-anchor left can win either argmax: about 16 of n = 1024 at d = 64.
-Both shortcuts are equal in law to the literal construction; the
-cell-to-bucket mixing hash is shared verbatim with the lookup ops, and the
-test suite cross-checks both routes. A hyperplane block draws both rows'
-projections into one array, then its offsets per chunk of rows, and makes
-the cells in place; one `fold_cells` call hashes both rows, so about two
-(trials, k) arrays are alive at once.
+anchor left can win either argmax: about 16 of n = 1024 at d = 64. A
+min-hash trial draws only the union's argmin and the other sentence's
+argmin among its ids, not a key per id. These shortcuts are equal in law
+to the literal constructions; the cell-to-bucket mixing hash is shared
+verbatim with the lookup ops, and the test suite cross-checks both routes.
+A hyperplane block draws both rows' projections into one array, then its
+offsets per chunk of rows, and makes the cells in place; one `fold_cells`
+call hashes both rows, so about two (trials, k) arrays are alive at once.
 
 The pair, hyperplane and min-hash samplers draw their trials in blocks
 through one helper; the spherical one draws (live trials, 8) arrays per
-round. `collision_grid`, `estimate_collision` and `estimate_mixing_dot`
-reject an unknown family and an out-of-range f, n, l, d or trial count
-before any draw.
+round, and wider ones at d = 2. `collision_grid`, `estimate_collision`
+and `estimate_mixing_dot` reject an unknown family and an out-of-range f,
+n, l, d or trial count before any draw.
 """
 
 from __future__ import annotations
@@ -58,10 +60,12 @@ _PAIR_BATCH = 2048
 # spherical anchors visited per live trial per round: chunks of 4-8 ran
 # fastest, larger or doubling chunks slower at n = 1024
 _SPHERICAL_CHUNK = 8
-# min-hash keys (doubles) drawn per block: 128 KiB, under glibc's default
-# mmap threshold, so each block reuses heap memory instead of mapping and
-# faulting in fresh pages, and stays in cache
-_KEY_BLOCK = 1 << 14
+# at d = 2, where no trial stops early, anchors per live trial per round are
+# as many as keep one round's (2, live trials, anchors) normal draw under
+# this many doubles, and never fewer than _SPHERICAL_CHUNK
+_SPHERICAL_D2_DRAW = 1 << 20
+# min-hash trials per block: each block's arrays stay in cache
+_MINHASH_BLOCK = 1 << 13
 # hyperplane offsets (doubles) drawn per chunk of rows, so that no third
 # (trials, k) block is alive; chunks of 2**12 to 2**18 ran alike at n = 1024
 _OFFSET_CHUNK = 1 << 15
@@ -112,24 +116,41 @@ def _batched(total: int, batch: int, draw: Callable[[int, int], np.ndarray]) -> 
                            for start in range(0, total, batch)])
 
 
-def _walk_norms(m: int, d: int, size: int, rng: np.random.Generator) -> np.ndarray:
-    """|e_1 + ... + e_m| for `size` sums of m iid uniform unit vectors in R^d, d >= 2.
+def _step_cosines(u: np.ndarray, d: int) -> tuple[np.ndarray, np.ndarray]:
+    """The cosine c of a uniform unit step in R^d with a fixed direction, and
+    1 - c^2, made in place from a (2, ...) block of uniforms; d >= 3.
 
-    Each step's cosine c with the sum so far is 2 Beta((d-1)/2, (d-1)/2) - 1,
-    independent of it, so |S + e|^2 = (|S| + c)^2 + 1 - c^2: one (size, m-1)
-    Beta block per walk.
+    c is a uniform unit vector's first coordinate: its first two coordinates
+    have squared norm 1 - U^(2/(d-2)) ~ Beta(1, (d-2)/2) and a uniform
+    angle 2 pi V in their plane, so c = sqrt(1 - U^(2/(d-2))) cos(2 pi V).
+    """
+    c, x = u
+    np.power(c, 2.0 / (d - 2), out=c)
+    np.subtract(1.0, c, out=c)
+    np.sqrt(c, out=c)
+    x *= 2.0 * math.pi
+    np.cos(x, out=x)
+    c *= x
+    np.multiply(c, c, out=x)
+    np.subtract(1.0, x, out=x)  # 1 - c^2 >= 0, since |c| <= 1
+    return c, x
+
+
+def _walk_norms(m: int, d: int, size: int, rng: np.random.Generator) -> np.ndarray:
+    """|e_1 + ... + e_m| for `size` sums of m iid uniform unit vectors in R^d, d >= 3.
+
+    Each step's cosine c with the sum so far (`_step_cosines`) is independent
+    of it, so |S + e|^2 = (|S| + c)^2 + 1 - c^2: one (2, m-1, size) block of
+    uniforms per walk, step-major, so each step reads contiguous rows.
     """
     if m == 0:
         return np.zeros(size)
-    x = rng.beta(0.5 * (d - 1), 0.5 * (d - 1), (size, m - 1))
-    c = 2.0 * x - 1.0
-    x *= 1.0 - x
-    x *= 4.0  # 1 - c^2, as a product of nonnegative terms
+    c, x = _step_cosines(rng.random((2, m - 1, size)), d)
     r = np.ones(size)
     for k in range(m - 1):
-        r += c[:, k]
+        r += c[k]
         r *= r
-        r += x[:, k]
+        r += x[k]
         np.sqrt(r, out=r)
     return r
 
@@ -249,7 +270,9 @@ def _spherical_collisions(cosines: np.ndarray, n: int, d: int,
     decreasing r (`_descending_radii`), each with a fresh uniform direction,
     a chunk of anchors per live trial per round. A trial is decided once the
     last r visited is below both running maxima: no anchor left, whose
-    products are at most its r, can win either argmax.
+    products are at most its r, can win either argmax. At d = 2 only k = n
+    decides a trial, so a round there visits as many anchors as one bounded
+    draw holds.
     """
     t = cosines
     s = np.sqrt(np.maximum(0.0, 1.0 - t * t))
@@ -261,12 +284,16 @@ def _spherical_collisions(cosines: np.ndarray, n: int, d: int,
     r = last_r = 1.0  # at d = 2 every r is 1, so only k = n decides a trial
     k = 0
     while live.size:
-        c = min(_SPHERICAL_CHUNK, n - k)
+        c = _SPHERICAL_CHUNK if d > 2 else max(_SPHERICAL_CHUNK,
+                                                _SPHERICAL_D2_DRAW // (2 * live.size))
+        c = min(c, n - k)
         if d > 2:
             log_v, r = _descending_radii(log_v, rng.random((live.size, c)), n, k, d)
             last_r = r[:, -1]
         p = rng.standard_normal((2, live.size, c))
-        scale = np.hypot(p[0], p[1])
+        scale = p[0] * p[0]
+        scale += p[1] * p[1]
+        np.sqrt(scale, out=scale)  # np.hypot is several times slower
         np.divide(r, scale, out=scale)
         p[1] *= s[:, None]
         p[1] += t[:, None] * p[0]
@@ -320,19 +347,36 @@ def _hyperplane_collisions(cosines: np.ndarray, n: int, k: int, width: float,
 
 def _minhash_collisions(f: float, l: int, n: int, trials: int,
                         rng: np.random.Generator) -> np.ndarray:
-    """Fresh permutation per trial; collision iff the min-rank buckets agree."""
+    """Fresh permutation per trial; collision iff the min-rank buckets agree.
+
+    Sentence A holds ids [0, l), B the s shared ids and [s + own, s + 2 own).
+    A trial draws only what decides it: w, the union's argmin, uniform on
+    its s + 2 own ids, and o, the other sentence's argmin as a position
+    among its l ids. Whether the union's min lies in A's own ids depends on
+    B's keys only through their min, so B's argmin is then uniform on B and
+    independent of w, and likewise with A and B swapped. A shared w is a
+    hit; otherwise the hit is w = the other argmin mod n. Each block draws
+    (w, o) as one (b, 2) array, so the stream is that of one (trials, 2)
+    draw at any block size: scaled and truncated uniforms, uniform up to
+    2**-53 (`integers` with two bounds runs per element, several times
+    slower).
+    """
     s = round(f * l)
     own = l - s
-    universe = s + 2 * own
-    cols_b = np.concatenate([np.arange(s), np.arange(s + own, universe)])
+    scale = np.array([s + 2 * own, l], dtype=np.float64)
 
     def draw(start: int, stop: int) -> np.ndarray:
-        keys = rng.random((stop - start, universe))
-        elem_a = np.argmin(keys[:, :s + own], axis=1)  # sentence A is the prefix
-        elem_b = cols_b[np.argmin(keys[:, cols_b], axis=1)]
-        return (elem_a % n) == (elem_b % n)
+        wo = rng.random((stop - start, 2))
+        wo *= scale
+        wo = wo.astype(np.intp)
+        w, o = wo.T
+        o[(o >= s) & (w < s + own)] += own  # B's o-th id, when w is A's own
+        hit = w < s
+        np.remainder(wo, n, out=wo)
+        hit |= w == o
+        return hit
 
-    return _batched(trials, max(1, _KEY_BLOCK // universe), draw)
+    return _batched(trials, _MINHASH_BLOCK, draw)
 
 
 def hyperplane_collision_width(d: int, l: int) -> float:

@@ -329,11 +329,6 @@ def transformer_block_forward(x: Tensor, params: TransformerBlockParams) -> Tens
     return Tensor._op(out, (x, *p.parameters().values()), backward)
 
 
-def transformer_block_multiplies(d: int, seq_len: int) -> int:
-    """Per-token multiply count of one block (FFN width 4d): projections, scores/mix, FFN."""
-    return 4 * d * d + 2 * seq_len * d + 2 * d * (4 * d)
-
-
 @dataclass
 class GradCheckReport:
     """Outcome of a central-difference gradient check."""

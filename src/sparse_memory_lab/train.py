@@ -372,12 +372,15 @@ BENCH_COLUMNS = ("lookup", "rank", "buckets", "added_params", "added_params_full
 
 
 def run_lookup_benchmark(grid: list[tuple[str, int, int]],
-                         base_config: ExperimentConfig,
-                         out_dir: str | Path) -> list[dict]:
-    """Train one model per (lookup, rank, buckets) cell; rows sorted by the key."""
+                         base_config: ExperimentConfig) -> list[dict]:
+    """Train one model per (lookup, rank, buckets) cell; rows sorted by the key.
+
+    The sweep writes into `base_config.io.out_dir`: one run directory per
+    cell and `route_bench.csv`.
+    """
     if any(kind == "none" for kind, _, _ in grid):
         raise ValueError("route-bench needs a lookup: 'none' attaches no table to count")
-    out = Path(out_dir)
+    out = Path(base_config.io.out_dir)
     configs = []
     for kind, rank, buckets in grid:  # every cell is checked before any output is made
         cfg = copy.deepcopy(base_config)

@@ -12,12 +12,12 @@ from sparse_memory_lab.altup import (
     pcc_forward,
     pcc_forward_full,
     pcc_forward_simplified,
-    pcc_simplified_multiplies,
 )
 from sparse_memory_lab.autodiff import Tensor, concat
 from sparse_memory_lab.config import parse_config
 from sparse_memory_lab.model import LanguageModel
-from sparse_memory_lab.nn import transformer_block_multiplies
+
+from oracles import pcc_simplified_multiplies, transformer_block_multiplies
 
 
 def wide(blocks):

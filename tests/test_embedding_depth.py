@@ -14,13 +14,15 @@ from sparse_memory_lab.embedding_depth import (
 from sparse_memory_lab import embedding_depth
 from sparse_memory_lab.train import DivergenceError
 
+from oracles import copy_oracle
+
 
 def test_per_layer_oracle_weights_reach_zero_mse():
     cfg = SeparationConfig(d=16, u_count=64, depth=2, width=16,
                            architecture="per_layer", seed=0)
     truth = GroundTruth.build(cfg.d, cfg.u_count, cfg.depth, cfg.seed)
     net = SeparationNet.build(cfg)
-    net.copy_oracle(truth)
+    copy_oracle(net, truth)
     u, q, y = make_dataset(truth, 512, cfg.d, cfg.u_count, seed=123)
     assert float(net.mse(u, q, y).data) < 1e-24
 
@@ -29,10 +31,10 @@ def test_oracle_requires_matching_width():
     cfg = SeparationConfig(d=16, width=32, architecture="per_layer")
     truth = GroundTruth.build(16, 64, 2, 0)
     with pytest.raises(ValueError):
-        SeparationNet.build(cfg).copy_oracle(truth)
+        copy_oracle(SeparationNet.build(cfg), truth)
     cfg2 = SeparationConfig(d=16, width=16, architecture="input_only")
     with pytest.raises(ValueError):
-        SeparationNet.build(cfg2).copy_oracle(truth)
+        copy_oracle(SeparationNet.build(cfg2), truth)
 
 
 def test_single_u_degenerates_to_fitting_the_transform():

@@ -27,7 +27,15 @@ from sparse_memory_lab.lshsim import (
     jaccard,
 )
 
-from oracles import SentencePairSpec, make_sentence_pair, mix_average, mixing_dot
+from oracles import (
+    SentencePairSpec,
+    beta_walk_norms,
+    key_argmin_minhash_collisions,
+    make_sentence_pair,
+    minhash_collision_probability,
+    mix_average,
+    mixing_dot,
+)
 
 
 # -- sentence pairs ------------------------------------------------------------
@@ -171,25 +179,25 @@ def test_mixing_dot_rejects_out_of_range_input(f, l, d, pairs):
 
 def test_random_stream_is_pinned():
     # literals of the samplers' random stream: a reordered draw, or a
-    # re-batched pair or hash draw (each interleaves its arrays per batch),
-    # changes them
+    # re-batched pair or hyperplane draw (each interleaves its arrays per
+    # batch), changes them
     rows = collision_grid(list(lshsim.FAMILIES), [0.25, 0.75], [16, 300], 8, 8, 2000, 3)
     assert [(r["family"], r["f"], r["n"], r["p_hat"]) for r in rows] == [
-        ("token_id", 0.25, 16, 0.25), ("spherical", 0.25, 16, 0.134),
-        ("hyperplane", 0.25, 16, 0.8495), ("minhash", 0.25, 16, 0.1415),
-        ("token_id", 0.25, 300, 0.25), ("spherical", 0.25, 300, 0.0095),
-        ("hyperplane", 0.25, 300, 0.156), ("minhash", 0.25, 300, 0.1335),
-        ("token_id", 0.75, 16, 0.75), ("spherical", 0.75, 16, 0.4135),
-        ("hyperplane", 0.75, 16, 0.908), ("minhash", 0.75, 16, 0.5855),
-        ("token_id", 0.75, 300, 0.75), ("spherical", 0.75, 300, 0.129),
-        ("hyperplane", 0.75, 300, 0.329), ("minhash", 0.75, 300, 0.5815),
+        ("token_id", 0.25, 16, 0.25), ("spherical", 0.25, 16, 0.1365),
+        ("hyperplane", 0.25, 16, 0.851), ("minhash", 0.25, 16, 0.1445),
+        ("token_id", 0.25, 300, 0.25), ("spherical", 0.25, 300, 0.014),
+        ("hyperplane", 0.25, 300, 0.153), ("minhash", 0.25, 300, 0.147),
+        ("token_id", 0.75, 16, 0.75), ("spherical", 0.75, 16, 0.413),
+        ("hyperplane", 0.75, 16, 0.9145), ("minhash", 0.75, 16, 0.61),
+        ("token_id", 0.75, 300, 0.75), ("spherical", 0.75, 300, 0.122),
+        ("hyperplane", 0.75, 300, 0.337), ("minhash", 0.75, 300, 0.611),
     ]
     # more pairs than one batch of sentence draws
-    assert estimate_mixing_dot(0.5, 8, 8, 3000, 3) == (0.4996037729799272,
-                                                       0.0069912939553428005)
+    assert estimate_mixing_dot(0.5, 8, 8, 3000, 3) == (0.5004733758396958,
+                                                       0.006965444136643222)
     p_hats = [estimate_collision(fam, 0.5, 16, 8, 8, 5000, 4, width=2.0).p_hat
               for fam in ("spherical", "hyperplane", "minhash")]
-    assert p_hats == [0.2256, 0.0702, 0.3356]
+    assert p_hats == [0.226, 0.071, 0.3354]
 
 
 # -- dual-route consistency: span samplers vs literal lookup ops --------------------
@@ -250,21 +258,42 @@ def test_minhash_estimate_matches_literal_op_loop():
     assert abs(direct - fast.p_hat) < 5 * pooled
 
 
-def test_minhash_key_blocks_keep_the_one_block_stream():
-    # the reference draws all keys as one (trials, universe) array; the
-    # sampler draws them in blocks, which the generator fills row by row
-    l, n, trials = 32, 64, 20000
-    for f in (0.0, 0.25, 0.5, 0.75, 1.0):
-        s = round(f * l)
-        own = l - s
-        universe = s + 2 * own
-        keys = np.random.default_rng(7).random((trials, universe))
-        cols_b = np.concatenate([np.arange(s), np.arange(s + own, universe)])
-        elem_a = np.argmin(keys[:, :s + own], axis=1)
-        elem_b = cols_b[np.argmin(keys[:, cols_b], axis=1)]
-        expected = (elem_a % n) == (elem_b % n)
-        got = lshsim._minhash_collisions(f, l, n, trials, np.random.default_rng(7))
-        np.testing.assert_array_equal(got, expected)
+def test_minhash_blocks_keep_the_one_block_stream(monkeypatch):
+    # one (b, 2) draw per block, which the generator fills row by row: 1 and
+    # 7 trials per block (a short last block) give the hits of one block
+    l, trials = 32, 3000
+    for f, n in ((0.0, 3), (0.25, 16), (0.5, 64), (0.75, 1), (1.0, 1024)):
+        monkeypatch.setattr(lshsim, "_MINHASH_BLOCK", trials)
+        expected = lshsim._minhash_collisions(f, l, n, trials, np.random.default_rng(7))
+        for block in (1, 7):
+            monkeypatch.setattr(lshsim, "_MINHASH_BLOCK", block)
+            got = lshsim._minhash_collisions(f, l, n, trials, np.random.default_rng(7))
+            np.testing.assert_array_equal(got, expected)
+
+
+@pytest.mark.parametrize("l", [1, 8, 32])
+@pytest.mark.parametrize("f", [0.0, 0.25, 0.5, 1.0])
+def test_minhash_collisions_match_the_closed_form(f, l):
+    # n below the union's size wraps ids mod n, so own ids can meet
+    trials = 20000
+    shared = round(f * l)
+    for n in (1, 3, 16, 300, 1024):
+        p = minhash_collision_probability(f, l, n)
+        if n >= 2 * l - shared:  # no id wraps
+            assert p == shared / (2 * l - shared)  # the Jaccard index
+        hits = lshsim._minhash_collisions(f, l, n, trials, np.random.default_rng(90 + n))
+        assert abs(hits.mean() - p) <= 4 * math.sqrt(p * (1 - p) / trials), (n, hits.mean(), p)
+
+
+@pytest.mark.parametrize("f, l, n", [(0.5, 8, 3), (0.25, 32, 16), (0.75, 32, 1024),
+                                     (0.4, 5, 2), (0.0, 16, 7)])
+def test_minhash_sampler_matches_the_key_argmin_oracle(f, l, n):
+    trials = 40000
+    got = lshsim._minhash_collisions(f, l, n, trials, np.random.default_rng(91)).mean()
+    want = key_argmin_minhash_collisions(f, l, n, trials, np.random.default_rng(92)).mean()
+    pooled = math.sqrt((got * (1 - got) + want * (1 - want)) / trials)
+    assert 0 < want < 1
+    assert abs(got - want) <= 4 * pooled, (got, want)
 
 
 # -- the pair sampler's law, and the hash blocks ---------------------------------------
@@ -311,6 +340,26 @@ def test_walk_squared_norm_has_mean_m(m, d):
     # E|e_1 + ... + e_m|^2 = m for iid uniform unit vectors
     sq = lshsim._walk_norms(m, d, 20000, np.random.default_rng(73)) ** 2
     assert abs(sq.mean() - m) <= 4 * sq.std(ddof=1) / math.sqrt(sq.size)
+
+
+@pytest.mark.parametrize("d", [3, 8, 64])
+def test_step_cosines_have_the_uniform_coordinate_moments(d):
+    # a uniform unit vector's first coordinate c has E c = 0, E c^2 = 1/d
+    # and E c^4 = 3/(d(d+2))
+    c, x = lshsim._step_cosines(np.random.default_rng(93).random((2, 400_000)), d)
+    for sample, expected in ((c, 0.0), (c ** 2, 1 / d), (c ** 4, 3 / (d * (d + 2)))):
+        stderr = sample.std(ddof=1) / math.sqrt(sample.size)
+        assert abs(sample.mean() - expected) <= 4 * stderr, (d, expected)
+    assert np.all(x >= 0)
+    np.testing.assert_array_equal(x, 1.0 - c * c)
+
+
+@pytest.mark.parametrize("m, d", [(2, 3), (16, 3), (5, 8), (32, 64)])
+def test_walk_norms_follow_the_beta_step_oracle(m, d):
+    # 1.63 is the Kolmogorov distribution's 1% point
+    got = lshsim._walk_norms(m, d, 20000, np.random.default_rng(94))
+    want = beta_walk_norms(m, d, 20000, np.random.default_rng(95))
+    assert ks_statistic(got, want) < 1.63
 
 
 @pytest.mark.parametrize("d", [1, 2])
@@ -481,6 +530,18 @@ def test_spherical_draws_stay_at_eight_anchors_per_trial(n, d):
     lshsim._spherical_collisions(cosines, n, d, rng)
     assert max(x.shape[-1] for _, x in rng.draws) == 8
     assert max(x.size for _, x in rng.draws) <= 2 * trials * 8
+
+
+@pytest.mark.parametrize("n, trials, rounds", [(1024, 4000, 8), (32, 20000, 2), (4096, 100, 1)])
+def test_spherical_draws_at_d2_stay_within_the_bound(n, trials, rounds):
+    # every r is 1 at d = 2, so a round visits as many anchors as one draw
+    # of at most 2**20 normals holds: 131 of 1024 for 4000 trials
+    cosines = np.random.default_rng(95).uniform(-1.0, 1.0, trials)
+    rng = RecordingGenerator(96)
+    lshsim._spherical_collisions(cosines, n, 2, rng)
+    assert all(name == "standard_normal" for name, _ in rng.draws)
+    assert max(x.size for _, x in rng.draws) <= lshsim._SPHERICAL_D2_DRAW
+    assert len(rng.draws) == rounds
 
 
 @pytest.mark.parametrize("d", [3, 8, 64])

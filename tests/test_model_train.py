@@ -540,19 +540,22 @@ def test_lookup_benchmark_grid_rows(tmp_path):
     base.io.checkpoint_interval = 2
     base.training.eval_tokens = 100
     grid = [("softmax", r, b) for r in (0, 4, 16) for b in (8, 32, 64)]
-    rows = run_lookup_benchmark(grid, base, tmp_path / "bench")
+    base.io.out_dir = str(tmp_path / "bench")
+    rows = run_lookup_benchmark(grid, base)
     assert len(rows) == 9
     for r in rows:
         assert r["added_params"] == max(2 * r["rank"], 1) * r["buckets"]
         assert r["added_params_full"] == r["added_params"] * 8
 
     # token-id routes over the vocabulary itself, whatever the cell's buckets
-    tid = run_lookup_benchmark([("token_id", 0, 8), ("token_id", 2, 1)], base, tmp_path / "tid")
+    base.io.out_dir = str(tmp_path / "tid")
+    tid = run_lookup_benchmark([("token_id", 0, 8), ("token_id", 2, 1)], base)
     assert tid[0]["added_params"] == base.model.vocab
     assert (tid[1]["added_params"], tid[1]["added_params_full"]) == (4 * 8, 4 * 8 * 8)
 
     # duplicate cells with the same seed give identical metrics
-    dup = run_lookup_benchmark([("softmax", 4, 8)], base, tmp_path / "dup")
+    base.io.out_dir = str(tmp_path / "dup")
+    dup = run_lookup_benchmark([("softmax", 4, 8)], base)
     assert dup[0]["final_eval_loss"] == [
         r for r in rows if (r["rank"], r["buckets"]) == (4, 8)][0]["final_eval_loss"]
 

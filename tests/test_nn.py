@@ -13,8 +13,9 @@ from sparse_memory_lab.nn import (
     finite_diff_check,
     lecun_normal_init,
     transformer_block_forward,
-    transformer_block_multiplies,
 )
+
+from oracles import transformer_block_multiplies
 
 
 # -- apply_expert ------------------------------------------------------------
