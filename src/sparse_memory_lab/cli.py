@@ -120,12 +120,12 @@ def cli_main(argv: list[str] | None = None) -> int:
     try:
         if args.command == "train":
             config = _config(args)
-            rows, trainer = train_model(config)
-            last = rows[-1]
+            trainer = train_model(config)
+            last = trainer.rows[-1]
             print(f"trained {config.training.steps} steps: "
-                  f"eval loss {last.eval_loss:.4f} nats/token "
+                  f"eval loss {last['eval_loss']:.4f} nats/token "
                   f"(corpus entropy {trainer.entropy_rate:.4f}), "
-                  f"accuracy {last.eval_accuracy:.4f}")
+                  f"accuracy {last['eval_accuracy']:.4f}")
             return 0
 
         if args.command == "lshsim":

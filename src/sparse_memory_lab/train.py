@@ -31,17 +31,6 @@ class DivergenceError(RuntimeError):
     """Raised when a training step or an eval pass stops being finite."""
 
 
-@dataclass
-class MetricsRow:
-    step: int
-    train_loss: float
-    eval_loss: float
-    eval_accuracy: float
-    examples_per_sec: float
-    embedding_params: int
-    non_embedding_params: int
-
-
 METRICS_COLUMNS = ("step", "train_loss", "eval_loss", "eval_accuracy",
                    "embedding_params", "non_embedding_params")
 
@@ -239,8 +228,18 @@ def _keep_heap() -> None:
     mallopt(-1, 64 << 20)  # M_TRIM_THRESHOLD
 
 
+@dataclass
+class RunClock:
+    """Wall-clock totals of `Trainer.run`; only `speed.txt` reads them."""
+    examples: int = 0  # examples trained
+    seconds: float = 0.0  # in `run`, its eval passes included
+    eval_tokens: int = 0  # tokens scored by eval passes
+    eval_seconds: float = 0.0  # in eval passes
+
+
 class Trainer:
-    """Owns one model, its corpus, and the optimizer; drives seeded steps."""
+    """Owns one run: the model, its corpus, the optimizer and both RNGs, the
+    step count, the metrics rows and the wall clock; drives seeded steps."""
 
     def __init__(self, config: ExperimentConfig):
         config.validate()
@@ -277,6 +276,31 @@ class Trainer:
         self.jitter_rng = np.random.default_rng(
             np.random.SeedSequence(entropy=seed, spawn_key=(14,)))
         self.step_count = 0
+        self.rows: list[dict] = []  # one per eval, keyed by METRICS_COLUMNS
+        self.clock = RunClock()
+
+    def run(self, until: int) -> None:
+        """Step from `step_count` to `until`. An eval, and its row in `rows`, follows
+        each `io.checkpoint_interval`-th step and step `training.steps`, not `until`,
+        so a run cut at any step and continued equals an uncut one."""
+        tr, clock = self.config.training, self.clock
+        if not self.step_count <= until <= tr.steps:
+            raise ValueError(f"run({until}) must end in [step_count, steps] = "
+                             f"[{self.step_count}, {tr.steps}]")
+        interval = self.config.io.checkpoint_interval
+        window = self.config.model.seq_len + 1
+        t_start = time.perf_counter()
+        while self.step_count < until:
+            train_loss = self.step()
+            clock.examples += tr.batch
+            if self.step_count % interval == 0 or self.step_count == tr.steps:
+                t_eval = time.perf_counter()
+                eval_loss, eval_acc, _ = self.evaluate()
+                clock.eval_seconds += time.perf_counter() - t_eval
+                clock.eval_tokens += len(self.eval_tokens) // window * (window - 1)
+                self.rows.append(dict(zip(METRICS_COLUMNS, (
+                    self.step_count, train_loss, eval_loss, eval_acc, *count_params(self.model)))))
+        clock.seconds += time.perf_counter() - t_start
 
     def sample_batch(self) -> np.ndarray:
         window = self.config.model.seq_len + 1
@@ -324,47 +348,21 @@ class Trainer:
         return float(losses.mean()), correct / losses.size, stderr
 
 
-def train_model(config: ExperimentConfig) -> tuple[list[MetricsRow], Trainer]:
+def train_model(config: ExperimentConfig) -> Trainer:
     """Train one config to completion, emitting metrics CSV and a checkpoint
     into `config.io.out_dir`, which the first of them creates."""
     trainer = Trainer(config)
+    trainer.run(config.training.steps)
     out = Path(config.io.out_dir)
-    emb, non_emb = count_params(trainer.model)
-    interval = config.io.checkpoint_interval
-    rows: list[MetricsRow] = []
-    examples_done = 0
-    seq_len = config.model.seq_len
-    eval_pass_tokens = len(trainer.eval_tokens) // (seq_len + 1) * seq_len
-    eval_tokens_done, eval_seconds = 0, 0.0
-    t_start = time.perf_counter()
-    for step in range(1, config.training.steps + 1):
-        train_loss = trainer.step()
-        examples_done += config.training.batch
-        if step % interval == 0 or step == config.training.steps:
-            t_eval = time.perf_counter()
-            eval_loss, eval_acc, _ = trainer.evaluate()
-            eval_seconds += time.perf_counter() - t_eval
-            eval_tokens_done += eval_pass_tokens
-            elapsed = max(time.perf_counter() - t_start, 1e-9)
-            rows.append(MetricsRow(
-                step=step, train_loss=train_loss, eval_loss=eval_loss,
-                eval_accuracy=eval_acc, examples_per_sec=examples_done / elapsed,
-                embedding_params=emb, non_embedding_params=non_emb))
-    write_csv(out / "metrics.csv", METRICS_COLUMNS, [
-        {"step": r.step, "train_loss": r.train_loss, "eval_loss": r.eval_loss,
-         "eval_accuracy": r.eval_accuracy, "embedding_params": r.embedding_params,
-         "non_embedding_params": r.non_embedding_params}
-        for r in rows
-    ])
-    # wall-clock speed is intentionally outside the deterministic CSV
+    write_csv(out / "metrics.csv", METRICS_COLUMNS, trainer.rows)
+    clock = trainer.clock  # wall-clock speed stays outside the deterministic CSV
     with open(out / "speed.txt", "w") as fh:
-        final_speed = rows[-1].examples_per_sec if rows else 0.0
-        fh.write(f"examples_per_sec {final_speed:.3f}\n")
-        fh.write(f"eval_tokens_per_sec {eval_tokens_done / max(eval_seconds, 1e-9):.3f}\n")
+        fh.write(f"examples_per_sec {clock.examples / max(clock.seconds, 1e-9):.3f}\n")
+        fh.write(f"eval_tokens_per_sec {clock.eval_tokens / max(clock.eval_seconds, 1e-9):.3f}\n")
     (out / "config.txt").write_text(format_config(config))
     save_checkpoint(out / "checkpoint.smlb",
                     {k: v.data for k, v in trainer.params.items()})
-    return rows, trainer
+    return trainer
 
 
 BENCH_COLUMNS = ("lookup", "rank", "buckets", "added_params", "added_params_full",
@@ -392,15 +390,15 @@ def run_lookup_benchmark(grid: list[tuple[str, int, int]],
 
     def run_cell(cfg: ExperimentConfig) -> dict:
         kind, rank, buckets = cfg.memory.lookup, cfg.memory.rank, cfg.memory.buckets
-        rows, trainer = train_model(cfg)
+        trainer = train_model(cfg)
         table = trainer.model.tables[0]
         comparison, full = partial_expert_param_count(table.rank, table.n, table.d_in)
-        last = rows[-1]
+        last = trainer.rows[-1]
         return {
             "lookup": kind, "rank": rank, "buckets": buckets,
             "added_params": comparison, "added_params_full": full,
-            "final_train_loss": last.train_loss, "final_eval_loss": last.eval_loss,
-            "final_eval_accuracy": last.eval_accuracy,
+            "final_train_loss": last["train_loss"], "final_eval_loss": last["eval_loss"],
+            "final_eval_accuracy": last["eval_accuracy"],
             "seed": cfg.training.seed,
         }
 

@@ -1,10 +1,13 @@
 """Model assembly, parameter accounting, and the training loop contracts."""
 
+import ast
+import inspect
 import os
 import platform
 import re
 import subprocess
 import sys
+import textwrap
 import typing
 from pathlib import Path
 
@@ -24,6 +27,7 @@ from sparse_memory_lab.autodiff import Tensor, no_grad
 from sparse_memory_lab.model import LanguageModel, count_params
 from sparse_memory_lab.nn import MemoryTable, apply_expert
 from sparse_memory_lab.train import (
+    METRICS_COLUMNS,
     AdamState,
     DivergenceError,
     Trainer,
@@ -466,6 +470,77 @@ def test_train_model_writes_deterministic_metrics(tmp_path):
     assert all(float(v) > 0 for v in speed.values())
 
 
+RUN_CELLS = {
+    "dense": MemoryConfig(),
+    "softmax_k2": MemoryConfig(lookup="softmax", rank=4, buckets=16, k=2),
+}
+
+
+@pytest.mark.parametrize("cell", sorted(RUN_CELLS))
+@pytest.mark.parametrize("cuts", [(7, 20), (8, 8, 13, 20)])
+def test_run_cut_and_continued_equals_uncut_run(cell, cuts):
+    # interval 4: 7 and 13 fall between evals, 8 on one; the jitter stream of
+    # the softmax cell must carry across each cut as the batch stream does
+    def trainer():
+        return Trainer(tiny(steps=20, memory=RUN_CELLS[cell],
+                            io=IoConfig(checkpoint_interval=4)))
+
+    whole, cut = trainer(), trainer()
+    whole.run(20)
+    for until in cuts:
+        cut.run(until)
+    assert [row["step"] for row in whole.rows] == [4, 8, 12, 16, 20]
+    assert cut.rows == whole.rows
+    assert cut.step_count == whole.step_count == 20
+    assert cut.clock.examples == whole.clock.examples == 20 * 4
+    np.testing.assert_array_equal(cut.opt.flat.data, whole.opt.flat.data)
+    for name in whole.params:
+        np.testing.assert_array_equal(cut.opt.m[name], whole.opt.m[name])
+        np.testing.assert_array_equal(cut.opt.v[name], whole.opt.v[name])
+    assert cut.opt.t == whole.opt.t == 20
+    assert cut.batch_rng.bit_generator.state == whole.batch_rng.bit_generator.state
+    assert cut.jitter_rng.bit_generator.state == whole.jitter_rng.bit_generator.state
+
+
+def test_run_outside_step_count_to_steps_fails_without_a_step():
+    trainer = Trainer(tiny(steps=10, io=IoConfig(checkpoint_interval=4)))
+    trainer.run(5)
+    before = trainer.opt.flat.data.copy()
+    rows = list(trainer.rows)
+    state = trainer.batch_rng.bit_generator.state
+    for until in (4, 11, -1):
+        with pytest.raises(ValueError, match=rf"run\({until}\) must end in .* = \[5, 10\]"):
+            trainer.run(until)
+    assert trainer.step_count == 5 and trainer.rows == rows
+    assert trainer.batch_rng.bit_generator.state == state
+    np.testing.assert_array_equal(trainer.opt.flat.data, before)
+
+
+def test_run_rows_hold_only_the_metrics_columns():
+    # no wall-clock value is reachable from a deterministic row
+    trainer = Trainer(tiny(steps=9, io=IoConfig(checkpoint_interval=4)))
+    trainer.run(9)
+    assert [row["step"] for row in trainer.rows] == [4, 8, 9]
+    assert all(list(row) == list(METRICS_COLUMNS) for row in trainer.rows)
+    assert trainer.clock.seconds > 0 and trainer.clock.eval_seconds > 0
+
+
+def calls_in_loops(fn) -> list[str]:
+    """Names of the functions called inside a loop or comprehension of `fn`."""
+    loops = (ast.For, ast.While, ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)
+    return [getattr(node.func, "attr", getattr(node.func, "id", None))
+            for loop in ast.walk(ast.parse(textwrap.dedent(inspect.getsource(fn))))
+            if isinstance(loop, loops)
+            for node in ast.walk(loop) if isinstance(node, ast.Call)]
+
+
+def test_harness_functions_hold_no_step_loop():
+    # Trainer.run alone steps a run; train_model and the sweep only call it
+    for fn in (train_model, run_lookup_benchmark):
+        assert "step" not in calls_in_loops(fn), fn.__name__
+    assert "step" in calls_in_loops(Trainer.run)
+
+
 def test_step_under_no_grad_fails_loudly():
     trainer = Trainer(tiny())
     before = {k: p.data.copy() for k, p in trainer.params.items()}
@@ -609,8 +684,8 @@ def test_wide_stack_keeps_most_of_baseline_speed(tmp_path):
             altup=AltUpConfig(K=K, head="proj"),
             training=TrainingConfig(steps=30, batch=4, seed=0),
             io=IoConfig(out_dir=str(tmp_path / sub), checkpoint_interval=30))
-        rows, _ = train_model(cfg)
-        return rows[-1].examples_per_sec
+        clock = train_model(cfg).clock  # examples over seconds from first step to last eval
+        return clock.examples / clock.seconds
 
     base = speed("none", 1, "base")
     wide = speed("altup", 2, "wide")
