@@ -124,6 +124,12 @@ def no_grad() -> Iterator[None]:
         _mode.grad = prev
 
 
+def _records(parents: Sequence["Tensor"]) -> bool:
+    """Whether an op over `parents` records a graph node: outside no_grad(),
+    with a parent that takes a gradient."""
+    return _mode.grad and any(p.requires_grad for p in parents)
+
+
 @contextmanager
 def checked() -> Iterator[None]:
     """Ops run inside scan their results, and backward sweeps every
@@ -214,7 +220,7 @@ class Tensor:
             label = _mode.labels[id(out)] = _label()
             if not np.isfinite(out.data).all():
                 raise _non_finite(_op_name(backward), "forward", label)
-        if _mode.grad and any(p.requires_grad for p in parents):
+        if _records(parents):
             out.requires_grad = True
             out._parents = tuple(parents)
             out._backward = backward
@@ -490,10 +496,12 @@ def _attention(q: np.ndarray, k: np.ndarray, v: np.ndarray, n_heads: int,
     # (..., h, seq, dh) C-ordered copies, so the GEMMs see the layouts that
     # the head-split and transpose ops give
     qh, kh, vh = split(q).copy(), split(k).copy(), split(v).copy()
+    del q, k, v  # the caller's projections, when it keeps no other reference
     scores = np.matmul(qh, np.swapaxes(kh, -2, -1).copy()) * scale
     if mask is not None:
         scores = scores + mask
     p = _softmax(scores, -1)
+    del scores
     out = np.swapaxes(np.matmul(p, vh), -3, -2).copy().reshape(*lead, seq, d)
 
     def grads(g: np.ndarray):

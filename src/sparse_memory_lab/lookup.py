@@ -119,6 +119,9 @@ MIX_SEED = 0x5EED
 _MIX_A = np.uint64(0x9E3779B97F4A7C15)
 _MIX_B = np.uint64(0xBF58476D1CE4E5B9)
 _MIX_C = np.uint64(0x94D049BB133111EB)
+# fold_cells xors only the nonzero cells below this many cells per nonzero
+# one: the extraction costs about that many whole-column xors per cell
+_SPARSE_FOLD = 16
 
 
 def fold_cells(cells: np.ndarray, seed: int) -> np.ndarray:
@@ -131,27 +134,34 @@ def fold_cells(cells: np.ndarray, seed: int) -> np.ndarray:
     simulation, so the two routes share bucket math exactly.
 
     Each column xors its cells into the rows' states, then mixes every
-    state. Xor with 0 is the identity, so the nonzero cells are found once,
-    grouped by column (a stable sort keeps each column's rows in order) and
-    cast; the mixing runs over the contiguous (rows,) state and never reads
-    a column of the cells. uint64 arithmetic wraps modulo 2**64, so the
-    state is mixed in place.
+    state. Xor with 0 is the identity, so when fewer than one cell in
+    _SPARSE_FOLD is nonzero, the nonzero cells are found once, grouped by
+    column (a stable sort keeps each column's rows in order) and cast, and a
+    column xors only those; otherwise the cells are cast once as contiguous
+    columns and each xors whole. The mixing runs over the contiguous
+    (rows,) state and never reads a column of the cells. uint64 arithmetic
+    wraps modulo 2**64, so the state is mixed in place.
     """
     cells = np.asarray(cells)
     *lead, k = cells.shape
     state = np.full(math.prod(lead), np.uint64(seed), dtype=np.uint64)
-    flat = cells.reshape(-1)
-    nonzero = np.flatnonzero(flat != 0)
-    rows = nonzero // k
-    column = (nonzero - rows * k).astype(np.min_scalar_type(k))
-    order = np.argsort(column, kind="stable")  # a radix sort for k < 2**16
-    rows = rows[order]
-    bits = flat[nonzero[order]].astype(np.int64, copy=False).view(np.uint64)
+    cells = cells.reshape(state.size, k)
+    mask = cells != 0  # nonzero() reads a bool mask several times faster
+    if np.count_nonzero(mask) * _SPARSE_FOLD >= cells.size:
+        xors = ((slice(None), column) for column in
+                cells.T.astype(np.int64, order="C").view(np.uint64))
+    else:
+        nonzero = np.flatnonzero(mask)
+        rows = nonzero // k
+        column = (nonzero - rows * k).astype(np.min_scalar_type(k))
+        order = np.argsort(column, kind="stable")  # a radix sort for k < 2**16
+        rows = rows[order]
+        bits = cells.reshape(-1)[nonzero[order]].astype(np.int64, copy=False).view(np.uint64)
+        ends = np.bincount(column, minlength=k).cumsum().tolist()
+        xors = ((rows[start:end], bits[start:end]) for start, end in zip([0, *ends], ends))
     shifted = np.empty_like(state)
-    start = 0
-    for end in np.bincount(column, minlength=k).cumsum().tolist():
-        state[rows[start:end]] ^= bits[start:end]
-        start = end
+    for where, values in xors:
+        state[where] ^= values
         state += _MIX_A
         state ^= np.right_shift(state, np.uint64(30), out=shifted)
         state *= _MIX_B

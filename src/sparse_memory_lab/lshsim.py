@@ -25,9 +25,15 @@ min-hash trial draws only the union's argmin and the other sentence's
 argmin among its ids, not a key per id. These shortcuts are equal in law
 to the literal constructions; the cell-to-bucket mixing hash is shared
 verbatim with the lookup ops, and the test suite cross-checks both routes.
-A hyperplane block draws both rows' projections into one array, then its
-offsets per chunk of rows, and makes the cells in place; one `fold_cells`
-call hashes both rows, so about two (trials, k) arrays are alive at once.
+A hyperplane estimate draws only the columns that can hold a nonzero
+cell, equal in law to drawing them all: those whose offset lies within
+B = 3 of a cell edge (band columns) and those whose two normals have norm
+above B (tail columns), each as a Bernoulli process of positions. The
+width calibration, whose pinned width is a root over its own draws, keeps
+the literal sampler: a block draws both rows' projections into one array,
+then its offsets per chunk of rows, and makes the cells in place, so about
+two (trials, k) arrays are alive at once. Either hashes both rows with one
+`fold_cells` call.
 
 The pair, hyperplane and min-hash samplers draw their trials in blocks
 through one helper; the spherical one draws (live trials, 8) arrays per
@@ -69,6 +75,13 @@ _MINHASH_BLOCK = 1 << 13
 # hyperplane offsets (doubles) drawn per chunk of rows, so that no third
 # (trials, k) block is alive; chunks of 2**12 to 2**18 ran alike at n = 1024
 _OFFSET_CHUNK = 1 << 15
+# the sparse hyperplane sampler's radius B: a column with |w| <= B and an
+# offset at least B from both cell edges puts both rows in cell 0. 2.5 to 3.5
+# ran alike at n = 1024 and width 55.3
+_SPARSE_RADIUS = 3.0
+# and the share of band columns from which drawing every column ran faster:
+# at n = 256 and 1024 the two samplers ran alike at a share of 0.38 (width 16)
+_SPARSE_MAX_BAND = 1.0 / 3.0
 # hyperplane_collision_width(64, 32), pinned so that a process at `sml lshsim`'s
 # default d and l skips the bisection; a slow test re-derives it.
 _width_cache: dict[tuple[int, int], float] = {(64, 32): 55.29777863700906}
@@ -345,6 +358,86 @@ def _hyperplane_collisions(cosines: np.ndarray, n: int, k: int, width: float,
     return _batched(cosines.size, max(1, int(2e7 / k)), draw)
 
 
+def _bernoulli_positions(m: int, q: float, rng: np.random.Generator) -> np.ndarray:
+    """Sorted positions in [0, m) of a Bernoulli(q) process over m cells,
+    0 < q < 1: partial sums of geometric gaps, drawn in runs of the expected
+    count plus 4 sd and 16, so one run almost always covers the m cells."""
+    run = int(m * q + 4.0 * math.sqrt(m * q * (1.0 - q))) + 16
+    pos = np.cumsum(rng.geometric(q, run)) - 1
+    while pos[-1] < m:
+        pos = np.concatenate([pos, pos[-1] + np.cumsum(rng.geometric(q, run))])
+    return pos[:np.searchsorted(pos, m)]
+
+
+def _tail_normals(size: int, r: float, rng: np.random.Generator) -> np.ndarray:
+    """`size` pairs (2, size) of iid standard normals conditioned on |w| > r:
+    |w|^2 ~ chi-square(2) is exponential with mean 2, so memoryless, and
+    |w|^2 = r^2 + 2 Exp(1) at a uniform angle."""
+    radius = np.sqrt(r * r + 2.0 * rng.standard_exponential(size))
+    angle = rng.uniform(0.0, 2.0 * math.pi, size)
+    return radius * np.stack([np.cos(angle), np.sin(angle)])
+
+
+def _column_cells(t: np.ndarray, w: np.ndarray, offsets: np.ndarray,
+                  width: float) -> np.ndarray:
+    """Both rows' cells (2, columns) of columns with normal pairs w (2,
+    columns) and offsets, for rows of cosine t per column: floor((p +
+    offset) / width) of the projections p1 = w1 and p2 = t w1 + s w2, with
+    s = sqrt(1 - t^2). Made in place in w."""
+    w[1] *= np.sqrt(np.maximum(0.0, 1.0 - t * t))
+    w[1] += t * w[0]
+    w += offsets
+    w /= width
+    return np.floor(w, out=w)
+
+
+def _sparse_hyperplane_collisions(cosines: np.ndarray, n: int, k: int, width: float,
+                                  rng: np.random.Generator) -> np.ndarray:
+    """Same law as `_hyperplane_collisions`, drawing only the (trial,
+    column) cells that can be nonzero.
+
+    A column's projections satisfy |p_i| <= |w|, so with B = _SPARSE_RADIUS
+    it puts both rows in cell 0 when its offset lies in [B, width - B) and
+    |w| <= B. A block draws two independent Bernoulli processes over its
+    trials * k columns (`_bernoulli_positions`): band columns, whose offset
+    lies within B of a cell edge (probability 2B/width), each with an offset
+    uniform on that band and an unconditional w; and tail columns, whose |w|
+    exceeds B (probability exp(-B^2/2)), each with an offset uniform on
+    [B, width - B) and a w drawn past B (`_tail_normals`). A tail column
+    that is also a band column is dropped: the band's cells overwrite it.
+    The cells go into a zeroed (2, b, k) array, int8 when every drawn cell
+    fits, and one `fold_cells` call hashes both rows. Where band columns
+    would be _SPARSE_MAX_BAND of the columns or more (every one at width
+    <= 2B), the literal sampler draws the trials.
+    """
+    r = _SPARSE_RADIUS
+    band_q, tail_q = 2.0 * r / width, math.exp(-0.5 * r * r)
+    if band_q >= _SPARSE_MAX_BAND:
+        return _hyperplane_collisions(cosines, n, k, width, rng)
+
+    def draw(start: int, stop: int) -> np.ndarray:
+        t = cosines[start:stop]
+        m = t.size * k
+        band = _bernoulli_positions(m, band_q, rng)
+        tail = _bernoulli_positions(m, tail_q, rng)
+        band_offsets = rng.uniform(0.0, 2.0 * r, band.size)
+        band_offsets[band_offsets >= r] += width - 2.0 * r
+        band_w = rng.standard_normal((2, band.size))
+        tail_offsets = rng.uniform(r, width - r, tail.size)
+        tail_w = _tail_normals(tail.size, r, rng)
+        drawn = [(pos, _column_cells(t[pos // k], w, offsets, width))
+                 for pos, w, offsets in ((tail, tail_w, tail_offsets),
+                                         (band, band_w, band_offsets))]
+        small = all(np.abs(c).max(initial=0.0) <= 127 for _, c in drawn)
+        cells = np.zeros((2, m), dtype=np.int8 if small else np.int64)
+        for pos, c in drawn:  # band last, so that it overwrites the tail
+            cells[:, pos] = c
+        h = fold_cells(cells.reshape(2, t.size, k), MIX_SEED) % np.uint64(n)
+        return h[0] == h[1]
+
+    return _batched(cosines.size, max(1, int(2e7 / k)), draw)
+
+
 def _minhash_collisions(f: float, l: int, n: int, trials: int,
                         rng: np.random.Generator) -> np.ndarray:
     """Fresh permutation per trial; collision iff the min-rank buckets agree.
@@ -439,7 +532,7 @@ def _cell_p_hat(family: str, f: float, n: int, l: int, d: int, trials: int, hash
         hits = _spherical_collisions(cosines, n, d, rng)
     else:
         w = width if width is not None else hyperplane_collision_width(d, l)
-        hits = _hyperplane_collisions(cosines, n, default_num_projections(n), w, rng)
+        hits = _sparse_hyperplane_collisions(cosines, n, default_num_projections(n), w, rng)
     return float(hits.mean())
 
 

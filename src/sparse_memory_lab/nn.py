@@ -18,6 +18,7 @@ from .autodiff import (
     _accumulate_each,
     _attention,
     _layer_norm,
+    _records,
     _row_sums,
     _unbroadcast,
     no_grad,
@@ -274,22 +275,32 @@ def transformer_block_forward(x: Tensor, params: TransformerBlockParams) -> Tens
     contributions in the chain's order. Inside checked() it scans the
     attention half's result, the FFN pre-activation and the output in the
     forward, and each half's gradients in the backward, so a replay names
-    the half that failed.
+    the half that failed. A forward that records no node, as under
+    no_grad(), frees each intermediate once the next stage has used it, as
+    the chain's ops did.
     """
     if x.ndim < 2 or x.shape[-1] != params.d:
         raise ValueError(f"block expects (..., seq, {params.d}), got {x.shape}")
     seq = x.shape[-2]
     mask = np.triu(np.full((seq, seq), _NEG_MASK), k=1) if seq > 1 else None
     p = params
+    parents = (x, *p.parameters().values())
+    keep = _records(parents)  # only a recorded node's backward reads the intermediates
     scan = scanner("transformer_block_forward")
     ln1, ln1_grads = _layer_norm(x.data, p.ln1_scale.data, p.ln1_bias.data)
     attended, attention_grads = _attention(np.matmul(ln1, p.wq.data), np.matmul(ln1, p.wk.data),
                                            np.matmul(ln1, p.wv.data), p.n_heads, mask)
+    if not keep:
+        del ln1, ln1_grads, attention_grads
     x1 = x.data + np.matmul(attended, p.wo.data)
+    if not keep:
+        del attended
     if scan:
         scan("forward", "attention", x1)
     ln2, ln2_grads = _layer_norm(x1, p.ln2_scale.data, p.ln2_bias.data)
     hidden = np.matmul(ln2, p.w1.data)
+    if not keep:
+        del ln2, ln2_grads
     if scan:
         scan("forward", "ffn", hidden)  # before the relu zeroes a -inf
     np.maximum(hidden, 0.0, out=hidden)
@@ -326,7 +337,7 @@ def transformer_block_forward(x: Tensor, params: TransformerBlockParams) -> Tens
             scan("backward", "attention",
                  *(t.grad for t in (x, p.wq, p.wk, p.wv, p.wo, p.ln1_scale, p.ln1_bias)))
 
-    return Tensor._op(out, (x, *p.parameters().values()), backward)
+    return Tensor._op(out, parents, backward)
 
 
 @dataclass

@@ -6,6 +6,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from sparse_memory_lab import lshsim
 from sparse_memory_lab.lookup import (
@@ -184,13 +186,13 @@ def test_random_stream_is_pinned():
     rows = collision_grid(list(lshsim.FAMILIES), [0.25, 0.75], [16, 300], 8, 8, 2000, 3)
     assert [(r["family"], r["f"], r["n"], r["p_hat"]) for r in rows] == [
         ("token_id", 0.25, 16, 0.25), ("spherical", 0.25, 16, 0.1365),
-        ("hyperplane", 0.25, 16, 0.851), ("minhash", 0.25, 16, 0.1445),
+        ("hyperplane", 0.25, 16, 0.85), ("minhash", 0.25, 16, 0.1445),
         ("token_id", 0.25, 300, 0.25), ("spherical", 0.25, 300, 0.014),
-        ("hyperplane", 0.25, 300, 0.153), ("minhash", 0.25, 300, 0.147),
+        ("hyperplane", 0.25, 300, 0.1495), ("minhash", 0.25, 300, 0.147),
         ("token_id", 0.75, 16, 0.75), ("spherical", 0.75, 16, 0.413),
-        ("hyperplane", 0.75, 16, 0.9145), ("minhash", 0.75, 16, 0.61),
+        ("hyperplane", 0.75, 16, 0.9155), ("minhash", 0.75, 16, 0.61),
         ("token_id", 0.75, 300, 0.75), ("spherical", 0.75, 300, 0.122),
-        ("hyperplane", 0.75, 300, 0.337), ("minhash", 0.75, 300, 0.611),
+        ("hyperplane", 0.75, 300, 0.3255), ("minhash", 0.75, 300, 0.611),
     ]
     # more pairs than one batch of sentence draws
     assert estimate_mixing_dot(0.5, 8, 8, 3000, 3) == (0.5004733758396958,
@@ -730,6 +732,97 @@ def test_pinned_width_is_a_root_of_the_closed_form():
     stderr = math.sqrt((p * (1.0 - p)).mean() / cosines.size)
     slope = rate(root + 0.5) - rate(root - 0.5)  # per unit of width
     assert abs(hyperplane_collision_width(64, 32) - root) < 4 * stderr / slope
+
+
+# -- the sparse hyperplane sampler -------------------------------------------------
+
+@pytest.mark.parametrize("f, n", [(0.5, 256), (0.5, 1024), (0.9, 256), (0.9, 1024)])
+def test_sparse_hyperplane_collisions_match_closed_form(f, n):
+    width = hyperplane_collision_width(64, 32)
+    cosines = lshsim._pair_cosines(f, 32, 64, 10_000, np.random.default_rng(63))
+    k = default_num_projections(n)
+    hits = lshsim._sparse_hyperplane_collisions(cosines, n, k, width,
+                                                np.random.default_rng(64 + n))
+    p = hyperplane_hit_oracle(cosines, n, k, width)
+    stderr = math.sqrt((p * (1.0 - p)).mean() / cosines.size)
+    assert abs(hits.mean() - p.mean()) < 4 * stderr, (hits.mean(), p.mean())
+
+
+@pytest.mark.parametrize("width, radius", [(6.5, 3.0), (8.0, 3.0), (55.3, 3.0),
+                                           (8.0, 1.0), (55.3, 1.0)])
+def test_sparse_hyperplane_sampler_matches_the_literal_one(monkeypatch, width, radius):
+    # every width draws sparsely here, also where the literal sampler is the
+    # faster one; at radius 1 most nonzero cells come from tail columns
+    monkeypatch.setattr(lshsim, "_SPARSE_MAX_BAND", 1.0)
+    monkeypatch.setattr(lshsim, "_SPARSE_RADIUS", radius)
+    n, trials = 256, 20_000
+    k = default_num_projections(n)
+    # distances from t = 1 spread over four decades, so that trials at every
+    # width range from sure hits to sure misses
+    cosines = 1.0 - 10.0 ** np.random.default_rng(65).uniform(-4.0, 0.0, trials)
+    sparse = lshsim._sparse_hyperplane_collisions(cosines, n, k, width,
+                                                  np.random.default_rng(66)).mean()
+    literal = lshsim._hyperplane_collisions(cosines, n, k, width,
+                                            np.random.default_rng(67)).mean()
+    stderr = math.sqrt((sparse * (1.0 - sparse) + literal * (1.0 - literal)) / trials)
+    assert abs(sparse - literal) < 4 * stderr, (sparse, literal)
+
+
+def test_sparse_hyperplane_pair_of_equal_rows_always_collides():
+    n = 1024
+    hits = lshsim._sparse_hyperplane_collisions(np.ones(3000), n, default_num_projections(n),
+                                                hyperplane_collision_width(64, 32),
+                                                np.random.default_rng(68))
+    assert hits.all()
+
+
+@pytest.mark.parametrize("m, q", [(1, 0.5), (1000, 0.01), (100_000, 0.108),
+                                  (2_896_000, 0.011)])
+def test_bernoulli_positions_are_sorted_unique_and_in_range(m, q):
+    pos = lshsim._bernoulli_positions(m, q, np.random.default_rng(69))
+    assert np.all(np.diff(pos) > 0)
+    assert pos.size == 0 or (pos[0] >= 0 and pos[-1] < m)
+    assert abs(pos.size - m * q) < 4 * math.sqrt(m * q * (1.0 - q))
+    if m >= 100_000:  # and spread evenly: each tenth of the cells holds its share
+        counts = np.bincount(pos * 10 // m, minlength=10)
+        assert np.all(np.abs(counts - m * q / 10) < 4 * math.sqrt(m * q * (1.0 - q) / 10))
+
+
+def test_bernoulli_positions_draw_runs_until_they_cover_the_cells():
+    class UnitGaps:  # every gap 1, so each run of gaps covers far fewer than m cells
+        def geometric(self, q, size):
+            return np.ones(size, dtype=np.int64)
+
+    np.testing.assert_array_equal(lshsim._bernoulli_positions(1000, 0.01, UnitGaps()),
+                                  np.arange(1000))
+
+
+@given(t=st.floats(-1.0, 1.0), radius=st.floats(0.0, 1.0),
+       angle=st.floats(0.0, 2.0 * math.pi), middle=st.floats(0.0, 1.0, exclude_max=True),
+       width=st.floats(6.5, 1e4))
+def test_a_middle_column_inside_the_radius_has_two_zero_cells(t, radius, angle, middle,
+                                                              width):
+    r = lshsim._SPARSE_RADIUS
+    # |w| just below B: the bound is exact in real arithmetic, while a float
+    # sum at |w| = B exactly may round across a cell edge
+    w = (1.0 - 1e-9) * r * radius * np.array([[math.cos(angle)], [math.sin(angle)]])
+    offset = r + middle * (width - 2.0 * r)
+    cells = lshsim._column_cells(np.array([t]), w, np.array([offset]), width)
+    np.testing.assert_array_equal(cells, 0.0)
+
+
+@pytest.mark.parametrize("r", [1.0, 3.0])
+def test_tail_normals_follow_the_normal_law_past_the_radius(r):
+    size = 20_000
+    w = lshsim._tail_normals(size, r, np.random.default_rng(70 + int(r)))
+    norm = np.hypot(*w)
+    radius = np.sort(norm)
+    # P(|w| <= x | |w| > r) = 1 - exp(-(x^2 - r^2) / 2) for x >= r
+    cdf = -np.expm1(-0.5 * (radius * radius - r * r))
+    ks = max((np.arange(1, size + 1) / size - cdf).max(), (cdf - np.arange(size) / size).max())
+    assert ks < 1.95 / math.sqrt(size), ks  # Kolmogorov's critical value at 0.001
+    # and a uniform angle: cos and sin of it have mean 0 and variance 1/2
+    assert np.all(np.abs((w / norm).mean(axis=1)) < 4 * math.sqrt(0.5 / size))
 
 
 @pytest.mark.slow

@@ -12,6 +12,7 @@ import pytest
 
 from sparse_memory_lab import lookup
 from sparse_memory_lab.config import ExperimentConfig, set_config_value
+from sparse_memory_lab.lshsim import collision_grid, estimate_collision
 from sparse_memory_lab.model import LanguageModel
 from sparse_memory_lab.train import Trainer
 
@@ -86,3 +87,27 @@ def test_training_step_calls_each_traced_name(monkeypatch, overrides, spans):
         set_config_value(cfg, key, value)
     Trainer(cfg.validate()).step()
     assert {span for span, n in calls.items() if n} == spans, calls
+
+
+def test_hyperplane_grid_calls_each_traced_lshsim_name(monkeypatch):
+    # the lshsim workload's hyperplane spans: the width calibration and the
+    # fold, each looked up in lshsim's own namespace, by both samplers
+    calls = {}
+
+    def counting(fn, path):
+        def wrapper(*args, **kwargs):
+            calls[path] = calls.get(path, 0) + 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    paths = [path for module_name, path, _ in tracing.TARGETS
+             if module_name == "sparse_memory_lab.lshsim"]
+    for path in paths:
+        owner, attr, fn = tracing._resolve("sparse_memory_lab.lshsim", path)
+        monkeypatch.setattr(owner, attr, counting(fn, path))
+    # width 55.3 at (d, l) = (64, 32) draws sparsely; width 2 draws every cell
+    collision_grid(["hyperplane"], [0.5], [1024], 32, 64, 200, 0)
+    assert sorted(calls) == sorted(paths) == ["fold_cells", "hyperplane_collision_width"]
+    calls.clear()
+    estimate_collision("hyperplane", 0.5, 16, 8, 8, 200, 0, width=2.0)
+    assert calls == {"fold_cells": 1}
