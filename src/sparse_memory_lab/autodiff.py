@@ -35,6 +35,24 @@ class NonFiniteError(ValueError):
     pass_: str | None = None
 
 
+def index_array(values, n: int, what: str, outside: str) -> np.ndarray:
+    """`values` as an intp array of the same shape, every entry a row in
+    [0, n); an empty sequence gives an empty one. A float or bool dtype
+    raises "{what} must have an integer dtype", rather than being truncated
+    or read as 1 and 0, and an entry outside [0, n) raises
+    `outside.format(entry, n=n)`, the entry shown as given, before any cast
+    could wrap it."""
+    arr = np.asarray(values)
+    if arr.size == 0:
+        return arr.astype(np.intp)
+    if arr.dtype.kind not in "iu":
+        raise ValueError(f"{what} must have an integer dtype, got {arr.dtype}")
+    bad = arr[(arr < 0) | (arr >= n)]
+    if bad.size:
+        raise ValueError(outside.format(int(bad[0]), n=n))
+    return arr.astype(np.intp, copy=False)
+
+
 def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     """Sum-reduce grad back to `shape` after numpy broadcasting."""
     if grad.shape == shape:
@@ -392,11 +410,8 @@ class Tensor:
         """Select rows along axis 0 (duplicates allowed); serves embedding
         lookup, and picks single entries from a flattened tensor. Every index
         must lie in [0, rows)."""
-        idx = np.asarray(indices, dtype=np.intp)
-        bad = idx[(idx < 0) | (idx >= self.shape[0])]
-        if bad.size:
-            raise ValueError(f"take index {int(bad[0])} outside [0, {self.shape[0]}), "
-                             f"the rows of the tensor")
+        idx = index_array(indices, self.shape[0], "take indices",
+                          "take index {} outside [0, {n}), the rows of the tensor")
 
         def backward(g: np.ndarray) -> None:
             self._accumulate(_row_sums(g, idx, self.data.shape))
@@ -527,18 +542,13 @@ def cross_entropy(logits: Tensor, targets: np.ndarray) -> Tensor:
     target's entry, the mean and the negation, call for call, and that
     chain's backward. A float or bool dtype raises rather than being read
     as columns."""
-    targets = np.asarray(targets)
-    if targets.dtype.kind not in "iu":
-        raise ValueError(f"targets must have an integer dtype, got {targets.dtype}")
+    targets = index_array(targets, logits.shape[-1], "targets",
+                          "target {} outside [0, {n}), the logit columns")
     if targets.shape != logits.shape[:-1]:
         raise ValueError(f"targets {targets.shape} must match the leading axes of logits "
                          f"{logits.shape}")
-    bad = targets[(targets < 0) | (targets >= logits.shape[-1])]
-    if bad.size:
-        raise ValueError(f"target {int(bad[0])} outside [0, {logits.shape[-1]}), the logit "
-                         f"columns")
     flat = np.arange(targets.size) * logits.shape[-1]
-    flat += targets.reshape(-1).astype(np.intp, copy=False)
+    flat += targets.reshape(-1)
     out = _log_softmax(logits.data, -1)
     scale = 1.0 / flat.size
 

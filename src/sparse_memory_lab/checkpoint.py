@@ -4,14 +4,17 @@ Layout: magic 'SMLB', uint32 version, uint64 manifest length, manifest JSON
 (utf-8), then the concatenated little-endian float64 tensor payloads at the
 offsets the manifest records. The manifest's entries must tile the payload:
 each tensor starts where the one before it ends, and the last ends where
-the file does.
+the file does. A save writes a temp file beside the target and renames it
+over the target, so an interrupted save leaves the earlier file whole.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import os
 import struct
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -31,13 +34,21 @@ def save_checkpoint(path: str | Path, tensors: dict[str, np.ndarray]) -> None:
         payloads.append(data.tobytes())
         offset += data.nbytes
     manifest = json.dumps({"tensors": entries}, separators=(",", ":")).encode("utf-8")
-    with open(path, "wb") as fh:
-        fh.write(MAGIC)
-        fh.write(struct.pack("<I", VERSION))
-        fh.write(struct.pack("<Q", len(manifest)))
-        fh.write(manifest)
-        for blob in payloads:
-            fh.write(blob)
+    path = Path(path)
+    # one temp name per process and thread, so concurrent saves never share one
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.{threading.get_ident()}.tmp")
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(MAGIC)
+            fh.write(struct.pack("<I", VERSION))
+            fh.write(struct.pack("<Q", len(manifest)))
+            fh.write(manifest)
+            for blob in payloads:
+                fh.write(blob)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def load_checkpoint(path: str | Path) -> dict[str, np.ndarray]:

@@ -35,7 +35,7 @@ class MemoryConfig:
     consumption: str = "none"
     share_table: bool = False
     k: int = 1          # selected experts for softmax routing
-    width: float = 1.0  # hyperplane grid spacing (unit-norm input scale)
+    width: float = 1.0  # hyperplane grid spacing, on the raw (not unit-norm) residual rows
 
 
 @dataclass

@@ -19,7 +19,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .autodiff import Tensor, at_stage
+from .autodiff import Tensor, at_stage, index_array
 from .config import MemoryConfig
 from .nn import MemoryTable, apply_expert
 
@@ -36,11 +36,8 @@ class RouteResult:
 
 def token_id_lookup(tokens, n: int) -> RouteResult:
     """Route each position by its vocabulary index; the table size is the vocabulary size."""
-    ids = np.asarray(tokens, dtype=np.intp).reshape(-1)
-    bad = ids[(ids < 0) | (ids >= n)]
-    if bad.size:
-        raise ValueError(f"token id {int(bad[0])} out of vocabulary for table size {n}")
-    return RouteResult(indices=ids)
+    ids = index_array(tokens, n, "token ids", "token id {} out of vocabulary for table size {n}")
+    return RouteResult(indices=ids.reshape(-1))
 
 
 JITTER_EPSILON = 0.01  # the softmax router's training jitter: x times U[1 - eps, 1 + eps]
@@ -294,9 +291,9 @@ def minhash_lookup(token_set: Iterable[int], params: MinHashParams) -> RouteResu
     elems = list(token_set)
     if not elems:
         raise ValueError("minhash lookup needs a nonempty set")
-    if any(e < 0 or e >= params.universe for e in elems):
-        raise ValueError("set element outside the token universe")
-    winner = min(elems, key=lambda e: params.ranks[e])
+    ids = index_array(elems, params.universe, "set elements",
+                      "set element {} outside the token universe [0, {n})")
+    winner = ids[np.argmin(params.ranks[ids])]
     return RouteResult(indices=np.array([winner % params.n], dtype=np.intp))
 
 

@@ -330,28 +330,21 @@ def _hyperplane_collisions(cosines: np.ndarray, n: int, k: int, width: float,
     """Same-bucket indicator per trial: k fresh projections, real mixing hash.
 
     A block's two (b, k) normal draws fill one (2, b, k) array, which
-    becomes both rows' cells in place. The offsets come per chunk of rows:
+    `_column_cells` makes both rows' cells in place, a chunk of rows at a
+    time. The offsets come per chunk:
     they are the block's last draw and the generator fills row by row, so
     the stream is that of one (b, k) draw. One fold hashes both rows.
     """
     def draw(start: int, stop: int) -> np.ndarray:
         t = cosines[start:stop, None]
-        s = np.sqrt(np.maximum(0.0, 1.0 - t * t))
         w = np.empty((2, stop - start, k))
         rng.standard_normal(out=w[0])
         rng.standard_normal(out=w[1])
         rows = max(1, _OFFSET_CHUNK // k)
         for lo in range(0, stop - start, rows):
             chunk = slice(lo, lo + rows)
-            w1, w2 = w[0, chunk], w[1, chunk]
-            # the two rows' projections, in place: w1 is the first's, w2 the second's
-            w2 *= s[chunk]
-            w2 += t[chunk] * w1
-            offs = rng.uniform(0.0, width, w1.shape)
-            for proj in (w1, w2):
-                proj += offs
-                proj /= width
-                np.floor(proj, out=proj)
+            offsets = rng.uniform(0.0, width, w[0, chunk].shape)
+            _column_cells(t[chunk], w[:, chunk], offsets, width)
         h = fold_cells(w, MIX_SEED) % np.uint64(n)
         return h[0] == h[1]
 
@@ -380,10 +373,10 @@ def _tail_normals(size: int, r: float, rng: np.random.Generator) -> np.ndarray:
 
 def _column_cells(t: np.ndarray, w: np.ndarray, offsets: np.ndarray,
                   width: float) -> np.ndarray:
-    """Both rows' cells (2, columns) of columns with normal pairs w (2,
-    columns) and offsets, for rows of cosine t per column: floor((p +
-    offset) / width) of the projections p1 = w1 and p2 = t w1 + s w2, with
-    s = sqrt(1 - t^2). Made in place in w."""
+    """Both rows' cells (2, ...) of columns with normal pairs w (2, ...)
+    and offsets, for rows of cosine t per column (t broadcasts against w[0]):
+    floor((p + offset) / width) of the projections p1 = w1 and p2 = t w1 +
+    s w2, with s = sqrt(1 - t^2). Made in place in w."""
     w[1] *= np.sqrt(np.maximum(0.0, 1.0 - t * t))
     w[1] += t * w[0]
     w += offsets
@@ -498,7 +491,8 @@ def hyperplane_collision_width(d: int, l: int) -> float:
 
 
 def _check_cells(families: Sequence[str], f_grid: Sequence[float],
-                 n_grid: Sequence[int], l: int, d: int, trials: int) -> None:
+                 n_grid: Sequence[int], l: int, d: int, trials: int,
+                 width: float | None = None) -> None:
     """Reject an unknown family or an out-of-range input before any draw."""
     checks = [(fam in FAMILIES, f"unknown family {fam!r}; expected one of {FAMILIES}")
               for fam in families]
@@ -510,6 +504,8 @@ def _check_cells(families: Sequence[str], f_grid: Sequence[float],
     checks += [(d >= 2, f"{fam} simulation needs d >= 2")
                for fam in _COSINE_FAMILIES if fam in families]
     checks += [(trials >= 1, f"need at least one trial, got {trials}")]
+    checks += [(width is None or 0 < width < math.inf,  # NaN too
+                f"bucket width must be positive and finite, got {width}")]
     for ok, message in checks:
         if not ok:
             raise ValueError(message)
@@ -544,7 +540,7 @@ def estimate_collision(family: str, f: float, n: int, l: int, d: int,
     hash-family average. Deterministic per seed. Token-id collisions are
     exact by construction and computed analytically.
     """
-    _check_cells([family], [f], [n], l, d, trials)
+    _check_cells([family], [f], [n], l, d, trials, width)
     s_pairs, s_hash = as_seedseq(seed).spawn(2)
     cosines = (_pair_cosines(f, l, d, trials, np.random.default_rng(s_pairs))
                if family in _COSINE_FAMILIES else None)

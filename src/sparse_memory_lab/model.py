@@ -21,7 +21,7 @@ from .altup import (
     altup_stack_forward,
     divide_and_project,
 )
-from .autodiff import Tensor, at_stage, concat, cross_entropy
+from .autodiff import Tensor, at_stage, concat, cross_entropy, index_array
 from .config import ExperimentConfig
 from .lookup import (
     JITTER_EPSILON,
@@ -35,15 +35,6 @@ from .nn import TransformerBlockParams, lecun_normal_init, transformer_block_for
 
 def _seed(master: int, *key: int) -> np.random.SeedSequence:
     return np.random.SeedSequence(entropy=master, spawn_key=key)
-
-
-def _token_ids(tokens) -> np.ndarray:
-    """tokens as an int64 array; a float or bool dtype raises rather than
-    being truncated to ids."""
-    ids = np.asarray(tokens)
-    if ids.dtype.kind not in "iu":
-        raise ValueError(f"token ids must have an integer dtype, got {ids.dtype}")
-    return ids.astype(np.int64, copy=False)
 
 
 @dataclass
@@ -221,13 +212,11 @@ class LanguageModel:
     def forward(self, tokens: np.ndarray, rng: np.random.Generator | None = None) -> Tensor:
         """Logits (..., seq, vocab) for a (seq,) token sequence or a (B, seq) batch;
         a given `rng` draws the router's training jitter, None routes as eval does."""
-        tokens = _token_ids(tokens)
-        if tokens.ndim not in (1, 2):
-            raise ValueError("forward expects a (seq,) sequence or a (B, seq) batch of tokens")
-        vocab = self.config.model.vocab
-        bad = tokens[(tokens < 0) | (tokens >= vocab)]
-        if bad.size:
-            raise ValueError(f"token id {int(bad[0])} outside the vocabulary [0, {vocab})")
+        tokens = index_array(tokens, self.config.model.vocab, "token ids",
+                             "token id {} outside the vocabulary [0, {n})")
+        if tokens.ndim not in (1, 2) or tokens.shape[-1] == 0:
+            raise ValueError("forward expects a (seq,) sequence or a (B, seq) batch of tokens "
+                             "with seq >= 1")
         at_stage("embed")
         x0 = self.initial_representation(tokens)
         jitter = self._router_jitter(tokens, rng)
@@ -248,7 +237,7 @@ class LanguageModel:
                       rng: np.random.Generator | None = None) -> Tensor:
         """Mean next-token cross-entropy (nats) over one (seq+1)-token window,
         or over every token of a (B, seq+1) batch of windows; `rng` as in forward."""
-        window = _token_ids(window)
+        window = np.asarray(window)
         logits = self.forward(window[..., :-1], rng=rng)
         at_stage("loss")
         return cross_entropy(logits, window[..., 1:])

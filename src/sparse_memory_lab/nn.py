@@ -21,6 +21,7 @@ from .autodiff import (
     _records,
     _row_sums,
     _unbroadcast,
+    index_array,
     no_grad,
     scanner,
 )
@@ -119,13 +120,11 @@ def apply_expert(x: Tensor, table: MemoryTable, indices, weights: Tensor | None 
     expert and run one (d_in, m) @ (m, rank) product per used expert,
     zero-padded to the largest load m; only their summation order differs.
     """
-    idx = np.asarray(indices, dtype=np.intp)
+    idx = index_array(indices, table.n, "routed indices",
+                      "routed index {} outside table of size {n}")
     if x.shape[-1:] != (table.d_in,) or idx.ndim != x.ndim or idx.shape[:-1] != x.shape[:-1]:
         raise ValueError(f"experts expect (..., {table.d_in}) rows and (..., k) indices "
                          f"with the same leading shape, got {x.shape} and {idx.shape}")
-    bad = idx[(idx < 0) | (idx >= table.n)]
-    if bad.size:
-        raise ValueError(f"routed index {int(bad[0])} outside table of size {table.n}")
     b, U, V = table.b, table.U, table.V
     seq, d, k, r = math.prod(x.shape[:-1]), table.d_in, idx.shape[-1], table.rank
     idx = idx.reshape(seq, k)

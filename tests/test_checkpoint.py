@@ -6,6 +6,7 @@ import struct
 import numpy as np
 import pytest
 
+from sparse_memory_lab import checkpoint
 from sparse_memory_lab.checkpoint import load_checkpoint, save_checkpoint
 from sparse_memory_lab.config import AltUpConfig, ExperimentConfig, MemoryConfig, ModelConfig
 from sparse_memory_lab.model import LanguageModel, count_params
@@ -140,3 +141,34 @@ def test_saved_bytes_unchanged(two_tensors):
     payload = np.arange(6.0).astype("<f8").tobytes() + np.ones(4).astype("<f8").tobytes()
     assert two_tensors.read_bytes() == (b"SMLB" + struct.pack("<I", 1)
                                         + struct.pack("<Q", len(manifest)) + manifest + payload)
+
+
+def test_save_failing_mid_write_keeps_the_earlier_file(tmp_path, monkeypatch):
+    path = tmp_path / "ck.smlb"
+    save_checkpoint(path, {"a": np.arange(6.0)})
+    before = path.read_bytes()
+
+    class FullDisk:
+        """A file that takes the header, then fails as a full disk would."""
+
+        def __init__(self, *args):
+            self.fh = open(*args)
+            self.writes = 0
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            self.fh.close()
+
+        def write(self, data):
+            self.writes += 1
+            if self.writes > 4:  # magic, version, length and manifest went through
+                raise OSError(28, "No space left on device")
+            return self.fh.write(data)
+
+    monkeypatch.setattr(checkpoint, "open", FullDisk, raising=False)
+    with pytest.raises(OSError, match="No space left"):
+        save_checkpoint(path, {"a": np.zeros(6), "b": np.ones(4)})
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["ck.smlb"]

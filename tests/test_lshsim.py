@@ -170,6 +170,19 @@ def test_out_of_range_cells_rejected_before_any_draw(bad, match, monkeypatch):
                        c["l"], c["d"], c["trials"], 0)
 
 
+@pytest.mark.parametrize("width", [0.0, -5.0, float("nan"), float("inf")])
+def test_bad_width_rejected_before_any_draw(width, monkeypatch):
+    # unchecked, these raised ZeroDivisionError, a math domain error or numpy's
+    # complaint about p, each from inside a draw
+    def no_draw(*args, **kwargs):
+        raise AssertionError("a cell was estimated before the width was checked")
+
+    monkeypatch.setattr(lshsim, "_cell_p_hat", no_draw)
+    monkeypatch.setattr(lshsim, "_pair_cosines", no_draw)
+    with pytest.raises(ValueError, match="bucket width must be positive and finite, got "):
+        estimate_collision("hyperplane", 0.5, 256, 32, 64, 500, 0, width=width)
+
+
 @pytest.mark.parametrize("f, l, d, pairs", [
     (1.5, 8, 8, 10), (-0.25, 8, 8, 10), (0.5, 0, 8, 10), (0.5, 8, 0, 10), (0.5, 8, 8, 0),
 ])
