@@ -541,12 +541,15 @@ def cross_entropy(logits: Tensor, targets: np.ndarray) -> Tensor:
     one node: the numpy forward of the chain log_softmax, a take of each
     target's entry, the mean and the negation, call for call, and that
     chain's backward. A float or bool dtype raises rather than being read
-    as columns."""
+    as columns, and an empty batch, whose mean is undefined, raises."""
     targets = index_array(targets, logits.shape[-1], "targets",
                           "target {} outside [0, {n}), the logit columns")
     if targets.shape != logits.shape[:-1]:
         raise ValueError(f"targets {targets.shape} must match the leading axes of logits "
                          f"{logits.shape}")
+    if targets.size == 0:
+        raise ValueError(f"cross_entropy of an empty batch: logits {logits.shape} hold no "
+                         "targets to average over")
     flat = np.arange(targets.size) * logits.shape[-1]
     flat += targets.reshape(-1)
     out = _log_softmax(logits.data, -1)

@@ -168,6 +168,15 @@ def fold_cells(cells: np.ndarray, seed: int) -> np.ndarray:
     return state.reshape(lead)
 
 
+def check_cell_range(largest: float, width: float) -> None:
+    """Reject hyperplane cells whose largest magnitude `largest` lies outside
+    the int64 range of fold_cells' cast, which would map them all to one
+    value: a width far below the rows' scale puts every row in one bucket."""
+    if not largest < 2.0 ** 63:  # NaN too
+        raise ValueError(f"bucket width {width} makes cells of magnitude {largest:.3g}, "
+                         "outside the int64 range of the cell hash")
+
+
 @dataclass
 class HyperplaneLshParams:
     """Grid partition by random equispaced hyperplanes; frozen after construction."""
@@ -213,6 +222,7 @@ def hyperplane_lsh_lookup(rows: np.ndarray, params: HyperplaneLshParams) -> Rout
     if rows.shape[-1] != params.d_in:
         raise ValueError(f"expected (..., {params.d_in}) rows, got {rows.shape}")
     cells = np.floor((rows @ params.directions.T + params.offsets) / params.width)
+    check_cell_range(np.abs(cells).max(initial=0.0), params.width)
     buckets = fold_cells(cells, MIX_SEED) % np.uint64(params.n)
     return RouteResult(indices=buckets.reshape(-1).astype(np.intp))
 

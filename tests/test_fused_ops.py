@@ -16,6 +16,7 @@ node each and name themselves in a divergence.
 """
 
 import math
+import re
 from collections import Counter
 
 import numpy as np
@@ -457,6 +458,14 @@ def test_cross_entropy_rejects_targets_outside_the_logit_columns(targets):
     bad = next(t for t in targets if not 0 <= t < 3)
     with pytest.raises(ValueError, match=rf"target {bad} outside \[0, 3\)"):
         cross_entropy(Tensor(np.zeros((2, 3))), np.array(targets))
+
+
+@pytest.mark.parametrize("shape", [(0, 3), (2, 0, 3)])
+def test_cross_entropy_rejects_an_empty_batch(shape):
+    targets = np.zeros(shape[:-1], dtype=int)
+    with pytest.raises(ValueError, match="cross_entropy of an empty batch: logits "
+                       + re.escape(str(shape))):
+        cross_entropy(Tensor(np.zeros(shape)), targets)
 
 
 @pytest.mark.parametrize("dtype", [np.int8, np.uint8, np.int32, np.uint32, np.uint64])

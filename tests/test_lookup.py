@@ -225,6 +225,15 @@ def test_hyperplane_params_must_be_finite(field, value):
         HyperplaneLshParams(**params)
 
 
+def test_hyperplane_width_too_small_for_the_cell_hash_is_named():
+    # at width 1e-300 the cells reach about 1e300; their int64 cast maps
+    # them all to one value, which used to put every row in one bucket
+    params = HyperplaneLshParams.init(8, 4, 1e-300, 64, seed=5)
+    x = np.random.default_rng(0).standard_normal((6, 8))
+    with pytest.raises(ValueError, match="bucket width 1e-300 makes cells of magnitude "):
+        hyperplane_lsh_lookup(x, params)
+
+
 def test_hyperplane_params_accept_lists():
     listed = HyperplaneLshParams(directions=[[1.0, 0.0]], offsets=[0.5], width=1.0, n=4)
     arrays = HyperplaneLshParams(np.array([[1.0, 0.0]]), np.array([0.5]), 1.0, 4)

@@ -183,6 +183,24 @@ def test_bad_width_rejected_before_any_draw(width, monkeypatch):
         estimate_collision("hyperplane", 0.5, 256, 32, 64, 500, 0, width=width)
 
 
+def test_width_too_small_for_the_cell_hash_is_named():
+    # unchecked, every row landed in one bucket and p_hat read 1.0
+    with pytest.raises(ValueError, match="bucket width 1e-300 makes cells of magnitude "):
+        estimate_collision("hyperplane", 0.5, 256, 32, 64, 500, 0, width=1e-300)
+
+
+def test_sparse_sampler_names_a_cell_past_the_int64_range(monkeypatch):
+    # the sparse sampler's widths keep its cells small; a tail column scaled
+    # past 2**63 widths stands in for one that is not
+    tail_normals = lshsim._tail_normals
+    monkeypatch.setattr(lshsim, "_tail_normals",
+                        lambda size, r, rng: 1e30 * tail_normals(size, r, rng))
+    n = 256
+    with pytest.raises(ValueError, match="bucket width 55.3 makes cells of magnitude "):
+        lshsim._sparse_hyperplane_collisions(np.zeros(2000), n, default_num_projections(n),
+                                             55.3, np.random.default_rng(0))
+
+
 @pytest.mark.parametrize("f, l, d, pairs", [
     (1.5, 8, 8, 10), (-0.25, 8, 8, 10), (0.5, 0, 8, 10), (0.5, 8, 0, 10), (0.5, 8, 8, 0),
 ])
@@ -198,21 +216,21 @@ def test_random_stream_is_pinned():
     # batch), changes them
     rows = collision_grid(list(lshsim.FAMILIES), [0.25, 0.75], [16, 300], 8, 8, 2000, 3)
     assert [(r["family"], r["f"], r["n"], r["p_hat"]) for r in rows] == [
-        ("token_id", 0.25, 16, 0.25), ("spherical", 0.25, 16, 0.1365),
+        ("token_id", 0.25, 16, 0.25), ("spherical", 0.25, 16, 0.1235),
         ("hyperplane", 0.25, 16, 0.85), ("minhash", 0.25, 16, 0.1445),
-        ("token_id", 0.25, 300, 0.25), ("spherical", 0.25, 300, 0.014),
+        ("token_id", 0.25, 300, 0.25), ("spherical", 0.25, 300, 0.0135),
         ("hyperplane", 0.25, 300, 0.1495), ("minhash", 0.25, 300, 0.147),
-        ("token_id", 0.75, 16, 0.75), ("spherical", 0.75, 16, 0.413),
+        ("token_id", 0.75, 16, 0.75), ("spherical", 0.75, 16, 0.3845),
         ("hyperplane", 0.75, 16, 0.9155), ("minhash", 0.75, 16, 0.61),
-        ("token_id", 0.75, 300, 0.75), ("spherical", 0.75, 300, 0.122),
+        ("token_id", 0.75, 300, 0.75), ("spherical", 0.75, 300, 0.13),
         ("hyperplane", 0.75, 300, 0.3255), ("minhash", 0.75, 300, 0.611),
     ]
     # more pairs than one batch of sentence draws
-    assert estimate_mixing_dot(0.5, 8, 8, 3000, 3) == (0.5004733758396958,
+    assert estimate_mixing_dot(0.5, 8, 8, 3000, 3) == (0.5004733758396959,
                                                        0.006965444136643222)
     p_hats = [estimate_collision(fam, 0.5, 16, 8, 8, 5000, 4, width=2.0).p_hat
               for fam in ("spherical", "hyperplane", "minhash")]
-    assert p_hats == [0.226, 0.071, 0.3354]
+    assert p_hats == [0.2222, 0.071, 0.3354]
 
 
 # -- dual-route consistency: span samplers vs literal lookup ops --------------------
@@ -467,6 +485,24 @@ def uniform_ks_distance(u):
     return max((np.arange(1, m + 1) / m - u).max(), (u - np.arange(m) / m).max())
 
 
+def test_unit_circle_matches_numpy_cos_and_sin():
+    u = np.random.default_rng(97).random(1_000_000)
+    u[:2] = [0.0, 0.5]
+    angle = 2.0 * np.pi * u
+    cos, sin = lshsim._unit_circle(u.copy())
+    np.testing.assert_allclose(cos, np.cos(angle), rtol=0, atol=1e-15)
+    np.testing.assert_allclose(sin, np.sin(angle), rtol=0, atol=1e-15)
+    assert cos[0] == 1.0 and sin[0] == 0.0 and cos[1] == -1.0
+
+
+def test_unit_circle_angle_is_uniform():
+    # the angle, read back from the cosine and sine, is uniform on [0, 2 pi)
+    size = 100_000
+    cos, sin = lshsim._unit_circle(np.random.default_rng(98).random(size))
+    angle = np.arctan2(sin, cos) % (2.0 * math.pi)
+    assert uniform_ks_distance(angle / (2.0 * math.pi)) <= 1.95 / math.sqrt(size)
+
+
 @pytest.mark.parametrize("n, d", [(1024, 64), (12, 8), (300, 3)])
 def test_descending_radii_are_the_order_statistics_of_n_beta_draws(n, d):
     # r^2 ~ Beta(1, a), a = (d-2)/2, has CDF F(x) = 1 - (1-x)^a; the largest
@@ -497,16 +533,16 @@ def test_early_stop_agrees_with_a_visit_of_all_anchors():
     log_v = np.zeros(cosines.size)
     anchors = [[] for _ in live]  # (r, p1, p2) per visited anchor, in visit order
     draws = iter(rng.draws)
-    for (name_u, u), (name_g, g) in zip(draws, draws):
-        assert (name_u, name_g) == ("random", "standard_normal")
-        assert u.shape == g.shape[1:] == (len(live), u.shape[1])
+    for (name_u, u), (name_v, v) in zip(draws, draws):
+        assert (name_u, name_v) == ("random", "random")
+        assert u.shape == v.shape == (len(live), u.shape[1])
         k = len(anchors[live[0]])
         log_v[live], r = lshsim._descending_radii(log_v[live], u, n, k, d)
         for row, trial in enumerate(live):
-            t = cosines[trial]
-            for rj, g1, g2 in zip(r[row], g[0, row], g[1, row]):
-                h = math.hypot(g1, g2)
-                anchors[trial].append((rj, rj * g1 / h, rj * (t * g1 + math.sqrt(1 - t * t) * g2) / h))
+            phi = math.acos(cosines[trial])
+            for rj, vj in zip(r[row], v[row]):
+                theta = 2.0 * math.pi * vj  # one uniform per anchor's angle
+                anchors[trial].append((rj, rj * math.cos(theta), rj * math.cos(theta - phi)))
         live = [trial for trial in live if len(anchors[trial]) < n
                 and anchors[trial][-1][0] >= min(max(a[1] for a in anchors[trial]),
                                                  max(a[2] for a in anchors[trial]))]
@@ -544,17 +580,17 @@ def test_spherical_draws_stay_at_eight_anchors_per_trial(n, d):
     rng = RecordingGenerator(76)
     lshsim._spherical_collisions(cosines, n, d, rng)
     assert max(x.shape[-1] for _, x in rng.draws) == 8
-    assert max(x.size for _, x in rng.draws) <= 2 * trials * 8
+    assert max(x.size for _, x in rng.draws) <= trials * 8
 
 
 @pytest.mark.parametrize("n, trials, rounds", [(1024, 4000, 8), (32, 20000, 2), (4096, 100, 1)])
 def test_spherical_draws_at_d2_stay_within_the_bound(n, trials, rounds):
     # every r is 1 at d = 2, so a round visits as many anchors as one draw
-    # of at most 2**20 normals holds: 131 of 1024 for 4000 trials
+    # of at most 2**19 uniform angles holds: 131 of 1024 for 4000 trials
     cosines = np.random.default_rng(95).uniform(-1.0, 1.0, trials)
     rng = RecordingGenerator(96)
     lshsim._spherical_collisions(cosines, n, 2, rng)
-    assert all(name == "standard_normal" for name, _ in rng.draws)
+    assert all(name == "random" for name, _ in rng.draws)
     assert max(x.size for _, x in rng.draws) <= lshsim._SPHERICAL_D2_DRAW
     assert len(rng.draws) == rounds
 

@@ -207,6 +207,15 @@ def test_sequence_loss_rejects_a_target_outside_the_vocabulary():
         model.sequence_loss(window)
 
 
+def test_sequence_loss_of_an_empty_batch_names_it():
+    # a forward of a (0, seq) batch succeeds; the mean over no targets used
+    # to fail with a bare "float division by zero"
+    model = LanguageModel.build(tiny())
+    assert model.forward(np.zeros((0, 8), dtype=int)).shape[0] == 0
+    with pytest.raises(ValueError, match="cross_entropy of an empty batch"):
+        model.sequence_loss(np.zeros((0, 9), dtype=int))
+
+
 CAUSAL_CELLS = {
     "baseline": {},
     "altup_k2_simplified": {"memory": MemoryConfig(consumption="altup"),
