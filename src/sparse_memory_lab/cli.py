@@ -8,6 +8,8 @@ the same platform.
 from __future__ import annotations
 
 import argparse
+import errno
+import os
 import sys
 import time
 from pathlib import Path
@@ -110,6 +112,18 @@ def _parse_list(raw: str, typ, flag: str) -> list:
     return values
 
 
+def _check_out_dir(out: Path) -> None:
+    """Raise the error that creating the directory `out` would raise when
+    `out` or the nearest of its parents that exists is not a directory,
+    without creating anything."""
+    for path in (out, *out.parents):
+        if path.exists():
+            if not path.is_dir():
+                code = errno.EEXIST if path == out else errno.ENOTDIR
+                raise OSError(code, os.strerror(code), str(out))
+            return
+
+
 def cli_main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:
@@ -132,11 +146,12 @@ def cli_main(argv: list[str] | None = None) -> int:
             families = list(FAMILIES) if args.family == "all" else [args.family]
             f_grid = _parse_list(args.f, float, "--f")
             n_grid = _parse_list(args.n, int, "--n")
+            out = Path(args.out)
+            _check_out_dir(out)
             t0 = time.perf_counter()
             rows = collision_grid(families, f_grid, n_grid, args.l, args.d,
                                   args.trials, args.seed)
             seconds = max(time.perf_counter() - t0, 1e-9)
-            out = Path(args.out)
             write_csv(out / "lshsim.csv", LSHSIM_COLUMNS, rows)
             # wall-clock speed stays outside the deterministic CSV, as in `train`
             (out / "speed.txt").write_text(

@@ -119,6 +119,8 @@ _MIX_C = np.uint64(0x94D049BB133111EB)
 # fold_cells xors only the nonzero cells below this many cells per nonzero
 # one: the extraction costs about that many whole-column xors per cell
 _SPARSE_FOLD = 16
+# cells per chunk in which fold_cells looks for the nonzero ones
+_FOLD_CHUNK = 1 << 18
 
 
 def fold_cells(cells: np.ndarray, seed: int) -> np.ndarray:
@@ -132,28 +134,26 @@ def fold_cells(cells: np.ndarray, seed: int) -> np.ndarray:
 
     Each column xors its cells into the rows' states, then mixes every
     state. Xor with 0 is the identity, so when fewer than one cell in
-    _SPARSE_FOLD is nonzero, the nonzero cells are found once, grouped by
-    column (a stable sort keeps each column's rows in order) and cast, and a
-    column xors only those; otherwise the cells are cast once as contiguous
-    columns and each xors whole. The mixing runs over the contiguous
-    (rows,) state and never reads a column of the cells. uint64 arithmetic
-    wraps modulo 2**64, so the state is mixed in place.
+    _SPARSE_FOLD is nonzero (`_nonzero_cells`), the nonzero cells are
+    grouped by column (a stable sort keeps each column's rows in order) and
+    cast, and a column xors only those; otherwise the cells are cast once as
+    contiguous columns and each xors whole. The mixing runs over the
+    contiguous (rows,) state and never reads a column of the cells. uint64
+    arithmetic wraps modulo 2**64, so the state is mixed in place.
     """
     cells = np.asarray(cells)
     *lead, k = cells.shape
     state = np.full(math.prod(lead), np.uint64(seed), dtype=np.uint64)
     cells = cells.reshape(state.size, k)
-    mask = cells != 0  # nonzero() reads a bool mask several times faster
-    if np.count_nonzero(mask) * _SPARSE_FOLD >= cells.size:
+    found = _nonzero_cells(cells) if cells.size else None
+    if found is None:
         xors = ((slice(None), column) for column in
                 cells.T.astype(np.int64, order="C").view(np.uint64))
     else:
-        nonzero = np.flatnonzero(mask)
-        rows = nonzero // k
-        column = (nonzero - rows * k).astype(np.min_scalar_type(k))
+        rows, column, values = found
         order = np.argsort(column, kind="stable")  # a radix sort for k < 2**16
         rows = rows[order]
-        bits = cells.reshape(-1)[nonzero[order]].astype(np.int64, copy=False).view(np.uint64)
+        bits = values[order].astype(np.int64, copy=False).view(np.uint64)
         ends = np.bincount(column, minlength=k).cumsum().tolist()
         xors = ((rows[start:end], bits[start:end]) for start, end in zip([0, *ends], ends))
     shifted = np.empty_like(state)
@@ -166,6 +166,29 @@ def fold_cells(cells: np.ndarray, seed: int) -> np.ndarray:
         state *= _MIX_C
         state ^= np.right_shift(state, np.uint64(31), out=shifted)
     return state.reshape(lead)
+
+
+def _nonzero_cells(cells: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
+    """The rows, columns and values of the nonzero cells of a (rows, k)
+    array, row-major, the columns in the smallest dtype that holds k, or
+    None when one cell in _SPARSE_FOLD or more is nonzero. Read _FOLD_CHUNK
+    cells at a time, so no mask of the whole array is alive, and given up at
+    the chunk that settles None."""
+    n, k = cells.shape
+    step = max(1, _FOLD_CHUNK // k)
+    count, parts = 0, []
+    for lo in range(0, n, step):
+        block = cells[lo:lo + step]
+        mask = block != 0  # nonzero() reads a bool mask several times faster
+        count += np.count_nonzero(mask)
+        if count * _SPARSE_FOLD >= cells.size:
+            return None
+        nonzero = np.flatnonzero(mask)
+        rows = nonzero // k
+        # intp rows: fancy indexing converts any other dtype on every use
+        parts.append((rows + lo, (nonzero - rows * k).astype(np.min_scalar_type(k)),
+                      block.reshape(-1)[nonzero]))
+    return tuple(np.concatenate(arrays) for arrays in zip(*parts))
 
 
 def check_cell_range(largest: float, width: float) -> None:

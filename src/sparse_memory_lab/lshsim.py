@@ -44,12 +44,25 @@ The pair, hyperplane and min-hash samplers draw their trials in blocks
 through one helper; the spherical one draws (live trials, 8) arrays per
 round, and wider ones at d = 2. `collision_grid`, `estimate_collision`
 and `estimate_mixing_dot` reject an unknown family and an out-of-range f,
-n, l, d or trial count before any draw.
+n, l, d or trial count before any draw, and the width calibration rejects
+l <= 4, whose calibration pairs are identical sentences.
+
+`collision_grid` calibrates the hyperplane width in the calling thread,
+then draws each f's pair cosines and runs its (f, n, family) cells on one
+worker thread per CPU this process may use. Each draw comes from its own
+seed, so the rows, and the bytes `sml lshsim` writes, do not depend on the
+worker count; numpy's draws and ufuncs release the GIL. The sparse
+hyperplane sampler makes a block's cells a chunk of band columns at a
+time, and `fold_cells` finds the nonzero ones a chunk of rows at a time,
+so a cell at n = 1024 and 8000 trials peaks near 9.5 MB, not 26 MB, and
+two cells in flight fit in what one took.
 """
 
 from __future__ import annotations
 
 import math
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
@@ -81,6 +94,10 @@ _MINHASH_BLOCK = 1 << 13
 # hyperplane offsets (doubles) drawn per chunk of rows, so that no third
 # (trials, k) block is alive; chunks of 2**12 to 2**18 ran alike at n = 1024
 _OFFSET_CHUNK = 1 << 15
+# band columns whose cells the sparse hyperplane sampler makes per chunk, so
+# that only the band's offsets and first row of normals are whole-band
+# arrays; a chunk's temporaries stay under 0.5 MB
+_SPARSE_CHUNK = 1 << 13
 # the sparse hyperplane sampler's radius B: a column with |w| <= B and an
 # offset at least B from both cell edges puts both rows in cell 0. 2.5 to 3.5
 # ran alike at n = 1024 and width 55.3
@@ -380,13 +397,19 @@ def _hyperplane_collisions(cosines: np.ndarray, n: int, k: int, width: float,
 
 def _bernoulli_positions(m: int, q: float, rng: np.random.Generator) -> np.ndarray:
     """Sorted positions in [0, m) of a Bernoulli(q) process over m cells,
-    0 < q < 1: partial sums of geometric gaps, drawn in runs of the expected
-    count plus 4 sd and 16, so one run almost always covers the m cells."""
+    0 < q < 1, in the smallest dtype that holds m: partial sums of geometric
+    gaps, drawn in runs of the expected count plus 4 sd and 16, so one run
+    almost always covers the m cells."""
     run = int(m * q + 4.0 * math.sqrt(m * q * (1.0 - q))) + 16
-    pos = np.cumsum(rng.geometric(q, run)) - 1
+    pos = rng.geometric(q, run)
+    np.cumsum(pos, out=pos)
+    pos -= 1
     while pos[-1] < m:
-        pos = np.concatenate([pos, pos[-1] + np.cumsum(rng.geometric(q, run))])
-    return pos[:np.searchsorted(pos, m)]
+        more = rng.geometric(q, run)
+        np.cumsum(more, out=more)
+        more += pos[-1]
+        pos = np.concatenate([pos, more])
+    return pos[:np.searchsorted(pos, m)].astype(np.min_scalar_type(m))
 
 
 def _tail_normals(size: int, r: float, rng: np.random.Generator) -> np.ndarray:
@@ -422,40 +445,76 @@ def _sparse_hyperplane_collisions(cosines: np.ndarray, n: int, k: int, width: fl
     lies within B of a cell edge (probability 2B/width), each with an offset
     uniform on that band and an unconditional w; and tail columns, whose |w|
     exceeds B (probability exp(-B^2/2)), each with an offset uniform on
-    [B, width - B) and a w drawn past B (`_tail_normals`). A tail column
-    that is also a band column is dropped: the band's cells overwrite it.
-    The cells go into a zeroed (2, b, k) array, int8 when every drawn cell
-    fits, and one `fold_cells` call hashes both rows. Where band columns
-    would be _SPARSE_MAX_BAND of the columns or more (every one at width
-    <= 2B), the literal sampler draws the trials.
+    [B, width - B) and a w drawn past B (`_tail_normals`). `_sparse_cells`
+    puts them in a (2, b, k) array and one `fold_cells` call hashes both
+    rows. Where band columns would be _SPARSE_MAX_BAND of the columns or
+    more (every one at width <= 2B), the literal sampler draws the trials.
     """
-    r = _SPARSE_RADIUS
-    band_q, tail_q = 2.0 * r / width, math.exp(-0.5 * r * r)
+    band_q = 2.0 * _SPARSE_RADIUS / width
     if band_q >= _SPARSE_MAX_BAND:
         return _hyperplane_collisions(cosines, n, k, width, rng)
 
     def draw(start: int, stop: int) -> np.ndarray:
         t = cosines[start:stop]
-        m = t.size * k
-        band = _bernoulli_positions(m, band_q, rng)
-        tail = _bernoulli_positions(m, tail_q, rng)
-        band_offsets = rng.uniform(0.0, 2.0 * r, band.size)
-        band_offsets[band_offsets >= r] += width - 2.0 * r
-        band_w = rng.standard_normal((2, band.size))
-        tail_offsets = rng.uniform(r, width - r, tail.size)
-        tail_w = _tail_normals(tail.size, r, rng)
-        drawn = [(pos, _column_cells(t[pos // k], w, offsets, width))
-                 for pos, w, offsets in ((tail, tail_w, tail_offsets),
-                                         (band, band_w, band_offsets))]
-        largest = max(np.abs(c).max(initial=0.0) for _, c in drawn)
-        check_cell_range(largest, width)
-        cells = np.zeros((2, m), dtype=np.int8 if largest <= 127 else np.int64)
-        for pos, c in drawn:  # band last, so that it overwrites the tail
-            cells[:, pos] = c
+        cells = _sparse_cells(t, k, width, rng)
         h = fold_cells(cells.reshape(2, t.size, k), MIX_SEED) % np.uint64(n)
         return h[0] == h[1]
 
     return _batched(cosines.size, max(1, int(2e7 / k)), draw)
+
+
+def _sparse_cells(t: np.ndarray, k: int, width: float, rng: np.random.Generator) -> np.ndarray:
+    """Both rows' cells (2, t.size * k) of the band and tail columns of
+    `_sparse_hyperplane_collisions`' block of trials with cosines t, zero
+    elsewhere; int8 when every drawn cell fits.
+
+    The draws are band positions, tail positions, the band's draws
+    (`_band_cells`), then the tail's offsets and normals. A tail column that
+    is also a band column is dropped: the band's cells, written last,
+    overwrite it.
+    """
+    r = _SPARSE_RADIUS
+    m = t.size * k
+    band = _bernoulli_positions(m, 2.0 * r / width, rng)
+    tail = _bernoulli_positions(m, math.exp(-0.5 * r * r), rng)
+    band_cells = _band_cells(t, k, band, width, rng)
+    tail_offsets = rng.uniform(r, width - r, tail.size)
+    tail_cells = _fitted_cells(t[tail // k], _tail_normals(tail.size, r, rng),
+                               tail_offsets, width)
+    cells = np.zeros((2, m), dtype=np.result_type(tail_cells, *band_cells))
+    cells[:, tail] = tail_cells
+    for lo, c in zip(range(0, band.size, _SPARSE_CHUNK), band_cells):
+        cells[:, band[lo:lo + _SPARSE_CHUNK]] = c
+    return cells
+
+
+def _band_cells(t: np.ndarray, k: int, band: np.ndarray, width: float,
+                rng: np.random.Generator) -> list[np.ndarray]:
+    """The cells of the band columns at positions `band`, one array per
+    _SPARSE_CHUNK of them: offsets uniform on the band, then one (2, band)
+    draw of normals, whose second row is drawn a chunk at a time, so no band
+    draw outlives the call."""
+    r = _SPARSE_RADIUS
+    offsets = rng.uniform(0.0, 2.0 * r, band.size)
+    offsets[offsets >= r] += width - 2.0 * r
+    w0 = rng.standard_normal(band.size)
+    cells = []
+    for lo in range(0, band.size, _SPARSE_CHUNK):
+        chunk = slice(lo, lo + _SPARSE_CHUNK)
+        w = np.empty((2, w0[chunk].size))
+        w[0] = w0[chunk]
+        rng.standard_normal(out=w[1])
+        cells.append(_fitted_cells(t[band[chunk] // k], w, offsets[chunk], width))
+    return cells
+
+
+def _fitted_cells(t: np.ndarray, w: np.ndarray, offsets: np.ndarray,
+                  width: float) -> np.ndarray:
+    """`_column_cells`, range-checked, as int8 when each fits, else int64."""
+    cells = _column_cells(t, w, offsets, width)
+    largest = np.abs(cells).max(initial=0.0)
+    check_cell_range(largest, width)
+    return cells.astype(np.int8 if largest <= 127 else np.int64)
 
 
 def _minhash_collisions(f: float, l: int, n: int, trials: int,
@@ -493,7 +552,16 @@ def _minhash_collisions(f: float, l: int, n: int, trials: int,
 
 
 def hyperplane_collision_width(d: int, l: int) -> float:
-    """Bucket width tuned so p_hat(f=0.9) is ~0.5 at n=256; memoized per (d, l)."""
+    """Bucket width tuned so p_hat(f=0.9) is ~0.5 at n=256; memoized per (d, l).
+
+    At l <= 4, where round(0.9 l) = l, the calibration pairs are identical
+    sentences, which collide at every width: that raises a ValueError before
+    any draw.
+    """
+    if round(_CALIBRATION_F * l) == l:
+        raise ValueError(f"hyperplane width calibration needs round({_CALIBRATION_F} * l) < l, "
+                         f"so that its sentence pairs differ; l = {l} gives identical "
+                         "sentences, which collide at every width")
     key = (d, l)
     if key in _width_cache:
         return _width_cache[key]
@@ -539,12 +607,13 @@ def _check_cells(families: Sequence[str], f_grid: Sequence[float],
 
 
 def _cell_p_hat(family: str, f: float, n: int, l: int, d: int, trials: int, hash_seed,
-                cosines: np.ndarray | None, *, width: float | None = None) -> float:
+                cosines: np.ndarray | None, width: float | None) -> float:
     """Same-bucket frequency of one (family, f, n) cell.
 
     Token-id collisions are exactly the shared fraction. Hash draws come from
     `hash_seed`; `cosines` holds the sentence pairs' cosines (None for the
-    families outside _COSINE_FAMILIES, which do not read them).
+    families outside _COSINE_FAMILIES, which do not read them), and `width`
+    the hyperplane bucket width, which only that family reads.
     """
     if family == "token_id":
         return round(f * l) / l
@@ -554,8 +623,7 @@ def _cell_p_hat(family: str, f: float, n: int, l: int, d: int, trials: int, hash
     elif family == "spherical":
         hits = _spherical_collisions(cosines, n, d, rng)
     else:
-        w = width if width is not None else hyperplane_collision_width(d, l)
-        hits = _sparse_hyperplane_collisions(cosines, n, default_num_projections(n), w, rng)
+        hits = _sparse_hyperplane_collisions(cosines, n, default_num_projections(n), width, rng)
     return float(hits.mean())
 
 
@@ -565,13 +633,16 @@ def estimate_collision(family: str, f: float, n: int, l: int, d: int,
 
     Hash parameters are redrawn every trial so p_hat estimates the
     hash-family average. Deterministic per seed. Token-id collisions are
-    exact by construction and computed analytically.
+    exact by construction and computed analytically. A hyperplane cell
+    without a `width` takes `hyperplane_collision_width(d, l)`.
     """
     _check_cells([family], [f], [n], l, d, trials, width)
+    if family == "hyperplane" and width is None:
+        width = hyperplane_collision_width(d, l)
     s_pairs, s_hash = as_seedseq(seed).spawn(2)
     cosines = (_pair_cosines(f, l, d, trials, np.random.default_rng(s_pairs))
                if family in _COSINE_FAMILIES else None)
-    p_hat = _cell_p_hat(family, f, n, l, d, trials, s_hash, cosines, width=width)
+    p_hat = _cell_p_hat(family, f, n, l, d, trials, s_hash, cosines, width)
     stderr = math.sqrt(p_hat * (1.0 - p_hat) / trials)
     return CollisionEstimate(family=family, n=n, f=f, p_hat=p_hat,
                              stderr=stderr, trials=trials, l=l, d=d)
@@ -586,29 +657,53 @@ def jaccard(a: Iterable[int], b: Iterable[int]) -> float:
     return len(sa & sb) / len(union)
 
 
+def _cpu_count() -> int:
+    """CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # a platform without sched_getaffinity
+        return os.cpu_count() or 1
+
+
 def collision_grid(families: Sequence[str], f_grid: Sequence[float],
                    n_grid: Sequence[int], l: int, d: int, trials: int,
                    seed) -> list[dict]:
     """One row per (family, f, n) cell with p_hat, stderr, and rho_hat.
 
     Sentence draws are shared across families and table sizes within an f
-    cell (a variance-reduction choice); hash draws stay per cell.
+    cell (a variance-reduction choice); hash draws stay per cell. The
+    hyperplane width is calibrated first, in the calling thread; then each
+    f's cosines and each cell, every one with its own seed, are drawn on one
+    worker thread per CPU this process may use, so the rows do not depend on
+    the worker count.
     """
     _check_cells(families, f_grid, n_grid, l, d, trials)
+    width = hyperplane_collision_width(d, l) if "hyperplane" in families else None
     needs_cosines = any(fam in _COSINE_FAMILIES for fam in families)
-    rows = []
-    for fi, f in enumerate(f_grid):
+    cells = [(fam, f, n, np.random.SeedSequence(entropy=seed, spawn_key=(fi, ni, mi)), fi)
+             for fi, f in enumerate(f_grid)
+             for ni, n in enumerate(n_grid) for mi, fam in enumerate(families)]
+
+    def pair_cosines(fi: int) -> np.ndarray | None:
         pair_rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(fi, 999)))
-        cosines = _pair_cosines(f, l, d, trials, pair_rng) if needs_cosines else None
-        for ni, n in enumerate(n_grid):
-            for mi, fam in enumerate(families):
-                cell_seed = np.random.SeedSequence(entropy=seed, spawn_key=(fi, ni, mi))
-                p_hat = _cell_p_hat(fam, f, n, l, d, trials, cell_seed, cosines)
-                stderr = math.sqrt(p_hat * (1.0 - p_hat) / trials)
-                rho = -math.log(p_hat) / math.log(n) if p_hat > 0 and n > 1 else float("nan")
-                rows.append({
-                    "family": fam, "f": f, "n": n, "l": l, "d": d,
-                    "trials": trials, "p_hat": p_hat, "stderr": stderr,
-                    "rho_hat": rho,
-                })
+        return _pair_cosines(f_grid[fi], l, d, trials, pair_rng) if needs_cosines else None
+
+    with ThreadPoolExecutor(max(1, min(_cpu_count(), len(cells)))) as pool:
+        # queued ahead of every cell, so the cosines a cell waits for have
+        # started on another worker or are done
+        cosines = [pool.submit(pair_cosines, fi) for fi in range(len(f_grid))]
+
+        def p_hat(cell) -> float:
+            fam, f, n, cell_seed, fi = cell
+            return _cell_p_hat(fam, f, n, l, d, trials, cell_seed, cosines[fi].result(), width)
+
+        p_hats = list(pool.map(p_hat, cells))
+    rows = []
+    for (fam, f, n, _, _), p in zip(cells, p_hats):
+        rho = -math.log(p) / math.log(n) if p > 0 and n > 1 else float("nan")
+        rows.append({
+            "family": fam, "f": f, "n": n, "l": l, "d": d,
+            "trials": trials, "p_hat": p, "stderr": math.sqrt(p * (1.0 - p) / trials),
+            "rho_hat": rho,
+        })
     return rows

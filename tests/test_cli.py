@@ -270,6 +270,22 @@ def test_out_that_is_a_file_is_a_clean_error(tmp_path, capsys):
     assert taken.read_text() == "not a directory\n"
 
 
+def test_lshsim_checks_out_before_the_grid(tmp_path, capsys):
+    taken = tmp_path / "taken"
+    taken.write_text("not a directory\n")
+    code = cli_main(["lshsim", "--trials", "10", "--out", str(taken / "sim")])
+    assert code == 2
+    enotdir = f"[Errno {errno.ENOTDIR}] {os.strerror(errno.ENOTDIR)}"
+    assert capsys.readouterr().err == f"error: {enotdir}: '{taken / 'sim'}'\n"
+    # a grid that rejects its inputs after the check still creates nothing
+    out = tmp_path / "out" / "sim"
+    code = cli_main(["lshsim", "--family", "hyperplane", "--l", "4", "--trials", "10",
+                     "--out", str(out)])
+    assert code == 2
+    assert "l = 4 gives identical sentences" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("command", [
     ["train"], ["route-bench", "--ranks", "0", "--buckets", "8"],
 ], ids=["train", "route-bench"])

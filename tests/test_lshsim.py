@@ -2,6 +2,7 @@
 cross-checks between the vectorized span samplers and the literal lookup ops."""
 
 import math
+import threading
 import tracemalloc
 
 import numpy as np
@@ -680,6 +681,23 @@ def test_hyperplane_sampler_keeps_two_blocks_alive():
     assert peak <= 2.5 * trials * k * 8, peak / (trials * k * 8)
 
 
+def test_sparse_hyperplane_cell_fits_in_twelve_megabytes():
+    # a grid runs two such cells at once on two CPUs: each draw is freed or
+    # made into small cells before the (2, b, k) int8 array, and the fold
+    # finds the nonzero cells a chunk at a time
+    trials, n = 8000, 1024
+    cosines = lshsim._pair_cosines(0.5, 32, 64, trials, np.random.default_rng(87))
+    width = hyperplane_collision_width(64, 32)
+    tracemalloc.start()
+    try:
+        lshsim._cell_p_hat("hyperplane", 0.5, n, 32, 64, trials, np.random.SeedSequence(88),
+                           cosines, width)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 12 * 2 ** 20, peak / 2 ** 20
+
+
 # -- rho ---------------------------------------------------------------------------
 
 def test_rho_is_zero_at_full_overlap():
@@ -926,6 +944,62 @@ def test_collision_grid_rows_and_determinism():
     again = collision_grid(["token_id", "minhash"], [0.5, 1.0], [16, 64],
                            l=8, d=8, trials=500, seed=13)
     assert rows == again
+
+
+def test_grid_rows_do_not_depend_on_the_worker_count(monkeypatch):
+    threads = []
+    cell_p_hat = lshsim._cell_p_hat
+
+    def recording(*args):
+        threads.append(threading.get_ident())
+        return cell_p_hat(*args)
+
+    monkeypatch.setattr(lshsim, "_cell_p_hat", recording)
+    grids = {}
+    for workers in (1, 4):
+        monkeypatch.setattr(lshsim, "_cpu_count", lambda: workers)
+        threads.clear()
+        grids[workers] = collision_grid(list(lshsim.FAMILIES), [0.25, 0.75], [16, 300],
+                                        8, 8, 2000, 3)
+        assert len(threads) == 16 and threading.get_ident() not in threads
+        assert len(set(threads)) == 1 if workers == 1 else len(set(threads)) > 1
+    assert grids[1] == grids[4]
+
+
+def test_grid_calibrates_the_width_once_before_its_cells_run(monkeypatch):
+    # a bisection step that never hits runs fast and walks the width up to
+    # about 2000, where the grid's cells draw sparsely
+    calls = []
+
+    def no_hits(cosines, n, k, width, rng):
+        calls.append(threading.get_ident())
+        return np.zeros(cosines.size, dtype=bool)
+
+    monkeypatch.setattr(lshsim, "_width_cache", {})
+    monkeypatch.setattr(lshsim, "_hyperplane_collisions", no_hits)
+    monkeypatch.setattr(lshsim, "_cpu_count", lambda: 4)
+    rows = collision_grid(["hyperplane"], [0.25, 0.75], [16, 300], 8, 8, 200, 3)
+    assert len(rows) == 4
+    assert calls == [threading.get_ident()] * 40
+    assert list(lshsim._width_cache) == [(8, 8)]
+
+
+@pytest.mark.parametrize("l", [1, 2, 3, 4])
+def test_calibration_of_identical_sentences_is_rejected_before_any_draw(l, monkeypatch):
+    # round(0.9 l) = l: every width collides, and the bisection used to run its
+    # 40 rounds and return the bracket edge 0.5000000009
+    def no_draw(*args, **kwargs):
+        raise AssertionError("the calibration drew before it rejected l")
+
+    monkeypatch.setattr(lshsim, "_pair_cosines", no_draw)
+    monkeypatch.setattr(lshsim, "_hyperplane_collisions", no_draw)
+    match = rf"round\(0.9 \* l\) < l, .*; l = {l} gives identical sentences"
+    with pytest.raises(ValueError, match=match):
+        hyperplane_collision_width(8, l)
+    with pytest.raises(ValueError, match=match):
+        collision_grid(["token_id", "hyperplane"], [0.5], [16], l, 8, 100, 0)
+    with pytest.raises(ValueError, match=match):
+        estimate_collision("hyperplane", 0.5, 16, l, 8, 100, 0)
 
 
 def test_default_num_projections_monotone():
