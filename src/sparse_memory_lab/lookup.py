@@ -151,10 +151,12 @@ def fold_cells(cells: np.ndarray, seed: int) -> np.ndarray:
                 cells.T.astype(np.int64, order="C").view(np.uint64))
     else:
         rows, column, values = found
-        order = np.argsort(column, kind="stable")  # a radix sort for k < 2**16
-        rows = rows[order]
-        bits = values[order].astype(np.int64, copy=False).view(np.uint64)
+        # before the sort's arrays: bincount makes an intp copy of column
         ends = np.bincount(column, minlength=k).cumsum().tolist()
+        order = np.argsort(column, kind="stable")  # a radix sort for k < 2**16
+        # intp rows: fancy indexing converts any other dtype on every use
+        rows = rows[order].astype(np.intp)
+        bits = values[order].astype(np.int64, copy=False).view(np.uint64)
         xors = ((rows[start:end], bits[start:end]) for start, end in zip([0, *ends], ends))
     shifted = np.empty_like(state)
     for where, values in xors:
@@ -170,25 +172,33 @@ def fold_cells(cells: np.ndarray, seed: int) -> np.ndarray:
 
 def _nonzero_cells(cells: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
     """The rows, columns and values of the nonzero cells of a (rows, k)
-    array, row-major, the columns in the smallest dtype that holds k, or
-    None when one cell in _SPARSE_FOLD or more is nonzero. Read _FOLD_CHUNK
-    cells at a time, so no mask of the whole array is alive, and given up at
-    the chunk that settles None."""
+    array, row-major, the rows and columns in the smallest dtypes that hold
+    them, or None when one cell in _SPARSE_FOLD or more is nonzero. Read
+    _FOLD_CHUNK cells at a time, so no mask of the whole array is alive, and
+    given up at the chunk that settles None."""
     n, k = cells.shape
     step = max(1, _FOLD_CHUNK // k)
     count, parts = 0, []
     for lo in range(0, n, step):
-        block = cells[lo:lo + step]
-        mask = block != 0  # nonzero() reads a bool mask several times faster
-        count += np.count_nonzero(mask)
+        # nonzero() reads a bool mask several times faster than the cells
+        nonzero = np.flatnonzero(cells[lo:lo + step] != 0)
+        count += nonzero.size
         if count * _SPARSE_FOLD >= cells.size:
             return None
-        nonzero = np.flatnonzero(mask)
-        rows = nonzero // k
-        # intp rows: fancy indexing converts any other dtype on every use
-        parts.append((rows + lo, (nonzero - rows * k).astype(np.min_scalar_type(k)),
-                      block.reshape(-1)[nonzero]))
-    return tuple(np.concatenate(arrays) for arrays in zip(*parts))
+        nonzero += lo * k
+        parts.append(nonzero)
+    rows = np.empty(count, dtype=np.min_scalar_type(n))
+    column = np.empty(count, dtype=np.min_scalar_type(k))
+    values = np.empty(count, dtype=cells.dtype)
+    end = 0
+    for nonzero in parts:
+        at = slice(end, end + nonzero.size)
+        end += nonzero.size
+        row = nonzero // k
+        rows[at] = row
+        column[at] = nonzero - row * k
+        values[at] = cells.reshape(-1)[nonzero]
+    return rows, column, values
 
 
 def check_cell_range(largest: float, width: float) -> None:

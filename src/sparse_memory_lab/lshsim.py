@@ -54,7 +54,7 @@ seed, so the rows, and the bytes `sml lshsim` writes, do not depend on the
 worker count; numpy's draws and ufuncs release the GIL. The sparse
 hyperplane sampler makes a block's cells a chunk of band columns at a
 time, and `fold_cells` finds the nonzero ones a chunk of rows at a time,
-so a cell at n = 1024 and 8000 trials peaks near 9.5 MB, not 26 MB, and
+so a cell at n = 1024 and 8000 trials peaks near 8.1 MB, not 25 MB, and
 two cells in flight fit in what one took.
 """
 
@@ -62,7 +62,6 @@ from __future__ import annotations
 
 import math
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
@@ -471,7 +470,8 @@ def _sparse_cells(t: np.ndarray, k: int, width: float, rng: np.random.Generator)
     The draws are band positions, tail positions, the band's draws
     (`_band_cells`), then the tail's offsets and normals. A tail column that
     is also a band column is dropped: the band's cells, written last,
-    overwrite it.
+    overwrite it. `take` gathers each column's cosine: indexing with the
+    positions' compact dtype took twice as long.
     """
     r = _SPARSE_RADIUS
     m = t.size * k
@@ -479,7 +479,7 @@ def _sparse_cells(t: np.ndarray, k: int, width: float, rng: np.random.Generator)
     tail = _bernoulli_positions(m, math.exp(-0.5 * r * r), rng)
     band_cells = _band_cells(t, k, band, width, rng)
     tail_offsets = rng.uniform(r, width - r, tail.size)
-    tail_cells = _fitted_cells(t[tail // k], _tail_normals(tail.size, r, rng),
+    tail_cells = _fitted_cells(t.take(tail // k), _tail_normals(tail.size, r, rng),
                                tail_offsets, width)
     cells = np.zeros((2, m), dtype=np.result_type(tail_cells, *band_cells))
     cells[:, tail] = tail_cells
@@ -504,7 +504,7 @@ def _band_cells(t: np.ndarray, k: int, band: np.ndarray, width: float,
         w = np.empty((2, w0[chunk].size))
         w[0] = w0[chunk]
         rng.standard_normal(out=w[1])
-        cells.append(_fitted_cells(t[band[chunk] // k], w, offsets[chunk], width))
+        cells.append(_fitted_cells(t.take(band[chunk] // k), w, offsets[chunk], width))
     return cells
 
 
@@ -687,6 +687,10 @@ def collision_grid(families: Sequence[str], f_grid: Sequence[float],
     def pair_cosines(fi: int) -> np.ndarray | None:
         pair_rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(fi, 999)))
         return _pair_cosines(f_grid[fi], l, d, trials, pair_rng) if needs_cosines else None
+
+    # imported here: it loads logging, about 0.5 MB resident that a process
+    # running no grid, such as a training run, never needs
+    from concurrent.futures import ThreadPoolExecutor
 
     with ThreadPoolExecutor(max(1, min(_cpu_count(), len(cells)))) as pool:
         # queued ahead of every cell, so the cosines a cell waits for have

@@ -263,12 +263,15 @@ def fold_cases():
     rng = np.random.default_rng(90)
     sparse = np.zeros((40, 50), dtype=np.int64)
     sparse.flat[rng.choice(sparse.size, 20, replace=False)] = rng.integers(-9, 10, 20)
+    tall = np.zeros((300, 4), dtype=np.int8)  # more rows than a uint8 holds
+    tall.flat[rng.choice(tall.size, 12, replace=False)] = rng.integers(-9, 10, 12)
     floats = np.floor(rng.standard_normal((6, 9)) * 2.0)
     floats[floats == 0.0] = -0.0
     floats[0, :3] = [-0.0, 0.0, -0.0]
     return {
         "dense": rng.integers(-2**63, 2**63 - 1, (5, 7), dtype=np.int64, endpoint=True),
         "sparse": sparse,
+        "tall_sparse": tall,
         "negative": -rng.integers(1, 2**40, (3, 4, 6)),
         "floats": floats,
         "k0": np.zeros((3, 0), dtype=np.int64),
@@ -286,6 +289,17 @@ def test_fold_cells_matches_a_python_splitmix_reference(name, seed):
     rows = cells.reshape(math.prod(cells.shape[:-1]), cells.shape[-1])
     expected = [splitmix_fold(row, seed) for row in rows]
     assert got.reshape(-1).tolist() == expected
+
+
+@pytest.mark.parametrize("name", list(fold_cases()))
+def test_fold_cells_reads_the_cells_a_chunk_at_a_time(name, monkeypatch):
+    # chunks of a few rows each: the count, the give-up and the fill all
+    # cross chunk boundaries
+    monkeypatch.setattr(lookup, "_FOLD_CHUNK", 100)
+    cells = fold_cases()[name]
+    rows = cells.reshape(math.prod(cells.shape[:-1]), cells.shape[-1])
+    expected = [splitmix_fold(row, MIX_SEED) for row in rows]
+    assert fold_cells(cells, MIX_SEED).reshape(-1).tolist() == expected
 
 
 def test_fold_cells_hashes_a_nan_cell_by_its_int64_cast():
